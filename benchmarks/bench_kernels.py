@@ -1,4 +1,4 @@
-"""Benchmark the counting kernels: numba @njit vs the pure numpy fallback.
+"""Benchmark the box-count kernel: numba @njit vs the pure numpy fallback.
 
 Run as ``python benchmarks/bench_kernels.py``.  The first jit call compiles
 and is excluded from the timings.
@@ -11,29 +11,23 @@ import numpy as np
 from lenspec import _kernels
 
 WORKLOADS = [
-    ("shell n=2 q=12 kmax=60", "shell", ((12, (1, 5)),), 2, 60),
-    ("shell n=3 q=11 kmax=36", "shell", ((11, (1, 2, 3)),), 3, 36),
-    ("shell n=4 q=7  kmax=24", "shell", ((7, (1, 2, 3, 4)),), 4, 24),
-    ("box   n=3 q=12", "box", ((12, (1, 5, 7)),), 3, 11),
-    ("box   n=4 q=8", "box", ((8, (1, 3, 5, 7)),), 4, 7),
+    ("box n=3 q=12", ((12, (1, 5, 7)),), 3, 11),
+    ("box n=4 q=8", ((8, (1, 3, 5, 7)),), 4, 7),
 ]
 
 
-def run(kind, congs, n, arg, backend):
+def run(congs, n, radius, backend):
     moduli, coeffs = _kernels._congruence_arrays(congs, n)
-    if kind == "shell":
-        fn = _kernels._shell_table_jit if backend == "numba" else _kernels._shell_table_numpy
-    else:
-        fn = _kernels._box_table_jit if backend == "numba" else _kernels._box_table_numpy
-    return fn(moduli, coeffs, arg)
+    fn = _kernels._box_table_jit if backend == "numba" else _kernels._box_table_numpy
+    return fn(moduli, coeffs, radius)
 
 
-def timed(kind, congs, n, arg, backend, repeats=5):
-    run(kind, congs, n, arg, backend)  # warm up (jit compiles here)
+def timed(congs, n, radius, backend, repeats=5):
+    run(congs, n, radius, backend)  # warm up (jit compiles here)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        run(kind, congs, n, arg, backend)
+        run(congs, n, radius, backend)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -43,12 +37,12 @@ def main():
         print("numba is not importable; nothing to compare")
         return
     print(f"{'workload':28s} {'numpy':>10s} {'numba':>10s} {'speedup':>8s}")
-    for label, kind, congs, n, arg in WORKLOADS:
-        ref = run(kind, congs, n, arg, "numpy")
-        jit = run(kind, congs, n, arg, "numba")
+    for label, congs, n, radius in WORKLOADS:
+        ref = run(congs, n, radius, "numpy")
+        jit = run(congs, n, radius, "numba")
         assert (np.asarray(ref) == np.asarray(jit)).all(), label
-        t_np = timed(kind, congs, n, arg, "numpy")
-        t_nb = timed(kind, congs, n, arg, "numba")
+        t_np = timed(congs, n, radius, "numpy")
+        t_nb = timed(congs, n, radius, "numba")
         print(f"{label:28s} {t_np * 1e3:9.2f}ms {t_nb * 1e3:9.2f}ms {t_np / t_nb:7.1f}x")
 
 

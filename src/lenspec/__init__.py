@@ -33,7 +33,6 @@ from .isospec import (
 )
 from .lattice import (
     CongruenceLattice,
-    ShellCounts,
     TorusSubgroup,
     lattice_from_lens,
     lens_group,
@@ -66,7 +65,6 @@ __all__ = [
     "lens_group",
     "CongruenceLattice",
     "lattice_from_lens",
-    "ShellCounts",
     "WeightClass",
     "RepIndex",
     "weight_multiplicity",

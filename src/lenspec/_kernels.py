@@ -1,14 +1,15 @@
-"""Hot counting kernels for congruence lattices.
+"""Box-count kernel for congruence lattices.
 
-Both kernels tabulate integer vectors by one-norm and number of zero entries,
-subject to a family of modular congruences.  The loop versions are compiled
-with numba's @njit when numba is importable; setting ``LENSPEC_PURE=1`` (or a
-missing numba) selects vectorized numpy fallbacks instead.  The two backends
+The kernel tabulates the integer vectors of a box by one-norm and number of
+zero entries, subject to a family of modular congruences; its table feeds the
+numerators of every generating function.  The loop version is compiled with
+numba's @njit when numba is importable; setting ``LENSPEC_PURE=1`` (or a
+missing numba) selects a vectorized numpy fallback instead.  The two backends
 return identical int64 tables; ``benchmarks/bench_kernels.py`` compares them.
 
-Counts are numbers of lattice points inside explicit boxes, so int64 is exact
-as long as the enumerated box stays below 2^62 points; the wrappers enforce
-that bound before dispatching.
+Counts are numbers of lattice points inside an explicit box, so int64 is
+exact as long as the enumerated box stays below 2^62 points; the wrapper
+enforces that bound before dispatching.
 """
 
 from __future__ import annotations
@@ -22,55 +23,6 @@ from .errors import InvalidParameters
 PURE_ENV = "LENSPEC_PURE"
 
 _INT64_SAFE = 1 << 62
-
-
-def _shell_table_loops(moduli, coeffs, kmax):
-    """Count vectors with one-norm k <= kmax by (norm, zero entries).
-
-    moduli: (m,) int64, coeffs: (m, n) int64.  A vector a belongs to the
-    lattice when coeffs[r] . a == 0 mod moduli[r] for every row r.  Returns an
-    int64 table of shape (kmax+1, n+1) indexed [norm, zeros].
-    """
-    ncong, n = coeffs.shape
-    out = np.zeros((kmax + 1, n + 1), dtype=np.int64)
-    out[0, n] = 1
-    if kmax == 0:
-        return out
-    a = np.zeros(n, dtype=np.int64)
-    budget = np.zeros(n + 1, dtype=np.int64)
-    budget[0] = kmax
-    i = 0
-    a[0] = -kmax - 1
-    while i >= 0:
-        a[i] += 1
-        if a[i] > budget[i]:
-            i -= 1
-            continue
-        v = a[i]
-        if v < 0:
-            v = -v
-        budget[i + 1] = budget[i] - v
-        if i == n - 1:
-            norm = kmax - budget[n]
-            if norm > 0:
-                ok = True
-                for r in range(ncong):
-                    acc = 0
-                    for j in range(n):
-                        acc += coeffs[r, j] * a[j]
-                    if acc % moduli[r] != 0:
-                        ok = False
-                        break
-                if ok:
-                    zeros = 0
-                    for j in range(n):
-                        if a[j] == 0:
-                            zeros += 1
-                    out[norm, zeros] += 1
-        else:
-            i += 1
-            a[i] = -budget[i] - 1
-    return out
 
 
 def _box_table_loops(moduli, coeffs, radius):
@@ -118,32 +70,6 @@ def _member_mask(vecs, moduli, coeffs):
     return ok
 
 
-def _shell_table_numpy(moduli, coeffs, kmax):
-    """Vectorized fallback for :func:`_shell_table_loops`."""
-    n = coeffs.shape[1]
-    out = np.zeros((kmax + 1, n + 1), dtype=np.int64)
-    out[0, n] = 1
-    if kmax == 0:
-        return out
-    # chunk over the first coordinate so memory stays at O((2*kmax+1)^(n-1))
-    for a0 in range(-kmax, kmax + 1):
-        r = kmax - abs(a0)
-        rest = np.arange(-r, r + 1, dtype=np.int64)
-        grids = np.meshgrid(*([rest] * (n - 1)), indexing="ij")
-        cols = [np.full(grids[0].size, a0, dtype=np.int64)]
-        cols.extend(g.ravel() for g in grids)
-        vecs = np.stack(cols, axis=1)
-        norms = np.abs(vecs).sum(axis=1)
-        keep = (norms <= kmax) & (norms > 0)
-        vecs = vecs[keep]
-        norms = norms[keep]
-        ok = _member_mask(vecs, moduli, coeffs)
-        vecs = vecs[ok]
-        zeros = (vecs == 0).sum(axis=1)
-        np.add.at(out, (norms[ok], zeros), 1)
-    return out
-
-
 def _box_table_numpy(moduli, coeffs, radius):
     """Vectorized fallback for :func:`_box_table_loops`."""
     n = coeffs.shape[1]
@@ -169,7 +95,6 @@ def _pure_requested() -> bool:
 try:
     from numba import njit
 
-    _shell_table_jit = njit(cache=True)(_shell_table_loops)
     _box_table_jit = njit(cache=True)(_box_table_loops)
     HAS_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba
@@ -193,20 +118,10 @@ def _congruence_arrays(congruences, n):
 
 def _check_scale(points: int, span: int, congruences) -> None:
     if points >= _INT64_SAFE:
-        raise InvalidParameters("enumeration exceeds the exact int64 range of the kernels")
+        raise InvalidParameters("enumeration exceeds the exact int64 range of the box kernel")
     qmax = max((q for q, _ in congruences), default=1)
     if span * qmax * 64 >= _INT64_SAFE:
         raise InvalidParameters("congruence dot products exceed the exact int64 range")
-
-
-def shell_table(congruences, n: int, kmax: int) -> np.ndarray:
-    """Table N[k, zeros] of lattice vectors with one-norm k for 0 <= k <= kmax."""
-    if kmax < 0:
-        raise InvalidParameters("kmax must be >= 0")
-    _check_scale((2 * kmax + 1) ** n, kmax * n, congruences)
-    moduli, coeffs = _congruence_arrays(congruences, n)
-    fn = _shell_table_jit if USE_JIT else _shell_table_numpy
-    return fn(moduli, coeffs, kmax)
 
 
 def box_table(congruences, n: int, radius: int) -> np.ndarray:

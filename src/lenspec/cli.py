@@ -6,8 +6,9 @@ or as a generator file (one ``q: s1,s2,...,sn`` line per generator) for
 non-cyclic torus subgroups.  Structured output renders multiplicities as
 decimal strings since they outgrow 64-bit integers quickly.
 
-Identical invocations produce byte-identical output regardless of
-``--threads``; every error path exits nonzero with a single-line reason.
+Identical invocations produce byte-identical output.  Invalid input exits 2
+and an internal inconsistency exits 3, each with a single ``error:`` line;
+the work of every series expansion is bounded before it starts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import json
 import re
 import sys
 
-from .errors import LenspecError
-from .genfun import f_rational, theta_ell_rational, theta_rational
+from .errors import InternalError, LenspecError
+from .genfun import check_f_expand_work, f_rational, theta_ell_rational, theta_rational
 from .isospec import (
     _moment_fingerprint,
     fingerprint_digest,
@@ -97,7 +98,7 @@ def cmd_spectrum(args) -> int:
     if not 0 <= p <= 2 * n - 1:
         raise LenspecError(f"p must lie in 0..{2 * n - 1} for this space")
     internal = min(p, 2 * n - 1 - p)  # spectra on p- and (2n-1-p)-forms agree
-    table = spectrum_table(lattice, internal, args.kmax, threads=args.threads)
+    table = spectrum_table(lattice, internal, args.kmax)
     records = []
     for entry in table.entries:
         contribs = ";".join(
@@ -144,6 +145,7 @@ def cmd_genfun(args) -> int:
     if args.order < 0:
         raise LenspecError("--order must be >= 0")
     label, lattice = parse_space(args.space, args.gen_file)
+    check_f_expand_work(lattice.n, args.order)
     records = _series_records(label, lattice, args.order)
     if args.format == "table":
         lines = []
@@ -173,6 +175,8 @@ def cmd_isospectral(args) -> int:
         raise LenspecError("--space2 is required for isospectral")
     label2, lat2 = parse_space(args.space2, None)
     p0 = args.p0 if args.p0 is not None else min(lat1.n, lat2.n) - 1
+    if p0 < 0:
+        raise LenspecError("--p0 must be >= 0")
     records = []
     cumulative = True
     for p in range(p0 + 1):
@@ -253,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--threads", type=int, default=1)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue/multiplicity table on p-forms")
     add_space(p_spec)
@@ -297,6 +300,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     except LenspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

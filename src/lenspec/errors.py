@@ -13,7 +13,11 @@ class DimensionMismatch(LenspecError):
     """Two objects of different rank were combined."""
 
 
-class NegativeOrderTerm(LenspecError):
+class InternalError(LenspecError):
+    """Two exact computations that must agree did not: a defect, not bad input."""
+
+
+class NegativeOrderTerm(InternalError):
     """A series expansion has a nonzero coefficient at a negative power."""
 
 

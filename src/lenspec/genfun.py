@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .errors import InvalidParameters, NegativeOrderTerm
 from .lattice import CongruenceLattice
-from .polyseries import LaurentPolynomial, RationalSeries, binom
+from .polyseries import LaurentPolynomial, RationalSeries, binom, check_expand_work
 
 
 @lru_cache(maxsize=None)
@@ -111,6 +111,17 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
             f"pole cancellation failed for {L.label()} at p={p}: z^{lo} survives"
         )
     return series
+
+
+def check_f_expand_work(n: int, order: int) -> None:
+    """Reject expanding a rank-n series F^p to ``order`` when the work exceeds
+    the bound of :func:`lenspec.polyseries.check_expand_work`.
+
+    Its denominator (1-z^2)^(n-1) (1-z^q)^n has 2n-1 factors, at least as many
+    as theta and every theta^(ell) of the same lattice, so the check covers
+    those expansions too.  Needs no series, so it can run before any is built.
+    """
+    check_expand_work(order, 2 * n - 1)
 
 
 def f_rational_p0_direct(L: CongruenceLattice) -> RationalSeries:

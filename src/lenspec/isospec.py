@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DimensionMismatch, InvalidParameters
+from .errors import DimensionMismatch, InternalError, InvalidParameters
 from .genfun import f_rational, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 from .polyseries import RationalSeries
@@ -194,7 +194,7 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
         base = members[0].lattice()
         for other in members[1:]:
             if not isospectral_range(base, other.lattice(), p0):
-                raise RuntimeError("fingerprint bucket failed exact verification")
+                raise InternalError("fingerprint bucket failed exact verification")
         families.append(
             IsospectralFamily(
                 q=q,

@@ -1,10 +1,13 @@
-"""Finite torus subgroups, their congruence lattices and norm statistics.
+"""Finite torus subgroups, their congruence lattices and box counts.
 
 A finite subgroup of the block-rotation torus in SO(2n) is described by
 generator exponent vectors.  Its congruence lattice is the set of integer
 vectors a with sum_j a_j s_{i,j} = 0 mod q_i for every generator (q_i, s_i);
 all spectral data of the quotient depends on the lattice only through the
 counts of vectors with a given one-norm and a given number of zero entries.
+Those counts follow from the finite box count kept here (see
+:mod:`lenspec.genfun`); :func:`lenspec.weights.shell_table` enumerates them
+directly to certify that route.
 """
 
 from __future__ import annotations
@@ -116,22 +119,6 @@ def lattice_from_lens(q: int, s) -> "CongruenceLattice":
 
 
 @dataclass(frozen=True)
-class ShellCounts:
-    """Counts of lattice vectors with one-norm k, split by zero entries.
-
-    counts[zeros] is the number of vectors with exactly ``zeros`` zero
-    coordinates; the total shell count is their sum.
-    """
-
-    k: int
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
 class CongruenceLattice:
     """Sublattice of Z^n cut out by modular congruences.
 
@@ -157,24 +144,6 @@ class CongruenceLattice:
         )
 
     # -- counting ------------------------------------------------------------
-
-    def shell_table(self, kmax: int):
-        """int64 array N[k, zeros] for 0 <= k <= kmax (cached, grows on demand)."""
-        cached = self.__dict__.get("_shell_cache")
-        if cached is None or cached.shape[0] <= kmax:
-            cached = _kernels.shell_table(self.congruences, self.n, kmax)
-            self.__dict__["_shell_cache"] = cached
-        return cached
-
-    def shell_count(self, k: int, zeros: int) -> int:
-        return int(self.shell_table(k)[k, zeros])
-
-    def shell_counts(self, k: int) -> ShellCounts:
-        """All counts N(k, zeros) for one-norm exactly k."""
-        if k < 0:
-            raise InvalidParameters("one-norm must be >= 0")
-        row = self.shell_table(k)[k]
-        return ShellCounts(k=k, counts=tuple(int(x) for x in row))
 
     @cached_property
     def _reduced(self):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .errors import InvalidParameters, NotDominant
+from .errors import InternalError, InvalidParameters, NotDominant
 
 
 def _check_rank(n: int) -> None:
@@ -144,7 +144,7 @@ def _dominant_multiplicities(lam: tuple[int, ...], n: int) -> dict:
         denom = lam_rho2 - _dot(mu_rho, mu_rho)
         value, rem = divmod(2 * rhs, denom)
         if rem:
-            raise RuntimeError(f"Freudenthal division failed at {lam}, {mu}")
+            raise InternalError(f"Freudenthal division failed at {lam}, {mu}")
         table[mu] = value
     return table
 
@@ -207,7 +207,7 @@ def weyl_dimension(highest_weight, n: int) -> int:
             den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
     value, rem = divmod(num, den)
     if rem:
-        raise RuntimeError(f"Weyl dimension is not an integer at {lam}")
+        raise InternalError(f"Weyl dimension is not an integer at {lam}")
     return value
 
 

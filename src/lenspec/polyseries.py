@@ -13,12 +13,27 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidParameters, NegativeOrderTerm
 
+# Largest number of coefficient writes one expansion may take: order + 1
+# coefficients, each written once and updated once per denominator factor.
+MAX_EXPAND_WORK = 200_000
+
 
 def binom(b: int, a: int) -> int:
     """Binomial coefficient with the convention binom(b, a) = 0 for b < a or a < 0."""
     if a < 0 or b < a:
         return 0
     return math.comb(b, a)
+
+
+def check_expand_work(order: int, factors: int) -> None:
+    """Reject an expansion to ``order`` over ``factors`` denominator factors
+    (counted with multiplicity) whose work exceeds :data:`MAX_EXPAND_WORK`."""
+    work = (order + 1) * (factors + 1)
+    if work > MAX_EXPAND_WORK:
+        raise InvalidParameters(
+            f"series expansion to order {order} needs {work} coefficient writes,"
+            f" above the limit of {MAX_EXPAND_WORK}"
+        )
 
 
 class LaurentPolynomial:
@@ -237,10 +252,12 @@ class RationalSeries:
         Raises NegativeOrderTerm when the expansion is not an honest power
         series.  Every factor (1 - z^a) has constant term 1, so that happens
         exactly when the numerator has a nonzero coefficient at a negative
-        exponent.
+        exponent.  Raises InvalidParameters, before allocating anything, when
+        the work exceeds :data:`MAX_EXPAND_WORK`.
         """
         if order < 0:
             raise InvalidParameters("expansion order must be >= 0")
+        check_expand_work(order, sum(b for _, b in self.denominator))
         lo = self.numerator.min_exp()
         if lo is not None and lo < 0:
             raise NegativeOrderTerm(

@@ -3,17 +3,17 @@
 For 0 <= p <= n-1 every eigenvalue on p-forms belongs to one of two integer
 families indexed by k >= 1 (plus the constant functions at 0 when p = 0);
 the table lists eigenvalues in increasing order with their multiplicities
-and the contributing (k, family) pairs.
+and the contributing (k, family) pairs.  Multiplicities are read off the
+exact spectrum-encoding series F^(p-1) and F^p of :mod:`lenspec.genfun`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidParameters
+from .genfun import check_f_expand_work, f_rational
 from .lattice import CongruenceLattice
-from .weights import m_gamma
 
 
 def eigenvalue(k: int, p: int, n: int) -> int:
@@ -63,48 +63,30 @@ class SpectrumTable:
     entries: tuple[SpectrumEntry, ...]
 
 
-def spectrum_table(
-    L: CongruenceLattice, p: int, k_max: int, threads: int = 1
-) -> SpectrumTable:
+def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
     """Tabulate the p-form spectrum of the quotient by the lattice's group.
 
-    The k-th eigenvalue of family p-1 carries multiplicity m_gamma(L, k, p)
-    and the k-th of family p carries m_gamma(L, k, p+1); for p = 0 the zero
-    eigenvalue of the constants is added with multiplicity 1.  Results do not
-    depend on ``threads``.
+    Coefficient k-1 of F^j is the multiplicity of the k-th eigenvalue of
+    family j, for j = p-1 and j = p; family -1 is empty.  For p = 0 the zero
+    eigenvalue of the constants is added with multiplicity 1.  The expansion
+    work is checked before any series is built.
     """
     n = L.n
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     if k_max < 1:
         raise InvalidParameters("k_max must be >= 1")
-    # one shared shell table covering the largest norm any k needs
-    L.shell_table(k_max - 1 + min(p + 1, n))
-
-    def per_k(k: int):
-        low = m_gamma(L, k, p) if p >= 1 else 0
-        high = m_gamma(L, k, p + 1)
-        return k, low, high
-
-    ks = range(1, k_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(per_k, ks))
-    else:
-        rows = [per_k(k) for k in ks]
+    check_f_expand_work(n, k_max - 1)
 
     cells: dict[int, list[Contribution]] = {}
     if p == 0:
         cells[0] = [Contribution(k=0, family=0, multiplicity=1)]
-    for k, low, high in rows:
-        if low:
-            cells.setdefault(eigenvalue(k, p - 1, n), []).append(
-                Contribution(k=k, family=p - 1, multiplicity=low)
-            )
-        if high:
-            cells.setdefault(eigenvalue(k, p, n), []).append(
-                Contribution(k=k, family=p, multiplicity=high)
-            )
+    for family in range(max(p - 1, 0), p + 1):
+        for k, mult in enumerate(f_rational(L, family).expand(k_max - 1), 1):
+            if mult:
+                cells.setdefault(eigenvalue(k, family, n), []).append(
+                    Contribution(k=k, family=family, multiplicity=mult)
+                )
 
     entries = []
     for eig in sorted(cells):

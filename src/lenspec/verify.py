@@ -7,12 +7,12 @@ import random
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import LenspecError
+from .errors import InvalidParameters, LenspecError
 from .genfun import a_laurent, f_rational, f_rational_p0_direct, theta_ell_rational, theta_rational
 from .lattice import CongruenceLattice, lattice_from_lens, torus_subgroup
 from .oracle import oracle_weight_multiplicity, weyl_dimension
 from .polyseries import LaurentPolynomial, RationalSeries, binom
-from .weights import RepIndex, _class_multiplicity, invariant_dimension
+from .weights import RepIndex, _class_multiplicity, invariant_dimension, shell_table
 from .spectrum import spectrum_table
 
 
@@ -95,6 +95,10 @@ def convolution_rhs(L: CongruenceLattice, a: int, r: int, ell: int) -> int:
 
 def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> list[CheckResult]:
     """Run every cross-route identity at the given scale."""
+    if max_n < 2:
+        raise InvalidParameters("largest rank n must be >= 2")
+    if kmax < 0:
+        raise InvalidParameters("kmax must be >= 0")
     results = []
     rng = random.Random(seed)
 
@@ -187,7 +191,7 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
     def theta_vs_shells():
         for L in lattices:
             top = 3 * L.exponent
-            table = L.shell_table(top)
+            table = shell_table(L, top)
             for ell in range(L.n + 1):
                 got = theta_ell_rational(L, ell).expand(top)
                 assert got == [int(table[k, ell]) for k in range(top + 1)], (L.label(), ell)
@@ -203,7 +207,7 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
     def convolution():
         for L in lattices:
             q = L.exponent
-            table = L.shell_table(3 * q + q)
+            table = shell_table(L, 3 * q + q)
             for a in range(4):
                 for r in range(q):
                     for ell in range(L.n + 1):
@@ -256,6 +260,6 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
     record("sphere-spectrum", sphere)
 
     results.append(
-        CheckResult("kernel-backend", True, f"counting kernels on {_kernels.backend_name()}")
+        CheckResult("kernel-backend", True, f"box-count kernel on {_kernels.backend_name()}")
     )
     return results

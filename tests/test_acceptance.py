@@ -4,7 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every comparison is exact integer or exact rational-function equality.
 """
 
+import csv
+import io
 import itertools
+import json
 from functools import cache
 
 from lenspec import (
@@ -27,7 +30,7 @@ from lenspec import (
 from lenspec.cli import main as cli_main
 from lenspec.polyseries import RationalSeries, binom
 from lenspec.verify import convolution_rhs
-from lenspec.weights import _class_multiplicity
+from lenspec.weights import _class_multiplicity, shell_table
 
 
 def report(number: int, ok: bool, label: str) -> None:
@@ -127,7 +130,7 @@ def test_acceptance_04_zero_form_closed_form():
 def test_acceptance_05_theta_rationality():
     for label, L in suite_lattices():
         top = 3 * L.exponent
-        table = L.shell_table(top)
+        table = shell_table(L, top)
         for ell in range(L.n + 1):
             got = theta_ell_rational(L, ell).expand(top)
             assert got == [int(table[k, ell]) for k in range(top + 1)], (label, ell)
@@ -196,7 +199,7 @@ def test_acceptance_09_reduced_count_convolution():
     checked = 0
     for label, L in suite_lattices():
         q = L.exponent
-        table = L.shell_table(4 * q)
+        table = shell_table(L, 4 * q)
         for a in range(4):
             for r in range(q):
                 for ell in range(L.n + 1):
@@ -210,16 +213,28 @@ def test_acceptance_09_reduced_count_convolution():
     report(9, True, f"periodicity convolution identity on {checked} shell counts")
 
 
+def _spectrum_columns(text, fmt):
+    """(eigenvalue, multiplicity) rows of a rendered spectrum table."""
+    if fmt == "json":
+        return [(str(r["eigenvalue"]), r["multiplicity"]) for r in json.loads(text)]
+    if fmt == "csv":
+        return [(r["eigenvalue"], r["multiplicity"]) for r in csv.DictReader(io.StringIO(text))]
+    return [tuple(line.split()[3:5]) for line in text.splitlines()[1:]]
+
+
 def test_acceptance_10_cli_determinism(capsys):
     configs = [
-        ["spectrum", "--space", "L(11;1,2,3)", "--p", "1", "--kmax", "12", "--format", "json"],
-        ["spectrum", "--space", "L(12;1,5)", "--p", "0", "--kmax", "20", "--format", "csv"],
-        ["spectrum", "--space", "L(8;1,3,5)", "--p", "2", "--kmax", "10", "--format", "table"],
+        (["spectrum", "--space", "L(11;1,2,3)", "--kmax", "12", "--format", "json"], 3, 1),
+        (["spectrum", "--space", "L(12;1,5)", "--kmax", "20", "--format", "csv"], 2, 0),
+        (["spectrum", "--space", "L(8;1,3,5)", "--kmax", "10", "--format", "table"], 3, 2),
     ]
-    for cfg in configs:
+    for cfg, n, p in configs:
         outputs = []
-        for threads in ("1", "4", "8"):
-            assert cli_main(cfg + ["--threads", threads]) == 0
+        for degree in (p, p, 2 * n - 1 - p):
+            assert cli_main(cfg + ["--p", str(degree)]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2], cfg
-    report(10, True, "byte-identical spectrum output across 1, 4 and 8 threads on 3 configs")
+        assert outputs[0] == outputs[1], cfg
+        fmt = cfg[-1]
+        columns = _spectrum_columns(outputs[0], fmt)
+        assert columns and columns == _spectrum_columns(outputs[2], fmt), cfg
+    report(10, True, "byte-identical repeated spectrum output and p <-> 2n-1-p columns on 3 configs")

@@ -1,6 +1,12 @@
 import json
 
+import pytest
+
+import lenspec.cli
+import lenspec.isospec
+import lenspec.spectrum
 from lenspec.cli import main
+from lenspec.polyseries import LaurentPolynomial, RationalSeries
 
 
 def run_cli(capsys, *argv):
@@ -72,8 +78,53 @@ def test_bad_gen_file(tmp_path, capsys):
 
 
 def test_bad_parameters_exit_code(capsys):
-    code, _, err = run_cli(capsys, "spectrum", "--space", "L(4;2,2)")
-    assert code == 2 and err.startswith("error:")
+    for argv in (
+        ("spectrum", "--space", "L(4;2,2)"),
+        ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,3)", "--p0", "-1"),
+        ("verify", "--n", "1"),
+        ("verify", "--kmax", "-2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1, argv
+        assert out == "", argv
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("series computed before the work bound was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--space", "L(11;1,2)", "--p", "1", "--kmax", "1000000000"),
+        ("spectrum", "--space", "L(11;1,2,3)", "--p", "2", "--kmax", "1000000000"),
+        ("genfun", "--space", "L(11;1,2)", "--order", "1000000000"),
+        ("genfun", "--space", "L(11;1,2,3)", "--order", "1000000000"),
+    ],
+)
+def test_expansion_work_rejected_before_any_series(capsys, monkeypatch, argv):
+    # the series builders fail the test if reached, so an unbounded run never starts
+    for module in (lenspec.cli, lenspec.spectrum):
+        monkeypatch.setattr(module, "f_rational", _fail_if_called)
+    monkeypatch.setattr(lenspec.cli, "theta_rational", _fail_if_called)
+    monkeypatch.setattr(lenspec.cli, "theta_ell_rational", _fail_if_called)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_internal_inconsistency_is_not_a_user_error(capsys, monkeypatch):
+    monkeypatch.setattr(lenspec.isospec, "isospectral_range", lambda *args: False)
+    code, out, err = run_cli(capsys, "search", "--q", "11", "--n", "3", "--p0", "0")
+    assert code == 3 and out == ""
+    assert err == "error: internal: fingerprint bucket failed exact verification\n"
+
+    # a numerator with a surviving negative power, as a failed pole cancellation leaves
+    broken = RationalSeries(LaurentPolynomial.term(1, -1))
+    monkeypatch.setattr(lenspec.spectrum, "f_rational", lambda L, p: broken)
+    code, out, err = run_cli(capsys, "spectrum", "--space", "L(5;1,2)", "--p", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
 def test_genfun_table_and_series(capsys):
@@ -198,15 +249,3 @@ def test_verify_small(capsys):
     assert code == 0
     assert "multiplicity-closed-form" in out
     assert "FAIL" not in out
-
-
-def test_threads_do_not_change_output(capsys):
-    outputs = []
-    for threads in ("1", "4", "8"):
-        code, out, _ = run_cli(
-            capsys, "spectrum", "--space", "L(11;1,2,3)", "--p", "1",
-            "--kmax", "12", "--format", "json", "--threads", threads,
-        )
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1] == outputs[2]

@@ -15,6 +15,7 @@ from lenspec import (
 )
 from lenspec.errors import InvalidParameters
 from lenspec.polyseries import binom
+from lenspec.weights import shell_table
 
 
 SAMPLES = [
@@ -50,7 +51,7 @@ def test_theta_ell_top_is_one():
 def test_theta_ell_matches_shell_counts():
     for L in SAMPLES:
         top = min(max(3 * L.exponent, 8), 24)
-        table = L.shell_table(top)
+        table = shell_table(L, top)
         for ell in range(L.n + 1):
             got = theta_ell_rational(L, ell).expand(top)
             assert got == [int(table[k, ell]) for k in range(top + 1)], (L.label(), ell)

@@ -13,10 +13,12 @@ from lenspec import (
 )
 from lenspec import _kernels
 from lenspec.errors import DimensionMismatch, InvalidParameters
+from lenspec.weights import shell_table
 
 
 def brute_shell(L, kmax):
-    """Naive full-cube enumeration, independent of the counting kernels."""
+    """Naive full-cube enumeration over ``member``, independent of both the
+    box kernel and the certification enumeration."""
     n = L.n
     out = [[0] * (n + 1) for _ in range(kmax + 1)]
     for a in product(range(-kmax, kmax + 1), repeat=n):
@@ -77,24 +79,23 @@ def test_multi_generator_intersection():
 
 def test_shell_counts_full_lattice_rank3():
     L = lattice_from_lens(1, (0, 0, 0))
-    sc = L.shell_counts(2)
-    assert sc.counts[2] == 6
-    assert sc.counts[1] == 12
-    assert sc.counts[0] == 0
-    assert sc.total == 18
+    counts = shell_table(L, 2)[2]
+    assert counts[2] == 6
+    assert counts[1] == 12
+    assert counts[0] == 0
+    assert counts.sum() == 18
 
 
 def test_shell_counts_lens_4_11():
     L = lattice_from_lens(4, (1, 1))
-    sc = L.shell_counts(2)
-    assert sc.counts == (2, 0, 0)
+    assert list(shell_table(L, 2)[2]) == [2, 0, 0]
 
 
 def test_shell_counts_k0():
     for L in (lattice_from_lens(5, (1, 2)), lattice_from_lens(1, (0, 0, 0))):
-        sc = L.shell_counts(0)
-        assert sc.counts[L.n] == 1
-        assert sc.total == 1
+        counts = shell_table(L, 0)[0]
+        assert counts[L.n] == 1
+        assert counts.sum() == 1
 
 
 def test_shell_table_matches_naive_enumeration():
@@ -106,7 +107,7 @@ def test_shell_table_matches_naive_enumeration():
         torus_subgroup(2, [(2, (1, 1)), (4, (1, 3))]).lattice(),
     ):
         kmax = 8
-        table = L.shell_table(kmax)
+        table = shell_table(L, kmax)
         brute = brute_shell(L, kmax)
         for k in range(kmax + 1):
             assert [int(x) for x in table[k]] == brute[k], (L.label(), k)
@@ -149,7 +150,7 @@ def test_reduced_counts_box_oracle():
         for ell in range(3):
             assert table[k][ell] == brute.get((k, ell), 0)
     # reduced counts never exceed shell counts
-    shell = L.shell_table(len(table) - 1)
+    shell = shell_table(L, len(table) - 1)
     for k in range(len(table)):
         for ell in range(3):
             assert table[k][ell] <= int(shell[k, ell])
@@ -192,19 +193,14 @@ def test_kernel_backends_agree():
         congs = ((q, s),)
         mod = np.array([q], dtype=np.int64)
         co = np.array([s], dtype=np.int64)
-        assert (
-            _kernels._shell_table_loops(mod, co, 9)
-            == _kernels._shell_table_numpy(mod, co, 9)
-        ).all()
+        # the box |a_i| <= 9 holds every shell of one-norm <= 9
+        L = CongruenceLattice(n=n, congruences=congs, exponent=q, is_manifold=False)
+        assert (shell_table(L, 9) == _kernels.box_table(congs, n, 9)[:10]).all()
         assert (
             _kernels._box_table_loops(mod, co, q - 1)
             == _kernels._box_table_numpy(mod, co, q - 1)
         ).all()
         if _kernels.HAS_NUMBA:
-            assert (
-                _kernels._shell_table_jit(mod, co, 9)
-                == _kernels._shell_table_numpy(mod, co, 9)
-            ).all()
             assert (
                 _kernels._box_table_jit(mod, co, q - 1)
                 == _kernels._box_table_numpy(mod, co, q - 1)
@@ -212,8 +208,12 @@ def test_kernel_backends_agree():
 
 
 def test_kernel_scale_guard():
+    congs = ((3, (1, 1, 1, 1, 1, 1, 1, 1)),)
+    L = CongruenceLattice(n=8, congruences=congs, exponent=3, is_manifold=False)
     with pytest.raises(InvalidParameters):
-        _kernels.shell_table(((3, (1, 1, 1, 1, 1, 1, 1, 1)),), 8, 10**8)
+        shell_table(L, 10**8)
+    with pytest.raises(InvalidParameters):
+        _kernels.box_table(congs, 8, 10**8)
 
 
 def test_labels():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenspec import (
     eigenvalue,
@@ -7,6 +9,7 @@ from lenspec import (
     lattice_from_lens,
     m_gamma,
     spectrum_table,
+    torus_subgroup,
 )
 from lenspec import RepIndex
 from lenspec.errors import InvalidParameters
@@ -119,11 +122,30 @@ def test_multiplicities_match_invariant_dimensions():
                 )
 
 
-def test_thread_count_does_not_change_result():
-    L = lattice_from_lens(12, (1, 5))
-    base = spectrum_table(L, 1, 15, threads=1)
-    for threads in (2, 4, 8):
-        assert spectrum_table(L, 1, 15, threads=threads) == base
+@st.composite
+def small_lattices(draw):
+    """Cyclic groups and groups with a second generator, of rank n <= 4 and
+    exponent <= 12."""
+    n = draw(st.integers(2, 4))
+    q = draw(st.integers(2, 12))
+    orders = [q] + draw(st.lists(st.sampled_from([d for d in range(2, q + 1) if q % d == 0]), max_size=1))
+    generators = [
+        (order, tuple(draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))))
+        for order in orders
+    ]
+    return torus_subgroup(n, generators).lattice()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(L=small_lattices(), k_max=st.integers(1, 20))
+def test_table_matches_certification_route(L, k_max):
+    for p in range(L.n):
+        table = spectrum_table(L, p, k_max)
+        by_source = {(c.k, c.family): c.multiplicity for e in table.entries for c in e.contributors}
+        for k in range(1, k_max + 1):
+            assert by_source.pop((k, p - 1), 0) == m_gamma(L, k, p), (L.label(), p, k)
+            assert by_source.pop((k, p), 0) == m_gamma(L, k, p + 1), (L.label(), p, k)
+        assert by_source == ({(0, 0): 1} if p == 0 else {})
 
 
 def test_p_range_validation():
