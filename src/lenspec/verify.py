@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import InvalidParameters, LenspecError
 from .genfun import a_laurent, f_rational, f_rational_p0_direct, theta_ell_rational, theta_rational
 from .lattice import CongruenceLattice, lattice_from_lens, torus_subgroup
@@ -259,7 +258,4 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
 
     record("sphere-spectrum", sphere)
 
-    results.append(
-        CheckResult("kernel-backend", True, f"box-count kernel on {_kernels.backend_name()}")
-    )
     return results

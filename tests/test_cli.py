@@ -83,10 +83,19 @@ def test_bad_parameters_exit_code(capsys):
         ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,3)", "--p0", "-1"),
         ("verify", "--n", "1"),
         ("verify", "--kmax", "-2"),
+        # box count over 10^10 fundamental-domain points, rejected before it starts
+        ("genfun", "--space", "L(100003;1,2,3)", "--order", "2"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, argv
         assert out == "", argv
+
+
+def test_large_exponent_within_box_work_bound(capsys):
+    code, out, err = run_cli(capsys, "genfun", "--space", "L(10007;1,2)", "--order", "2")
+    assert code == 0 and err == ""
+    # the only vectors with one zero entry are (+-q, 0) and (0, +-q)
+    assert "theta^(1) = 4*z^10007 | (1-z^10007)^1\n" in out
 
 
 def _fail_if_called(*args, **kwargs):

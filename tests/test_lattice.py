@@ -1,8 +1,11 @@
+import math
 import random
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lenspec import (
     CongruenceLattice,
@@ -184,27 +187,61 @@ def test_phi_always_one_at_top():
         assert L.phi_polynomials()[L.n] == LaurentPolynomial.one()
 
 
-def test_kernel_backends_agree():
+def test_box_table_matches_certification_route():
     rng = np.random.default_rng(2)
     for _ in range(10):
         n = int(rng.integers(2, 4))
         q = int(rng.integers(2, 9))
         s = tuple(int(x) for x in rng.integers(0, q, n))
         congs = ((q, s),)
-        mod = np.array([q], dtype=np.int64)
-        co = np.array([s], dtype=np.int64)
         # the box |a_i| <= 9 holds every shell of one-norm <= 9
         L = CongruenceLattice(n=n, congruences=congs, exponent=q, is_manifold=False)
         assert (shell_table(L, 9) == _kernels.box_table(congs, n, 9)[:10]).all()
-        assert (
-            _kernels._box_table_loops(mod, co, q - 1)
-            == _kernels._box_table_numpy(mod, co, q - 1)
-        ).all()
-        if _kernels.HAS_NUMBA:
-            assert (
-                _kernels._box_table_jit(mod, co, q - 1)
-                == _kernels._box_table_numpy(mod, co, q - 1)
-            ).all()
+
+
+def brute_box(congruences, n, radius):
+    """Filter every vector of the box by every congruence, sharing no code
+    with the kernel."""
+    out = np.zeros((n * radius + 1, n + 1), dtype=np.int64)
+    for a in product(range(-radius, radius + 1), repeat=n):
+        if all(sum(x * c for x, c in zip(a, s)) % q == 0 for q, s in congruences):
+            out[sum(abs(x) for x in a), a.count(0)] += 1
+    return out
+
+
+# largest exponent drawn per rank, so the brute-force box (2E + 5)^n stays small
+_BOX_EXPONENT_CAP = {2: 12, 3: 8, 4: 4}
+
+
+@st.composite
+def box_cases(draw):
+    """Raw congruences of one or two generators (exponents may be 0 or share
+    a factor with the order), rank n <= 4, radius 0, E - 1 or E + 2."""
+    n = draw(st.integers(2, 4))
+    cap = _BOX_EXPONENT_CAP[n]
+    q = draw(st.integers(2, cap))
+    orders = [q] + draw(
+        st.lists(st.sampled_from([d for d in range(2, cap + 1) if math.lcm(q, d) <= cap]), max_size=1)
+    )
+    congs = tuple(
+        (order, tuple(draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))))
+        for order in orders
+    )
+    exponent = math.lcm(*orders)
+    radius = draw(st.sampled_from([0, exponent - 1, exponent + 2]))
+    return congs, n, radius
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=box_cases())
+@example(case=(((5, (1, 2, 0)),), 3, 4))  # s_n = 0
+@example(case=(((6, (2, 3, 0)),), 3, 8))  # no exponent is a unit mod q
+@example(case=(((4, (0, 0)),), 2, 3))  # trivial congruence
+@example(case=(((2, (1, 1, 1, 1)), (4, (1, 3, 1, 3))), 4, 6))  # Z2 x Z4 on S^7
+@example(case=(((4, (1, 2)), (6, (1, 5))), 2, 14))  # exponent 12 above both orders
+def test_box_table_matches_brute_force(case):
+    congs, n, radius = case
+    assert (_kernels.box_table(congs, n, radius) == brute_box(congs, n, radius)).all()
 
 
 def test_kernel_scale_guard():
