@@ -3,8 +3,11 @@
 Two lens parameter vectors give isometric quotients exactly when one is
 carried to the other by a unit multiplier mod q together with coordinate
 permutations and sign flips; :func:`canonical_key` minimizes over that whole
-action, so key equality decides isometry.  The isospectrality tests compare
-exact rational series, never truncations.
+action, so key equality decides isometry.  :func:`isometry_classes` lists the
+keys themselves, the sorted sign-folded tuples that no unit lowers, rather
+than keying every parameter vector; its candidate count is bounded before it
+starts.  The isospectrality tests compare exact rational series, never
+truncations.
 """
 
 from __future__ import annotations
@@ -12,12 +15,17 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, islice
 
 from .errors import DimensionMismatch, InternalError, InvalidParameters
 from .genfun import f_rational, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 from .polyseries import RationalSeries
+
+# bound on the entries of the candidate keys isometry_classes checks,
+# n * C(values + n - 1, n); the largest search of the benchmark and of the
+# q-range gates (q = 151, n = 3, orbifolds) needs 228228
+MAX_CLASS_WORK = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -35,6 +43,12 @@ class LensKey:
         return lattice_from_lens(self.q, self.exponents)
 
 
+def _folded(q: int, s: tuple[int, ...], t: int) -> tuple[int, ...]:
+    # t * s with every entry folded to its sign-orbit representative in
+    # [0, q // 2], sorted
+    return tuple(sorted([min(v, q - v) for v in [t * x % q for x in s]]))
+
+
 def canonical_key(q: int, s) -> LensKey:
     """Minimize (t * s_i mod q) over units t, signs and coordinate order.
 
@@ -50,15 +64,7 @@ def canonical_key(q: int, s) -> LensKey:
         raise InvalidParameters("q must be >= 1")
     if math.gcd(q, *s) != 1:
         raise InvalidParameters(f"gcd(q, s_1, ..., s_n) must be 1, got ({q}; {s})")
-
-    def folded(t: int) -> tuple[int, ...]:
-        out = []
-        for x in s:
-            v = (t * x) % q
-            out.append(min(v, q - v))
-        return tuple(sorted(out))
-
-    best = min(folded(t) for t in range(1, q + 1) if math.gcd(t, q) == 1)
+    best = min(_folded(q, s, t) for t in range(1, q + 1) if math.gcd(t, q) == 1)
     return LensKey(n=n, q=q, exponents=best)
 
 
@@ -133,11 +139,17 @@ class IsospectralFamily:
 
 
 def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
-    """All isometry classes of lens parameters with modulus q and rank n.
+    """All isometry classes of lens parameters with modulus q and rank n, sorted.
 
-    ``manifolds`` enumerates free actions only (every s_i a unit, normalized
-    to s_1 = 1); ``orbifolds`` enumerates every valid parameter vector, the
-    manifold ones included.
+    ``manifolds`` lists the free actions only (every s_i a unit mod q);
+    ``orbifolds`` lists every valid parameter vector, the manifold ones
+    included.  Each class is listed once, by its key, and no other vector is
+    visited: the candidates are the sorted tuples c over [0, q // 2] (units
+    only, for manifolds) with gcd(q, *c) = 1, and c is kept when no unit
+    multiplier folds it to a smaller tuple, so the list comes out sorted.
+    Raises InvalidParameters, before any candidate is built, when the
+    candidates hold more than :data:`MAX_CLASS_WORK` entries
+    (n * C(values + n - 1, n)).
     """
     if q < 1:
         raise InvalidParameters("q must be >= 1")
@@ -145,17 +157,25 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
         raise InvalidParameters("rank n must be >= 2")
     if mode not in ("manifolds", "orbifolds"):
         raise InvalidParameters(f"mode must be 'manifolds' or 'orbifolds', got {mode!r}")
-    seen: set[LensKey] = set()
-    if mode == "manifolds":
-        units = [t for t in range(1, q + 1) if math.gcd(t, q) == 1]
-        vectors = ((1,) + rest for rest in product(units, repeat=n - 1)) if q > 1 else iter([(0,) * n])
-    else:
-        vectors = (
-            s for s in product(range(max(q, 1)), repeat=n) if math.gcd(q, *s) == 1
+    values = (x for x in range(q // 2 + 1) if mode == "orbifolds" or math.gcd(x, q) == 1)
+    # C(m + n - 1, n) >= m, so no more values are read than the bound can admit
+    values = list(islice(values, MAX_CLASS_WORK // n + 1))
+    if n * math.comb(len(values) + n - 1, n) > MAX_CLASS_WORK:
+        raise InvalidParameters(
+            f"listing the classes of q={q}, n={n} ({mode}) takes more than "
+            f"{MAX_CLASS_WORK} candidate entries"
         )
-    for s in vectors:
-        seen.add(canonical_key(q, s))
-    return sorted(seen)
+    # t and q - t fold alike, and t = 1 leaves a candidate unchanged
+    units = [t for t in range(2, q // 2 + 1) if math.gcd(t, q) == 1]
+    # units carry s_i to every residue with the same gcd with q, so the least
+    # entry of a key is the least gcd(c_i, q), read as 0 for c_i = 0
+    return [
+        LensKey(n=n, q=q, exponents=c)
+        for c in combinations_with_replacement(values, n)
+        if math.gcd(q, *c) == 1
+        and c[0] == min(math.gcd(x, q) % q for x in c)
+        and all(_folded(q, c, t) >= c for t in units)
+    ]
 
 
 def _moment_fingerprint(L: CongruenceLattice, p0: int):

@@ -41,15 +41,9 @@ class TorusSubgroup:
         """Least m with g^m = 1 for every group element."""
         return math.lcm(*(q for q, _ in self.generators)) if self.generators else 1
 
-    @cached_property
-    def order(self) -> int:
-        return len(self._element_rotations())
-
     def _element_rotations(self) -> set[tuple[int, ...]]:
         # rotation exponents of every group element, over the common modulus
         big = self.exponent
-        if math.prod(q for q, _ in self.generators) > _FREENESS_LIMIT:
-            raise InvalidParameters("group too large to enumerate")
         elems = set()
         ranges = [range(q) for q, _ in self.generators]
         scaled = [
@@ -64,7 +58,16 @@ class TorusSubgroup:
         return elems
 
     def acts_freely(self) -> bool:
-        """True when no nontrivial element fixes a point of the sphere."""
+        """True when no nontrivial element fixes a point of the sphere.
+
+        A normalized cyclic group (q, s) acts freely exactly when every s_j
+        is a unit mod q; groups of two or more generators are enumerated.
+        """
+        if math.prod(q for q, _ in self.generators) > _FREENESS_LIMIT:
+            raise InvalidParameters("group too large to check for freeness")
+        if len(self.generators) == 1:
+            q, s = self.generators[0]
+            return all(math.gcd(x, q) == 1 for x in s)
         for rot in self._element_rotations():
             if any(rot) and not all(rot):
                 return False

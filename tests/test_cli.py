@@ -85,6 +85,9 @@ def test_bad_parameters_exit_code(capsys):
         ("verify", "--kmax", "-2"),
         # box count over 10^10 fundamental-domain points, rejected before it starts
         ("genfun", "--space", "L(100003;1,2,3)", "--order", "2"),
+        # class lists over more than 10^6 candidate entries, rejected before they start
+        ("search", "--q", "100000", "--n", "3"),
+        ("search", "--q", "1000", "--n", "6"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, argv

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenspec import (
     LaurentPolynomial,
@@ -16,6 +18,7 @@ from lenspec import (
 from lenspec.errors import InvalidParameters
 from lenspec.polyseries import binom
 from lenspec.weights import shell_table
+from support import brute_box, small_lattices
 
 
 SAMPLES = [
@@ -55,6 +58,20 @@ def test_theta_ell_matches_shell_counts():
         for ell in range(L.n + 1):
             got = theta_ell_rational(L, ell).expand(top)
             assert got == [int(table[k, ell]) for k in range(top + 1)], (L.label(), ell)
+
+
+# largest expansion order drawn per rank, so the brute-force box stays small
+_THETA_TOP_CAP = {2: 40, 3: 16, 4: 8}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(L=small_lattices(), data=st.data())
+def test_theta_ell_matches_brute_force(L, data):
+    # the box |a_i| <= top holds every vector of one-norm <= top
+    top = data.draw(st.integers(0, _THETA_TOP_CAP[L.n]))
+    box = brute_box(L.congruences, L.n, top)
+    for ell in range(L.n + 1):
+        assert theta_ell_rational(L, ell).expand(top) == [int(x) for x in box[: top + 1, ell]], (L.label(), ell)
 
 
 def test_theta_rational_full_lattice():

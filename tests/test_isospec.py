@@ -1,3 +1,6 @@
+import math
+from itertools import product
+
 import pytest
 
 from lenspec import (
@@ -97,6 +100,45 @@ def test_isometry_classes_manifolds_small():
     assert set(k.exponents for k in orb) >= set(
         k.exponents for k in isometry_classes(4, 2, "manifolds")
     )
+
+
+def brute_classes(q, n, mode):
+    """Key every valid parameter vector; manifolds as (1, units...)."""
+    if mode == "orbifolds":
+        vectors = [s for s in product(range(q), repeat=n) if math.gcd(q, *s) == 1]
+    elif q == 1:
+        vectors = [(0,) * n]
+    else:
+        units = [t for t in range(1, q) if math.gcd(t, q) == 1]
+        vectors = [(1,) + rest for rest in product(units, repeat=n - 1)]
+    return sorted({canonical_key(q, s) for s in vectors})
+
+
+# every q up to this bound, per rank, is checked against the brute force
+_BRUTE_Q_MAX = {2: 40, 3: 16, 4: 8}
+
+
+@pytest.mark.parametrize("n", sorted(_BRUTE_Q_MAX))
+def test_isometry_classes_match_brute_force(n):
+    for q in range(1, _BRUTE_Q_MAX[n] + 1):
+        for mode in ("manifolds", "orbifolds"):
+            assert isometry_classes(q, n, mode) == brute_classes(q, n, mode), (q, n, mode)
+
+
+@pytest.mark.parametrize("n", sorted(_BRUTE_Q_MAX))
+def test_manifold_classes_are_free_orbifold_classes(n):
+    for q in range(1, _BRUTE_Q_MAX[n] + 1):
+        free = [k for k in isometry_classes(q, n, "orbifolds") if k.lattice().is_manifold]
+        assert isometry_classes(q, n, "manifolds") == free, (q, n)
+
+
+def test_isometry_classes_bounded_before_listing():
+    # n * C(values + n - 1, n) candidate entries: one candidate of 10^7
+    # entries is refused before it is built
+    with pytest.raises(InvalidParameters):
+        isometry_classes(2, 10**7, "manifolds")
+    # the largest benchmark and q-range gate inputs stay within it
+    assert len(isometry_classes(151, 3, "orbifolds")) == 1015
 
 
 def test_search_empty_for_small_three_dimensional():

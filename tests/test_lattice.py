@@ -17,6 +17,7 @@ from lenspec import (
 from lenspec import _kernels
 from lenspec.errors import DimensionMismatch, InvalidParameters
 from lenspec.weights import shell_table
+from support import brute_box
 
 
 def brute_shell(L, kmax):
@@ -199,16 +200,6 @@ def test_box_table_matches_certification_route():
         assert (shell_table(L, 9) == _kernels.box_table(congs, n, 9)[:10]).all()
 
 
-def brute_box(congruences, n, radius):
-    """Filter every vector of the box by every congruence, sharing no code
-    with the kernel."""
-    out = np.zeros((n * radius + 1, n + 1), dtype=np.int64)
-    for a in product(range(-radius, radius + 1), repeat=n):
-        if all(sum(x * c for x, c in zip(a, s)) % q == 0 for q, s in congruences):
-            out[sum(abs(x) for x in a), a.count(0)] += 1
-    return out
-
-
 # largest exponent drawn per rank, so the brute-force box (2E + 5)^n stays small
 _BOX_EXPONENT_CAP = {2: 12, 3: 8, 4: 4}
 
@@ -242,6 +233,37 @@ def box_cases(draw):
 def test_box_table_matches_brute_force(case):
     congs, n, radius = case
     assert (_kernels.box_table(congs, n, radius) == brute_box(congs, n, radius)).all()
+
+
+def brute_free(q, s):
+    """Enumerate the powers of the generator (q, s): the action is free when
+    every nontrivial power moves every coordinate plane."""
+    for m in range(1, q):
+        rot = [m * x % q for x in s]
+        if any(rot) and not all(rot):
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.integers(1, 60),
+    s=st.lists(st.integers(0, 59), min_size=2, max_size=5),
+)
+@example(q=12, s=[1, 5, 7])  # every exponent a unit
+@example(q=12, s=[1, 0])  # s_j = 0
+@example(q=12, s=[2, 3])  # gcd(s_j, q) > 1 for every j
+@example(q=9, s=[3, 6, 3])  # common factor 3 divides out
+def test_cyclic_freeness_matches_enumeration(q, s):
+    s = tuple(x % q for x in s)
+    assert torus_subgroup(len(s), [(q, s)]).acts_freely() == brute_free(q, s)
+
+
+def test_freeness_group_size_guard():
+    # the closed form keeps the bound on the group order the enumeration had
+    with pytest.raises(InvalidParameters):
+        lens_group(3000017, (1, 2)).acts_freely()
+    assert lens_group(1999993, (1, 2)).acts_freely()
 
 
 def test_kernel_scale_guard():

@@ -9,10 +9,10 @@ from lenspec import (
     lattice_from_lens,
     m_gamma,
     spectrum_table,
-    torus_subgroup,
 )
 from lenspec import RepIndex
 from lenspec.errors import InvalidParameters
+from support import small_lattices
 
 
 def test_eigenvalue_formula():
@@ -120,20 +120,6 @@ def test_multiplicities_match_invariant_dimensions():
                 assert c.multiplicity == invariant_dimension(
                     L, RepIndex(c.k - 1, p + 1, L.n)
                 )
-
-
-@st.composite
-def small_lattices(draw):
-    """Cyclic groups and groups with a second generator, of rank n <= 4 and
-    exponent <= 12."""
-    n = draw(st.integers(2, 4))
-    q = draw(st.integers(2, 12))
-    orders = [q] + draw(st.lists(st.sampled_from([d for d in range(2, q + 1) if q % d == 0]), max_size=1))
-    generators = [
-        (order, tuple(draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))))
-        for order in orders
-    ]
-    return torus_subgroup(n, generators).lattice()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
