@@ -17,6 +17,7 @@ from .genfun import (
     a_laurent,
     f_rational,
     f_rational_p0_direct,
+    moment_series,
     theta_ell_rational,
     theta_rational,
 )
@@ -29,7 +30,6 @@ from .isospec import (
     norm_star_isospectral,
     p_isospectral,
     search,
-    weighted_theta,
 )
 from .lattice import (
     CongruenceLattice,
@@ -80,13 +80,13 @@ __all__ = [
     "a_laurent",
     "f_rational",
     "f_rational_p0_direct",
+    "moment_series",
     "LensKey",
     "canonical_key",
     "isometry_classes",
     "p_isospectral",
     "isospectral_range",
     "norm_star_isospectral",
-    "weighted_theta",
     "search",
     "IsospectralFamily",
     "WeightTable",

@@ -20,16 +20,15 @@ import json
 import re
 import sys
 
-from .errors import InternalError, LenspecError
-from .genfun import check_f_expand_work, f_rational, theta_ell_rational, theta_rational
-from .isospec import (
-    _moment_fingerprint,
-    fingerprint_digest,
-    isospectral_range,
-    p_isospectral,
-    search,
-    weighted_theta,
+from .errors import DimensionMismatch, InternalError, LenspecError
+from .genfun import (
+    check_f_expand_work,
+    f_rational,
+    moment_series,
+    theta_ell_rational,
+    theta_rational,
 )
+from .isospec import fingerprint_digest, numerator_fingerprint, search
 from .lattice import CongruenceLattice, lens_group, torus_subgroup
 from .polyseries import RationalSeries
 from .spectrum import spectrum_table
@@ -159,8 +158,7 @@ def cmd_genfun(args) -> int:
 
 
 def _first_series_difference(r1: RationalSeries, r2: RationalSeries):
-    m1, m2, _ = r1._merge(r2)
-    diff = r1.numerator * m1 - r2.numerator * m2
+    diff = (r1 - r2).numerator
     if diff.is_zero():
         return None
     at = max(diff.min_exp(), 0)
@@ -174,21 +172,24 @@ def cmd_isospectral(args) -> int:
     if args.space2 is None:
         raise LenspecError("--space2 is required for isospectral")
     label2, lat2 = parse_space(args.space2, None)
-    p0 = args.p0 if args.p0 is not None else min(lat1.n, lat2.n) - 1
-    if p0 < 0:
-        raise LenspecError("--p0 must be >= 0")
+    if lat1.n != lat2.n:
+        raise DimensionMismatch(f"rank mismatch: {lat1.n} vs {lat2.n}")
+    p0 = args.p0 if args.p0 is not None else lat1.n - 1
+    # isospectral up to p: the moment series (range) or F series (direct) of
+    # every order <= p agree
+    moments1 = moment_series(lat1, p0)  # rejects p0 outside 0..n-1
+    fingerprint = numerator_fingerprint(moments1)
+    if args.method == "direct":
+        series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (lat1, lat2))
+    else:
+        series1, series2 = moments1, moment_series(lat2, p0)
     records = []
     cumulative = True
     for p in range(p0 + 1):
-        if args.method == "direct":
-            cumulative = cumulative and p_isospectral(lat1, lat2, p)
-            certificate = (f_rational(lat1, p), f_rational(lat2, p))
-        else:
-            cumulative = isospectral_range(lat1, lat2, p)
-            certificate = (weighted_theta(lat1, p), weighted_theta(lat2, p))
-        detail = fingerprint_digest(_moment_fingerprint(lat1, p))
+        cumulative = cumulative and series1[p] == series2[p]
+        detail = fingerprint_digest(fingerprint[: p + 1])
         if not cumulative:
-            diff = _first_series_difference(*certificate)
+            diff = _first_series_difference(series1[p], series2[p])
             if diff is not None:
                 detail = f"first difference at z^{diff[0]}: {diff[1]} vs {diff[2]}"
             else:

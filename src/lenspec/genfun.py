@@ -1,10 +1,12 @@
 """Exact rational generating functions for lattice counts and form spectra.
 
-The one-norm count series theta and its refinements by zero entries are
-rational with denominator powers of (1 - z^q); their numerators come from the
-finite box-count polynomials.  The form-spectrum series F^p combines the
-refined theta series against universal Laurent polynomial weights and a
-single corrective monomial, on the denominator (1-z^2)^(n-1) (1-z^q)^n.
+The one-norm count series theta and its refinements theta^(ell) by zero
+entries are rational with denominator (1 - z^q)^(n - ell); their numerators
+come from the finite box-count polynomials.  F^p and the moment series sum
+the theta^(ell) numerators, lifted once to (1 - z^q)^n, on a denominator known
+in advance: F^p against universal Laurent weights plus one corrective monomial
+over (1-z^2)^(n-1) (1-z^q)^n, moment h against ell^h over (1 - z^q)^n.  No
+result is cached per lattice.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from functools import lru_cache
 
 from .errors import InvalidParameters, NegativeOrderTerm
 from .lattice import CongruenceLattice
-from .polyseries import LaurentPolynomial, RationalSeries, binom, check_expand_work
+from .polyseries import LaurentPolynomial, RationalSeries, binom, check_expand_work, one_minus_z
 
 
-@lru_cache(maxsize=None)
 def theta_ell_rational(L: CongruenceLattice, ell: int) -> RationalSeries:
     """Generating function of shell counts with exactly ``ell`` zero entries.
 
@@ -35,7 +36,6 @@ def theta_ell_rational(L: CongruenceLattice, ell: int) -> RationalSeries:
     return RationalSeries(num, factors)
 
 
-@lru_cache(maxsize=None)
 def theta_rational(L: CongruenceLattice) -> RationalSeries:
     """Generating function of all shell counts, with denominator (1 - z^q)^n."""
     n, q = L.n, L.exponent
@@ -86,23 +86,33 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs)
 
 
+def _lifted_thetas(L: CongruenceLattice) -> list[LaurentPolynomial]:
+    # numerator of each theta^(ell), ell = 0..n, over (1 - z^q)^n
+    return [
+        theta_ell_rational(L, ell).numerator * one_minus_z(L.exponent, ell)
+        for ell in range(L.n + 1)
+    ]
+
+
+def _weighted_sum(lifted: list[LaurentPolynomial], weights) -> LaurentPolynomial:
+    return sum((num * w for num, w in zip(lifted, weights)), LaurentPolynomial.zero())
+
+
 def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     """Spectrum-encoding series F^p: coefficient k is the multiplicity of the
     (k+1)-st eigenvalue of the p-family on p-forms of the quotient.
 
-    Assembled on the denominator (1-z^2)^(n-1) (1-z^q)^n; the corrective
-    monomial cancels exactly against the theta terms, so the numerator has no
-    negative exponents.  A surviving negative exponent signals an internal
-    inconsistency and raises NegativeOrderTerm.
+    Sums the lifted theta^(ell) numerators times a_laurent(p+1, ell, n) on
+    (1-z^2)^(n-1) (1-z^q)^n; the corrective monomial cancels exactly against
+    them, so no negative exponent survives.  One that does signals an
+    internal inconsistency and raises NegativeOrderTerm.
     """
-    n = L.n
+    n, q = L.n, L.exponent
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     P = p + 1
-    acc = RationalSeries.zero()
-    for ell in range(n + 1):
-        acc = acc + theta_ell_rational(L, ell) * a_laurent(P, ell, n)
-    acc = acc.over_factor(2, n - 1)
+    weights = (a_laurent(P, ell, n) for ell in range(n + 1))
+    acc = RationalSeries(_weighted_sum(_lifted_thetas(L), weights), ((q, n), (2, n - 1)))
     sign = -1 if P % 2 else 1
     series = acc + RationalSeries(LaurentPolynomial.term(sign, -P))
     lo = series.numerator.min_exp()
@@ -111,6 +121,22 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
             f"pole cancellation failed for {L.label()} at p={p}: z^{lo} survives"
         )
     return series
+
+
+def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
+    """The moment series sum_ell ell^h * theta^(ell), with 0^0 = 1, for every
+    order h = 0 .. p0, each on the denominator (1 - z^q)^n and all read off
+    one lift of the theta^(ell) numerators.  Raises InvalidParameters unless
+    0 <= p0 <= n - 1.
+    """
+    n, q = L.n, L.exponent
+    if not 0 <= p0 <= n - 1:
+        raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
+    lifted = _lifted_thetas(L)
+    return [
+        RationalSeries(_weighted_sum(lifted, (ell**h for ell in range(n + 1))), ((q, n),))
+        for h in range(p0 + 1)
+    ]
 
 
 def check_f_expand_work(n: int, order: int) -> None:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 
 from .errors import DimensionMismatch, InternalError, InvalidParameters
-from .genfun import f_rational, theta_ell_rational
+from .genfun import f_rational, moment_series, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens
-from .polyseries import RationalSeries
 
 # bound on the entries of the candidate keys isometry_classes checks,
 # n * C(values + n - 1, n); the largest search of the benchmark and of the
@@ -68,12 +67,6 @@ def canonical_key(q: int, s) -> LensKey:
     return LensKey(n=n, q=q, exponents=best)
 
 
-def _f_or_zero(L: CongruenceLattice, p: int) -> RationalSeries:
-    if p < 0:
-        return RationalSeries.zero()
-    return f_rational(L, p)
-
-
 def _check_pair(L1: CongruenceLattice, L2: CongruenceLattice) -> None:
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
@@ -82,23 +75,13 @@ def _check_pair(L1: CongruenceLattice, L2: CongruenceLattice) -> None:
 def p_isospectral(L1: CongruenceLattice, L2: CongruenceLattice, p: int) -> bool:
     """Exact equality of the p-form spectra of the two quotients.
 
-    Decided by equality of the two encoding series of each space; the lower
-    one is the zero series when p = 0.
+    Decided by equality of the two encoding series F^(p-1) and F^p of each
+    space; F^(-1) is zero, so p = 0 compares F^0 alone.
     """
     _check_pair(L1, L2)
     if not 0 <= p <= L1.n - 1:
         raise InvalidParameters(f"p must lie in 0..{L1.n - 1}")
-    return _f_or_zero(L1, p - 1) == _f_or_zero(L2, p - 1) and f_rational(
-        L1, p
-    ) == f_rational(L2, p)
-
-
-def weighted_theta(L: CongruenceLattice, h: int) -> RationalSeries:
-    """The moment series sum_ell ell^h * theta^(ell), with 0^0 = 1."""
-    acc = RationalSeries.zero()
-    for ell in range(L.n + 1):
-        acc = acc + theta_ell_rational(L, ell) * ell**h
-    return acc
+    return all(f_rational(L1, j) == f_rational(L2, j) for j in range(max(p - 1, 0), p + 1))
 
 
 def isospectral_range(L1: CongruenceLattice, L2: CongruenceLattice, p0: int) -> bool:
@@ -108,9 +91,7 @@ def isospectral_range(L1: CongruenceLattice, L2: CongruenceLattice, p0: int) -> 
     0 .. p0, which is a finite exact test.
     """
     _check_pair(L1, L2)
-    if not 0 <= p0 <= L1.n - 1:
-        raise InvalidParameters(f"p0 must lie in 0..{L1.n - 1}")
-    return all(weighted_theta(L1, h) == weighted_theta(L2, h) for h in range(p0 + 1))
+    return moment_series(L1, p0) == moment_series(L2, p0)
 
 
 def norm_star_isospectral(L1: CongruenceLattice, L2: CongruenceLattice) -> bool:
@@ -178,14 +159,16 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     ]
 
 
+def numerator_fingerprint(series) -> tuple:
+    """Each series' numerator as sorted (exponent, coefficient) pairs, which
+    decide equality between series on one denominator."""
+    return tuple(tuple(sorted(r.numerator.coeffs.items())) for r in series)
+
+
 def _moment_fingerprint(L: CongruenceLattice, p0: int):
-    # numerator coefficients of the moment series; all classes with the same
-    # (q, n) land on the identical denominator, so tuples compare exactly
-    data = []
-    for h in range(p0 + 1):
-        series = weighted_theta(L, h)
-        data.append(tuple(sorted(series.numerator.coeffs.items())))
-    return tuple(data)
+    # all classes with the same (q, n) land on the identical denominator
+    # (1 - z^q)^n, so tuples compare exactly
+    return numerator_fingerprint(moment_series(L, p0))
 
 
 def fingerprint_digest(data) -> str:
@@ -196,8 +179,10 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     """Group the isometry classes with modulus q into families that are
     p-isospectral for all p <= p0; families of size >= 2 are returned.
 
-    Classes are bucketed by the exact moment-series fingerprint and verified
-    pairwise inside each bucket, so the result does not rely on hashing.
+    Classes are bucketed by the exact moment-series fingerprint of one
+    lattice per class, dropped right after; members of a bucket are checked
+    against its first by equality of F^p for every p <= p0, so the result
+    rests on both exact criteria, not on hashing.
     """
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
@@ -210,10 +195,9 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     for fp, members in buckets.items():
         if len(members) < 2:
             continue
-        members = sorted(members)
-        base = members[0].lattice()
-        for other in members[1:]:
-            if not isospectral_range(base, other.lattice(), p0):
+        base, *others = (key.lattice() for key in members)
+        for L in others:
+            if not all(p_isospectral(base, L, p) for p in range(p0 + 1)):
                 raise InternalError("fingerprint bucket failed exact verification")
         families.append(
             IsospectralFamily(

@@ -69,11 +69,6 @@ class LaurentPolynomial:
         """The monomial coeff * z^exponent."""
         return cls({exponent: coeff})
 
-    @classmethod
-    def from_coeffs(cls, seq: Iterable[int], start: int = 0) -> "LaurentPolynomial":
-        """Build from a dense coefficient run beginning at exponent ``start``."""
-        return cls({start + i: c for i, c in enumerate(seq)})
-
     # -- queries -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -85,9 +80,6 @@ class LaurentPolynomial:
 
     def max_exp(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
-
-    def coeff(self, exponent: int) -> int:
-        return self.coeffs.get(exponent, 0)
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
@@ -235,10 +227,6 @@ class RationalSeries:
     @classmethod
     def zero(cls) -> "RationalSeries":
         return cls(LaurentPolynomial.zero())
-
-    @classmethod
-    def from_poly(cls, poly) -> "RationalSeries":
-        return cls(poly)
 
     def over_factor(self, a: int, b: int = 1) -> "RationalSeries":
         """Divide by (1 - z^a)^b, i.e. append a denominator factor."""

@@ -81,6 +81,11 @@ def test_bad_parameters_exit_code(capsys):
     for argv in (
         ("spectrum", "--space", "L(4;2,2)"),
         ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,3)", "--p0", "-1"),
+        # rank mismatch, and p0 above n - 1, by either method
+        ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,2,3)", "--method", "range"),
+        ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,2,3)", "--method", "direct"),
+        ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,3)", "--p0", "2", "--method", "range"),
+        ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,3)", "--p0", "2", "--method", "direct"),
         ("verify", "--n", "1"),
         ("verify", "--kmax", "-2"),
         # box count over 10^10 fundamental-domain points, rejected before it starts
@@ -126,7 +131,7 @@ def test_expansion_work_rejected_before_any_series(capsys, monkeypatch, argv):
 
 
 def test_internal_inconsistency_is_not_a_user_error(capsys, monkeypatch):
-    monkeypatch.setattr(lenspec.isospec, "isospectral_range", lambda *args: False)
+    monkeypatch.setattr(lenspec.isospec, "p_isospectral", lambda *args: False)
     code, out, err = run_cli(capsys, "search", "--q", "11", "--n", "3", "--p0", "0")
     assert code == 3 and out == ""
     assert err == "error: internal: fingerprint bucket failed exact verification\n"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenspec import (
@@ -11,6 +11,7 @@ from lenspec import (
     f_rational_p0_direct,
     invariant_dimension,
     lattice_from_lens,
+    moment_series,
     theta_ell_rational,
     theta_rational,
     torus_subgroup,
@@ -174,6 +175,40 @@ def test_main_identity_all_p_families():
             got = series.expand(order)
             want = [invariant_dimension(L, RepIndex(k, p, n)) for k in range(order + 1)]
             assert got == want
+
+
+def _merged_sum(L, weight):
+    # the theta^(ell) added one at a time by RationalSeries.__add__, which
+    # brings each pair of series to their least common denominator
+    acc = RationalSeries.zero()
+    for ell in range(L.n + 1):
+        acc = acc + theta_ell_rational(L, ell) * weight(ell)
+    return acc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(L=small_lattices())
+@example(L=lattice_from_lens(1, (0, 0, 0)))
+@example(L=lattice_from_lens(2, (1, 1, 1)))
+def test_one_denominator_sums_match_merged_sums(L):
+    # equal text means equal denominators and numerators, so the one-lift
+    # sums print exactly what the pairwise merges print
+    n = L.n
+    for p in range(n):
+        P = p + 1
+        merged = _merged_sum(L, lambda ell: a_laurent(P, ell, n)).over_factor(2, n - 1)
+        merged = merged + RationalSeries(LaurentPolynomial.term(-1 if P % 2 else 1, -P))
+        assert f_rational(L, p).to_text() == merged.to_text(), (L.label(), p)
+    for h, series in enumerate(moment_series(L, n - 1)):
+        assert series.to_text() == _merged_sum(L, lambda ell: ell**h).to_text(), (L.label(), h)
+
+
+def test_moment_series_order_range():
+    L = lattice_from_lens(7, (1, 2))
+    assert len(moment_series(L, 1)) == 2
+    for p0 in (-1, 2):
+        with pytest.raises(InvalidParameters):
+            moment_series(L, p0)
 
 
 def test_f_denominator_shape():

@@ -1,9 +1,11 @@
+import gc
 import math
 from itertools import product
 
 import pytest
 
 from lenspec import (
+    CongruenceLattice,
     canonical_key,
     isometry_classes,
     isospectral_range,
@@ -157,6 +159,21 @@ def test_search_finds_classic_pair():
         for other in lattices[1:]:
             assert p_isospectral(base, other, 0)
             assert theta_rational(base) == theta_rational(other)
+
+
+def _live_lattices() -> int:
+    gc.collect()
+    return sum(isinstance(obj, CongruenceLattice) for obj in gc.get_objects())
+
+
+def test_search_keeps_no_lattice():
+    # q = 13 has families, so the bucket check builds lattices too; nothing
+    # may hold on to any lattice of the search once it returns.  No other
+    # test searches q = 13, so no earlier test has made equal lattices that
+    # a process-wide cache would keep in place of these
+    before = _live_lattices()
+    assert search(13, 3, 0)
+    assert _live_lattices() == before
 
 
 def test_search_members_truncated_spectra_agree():
