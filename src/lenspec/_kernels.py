@@ -1,100 +1,174 @@
-"""Box-count kernel for congruence lattices.
+"""Box-count kernel for congruence lattices, in pure Python.
 
 The kernel tabulates the integer vectors of the box |a_i| <= radius by
 one-norm and number of zero entries, subject to a family of modular
 congruences; its table feeds the numerators of every generating function.
 
-Lattice membership repeats with period E, the lcm of the moduli, in every
-coordinate.  So the kernel first lists the lattice points of the fundamental
-domain [0, E)^n: it enumerates all coordinates but one and solves one
-congruence for the last, then filters by the other congruences.  Each point
-then lifts coordinatewise: a residue r stands for every r + mE inside the box.
+It is a dynamic program over the first n - 1 coordinates keyed by the
+residues of the congruences.  The partial vectors reaching one residue are
+kept as one polynomial in z (one-norm) and w (zero entries) packed into a
+single Python int, the coefficient of z^k w^l in bit field k * (n + 1) + l,
+so adding one value of the next coordinate is one shift and one add of the
+whole polynomial.  Residues r and -r hold the same polynomial, so only one
+of the two is summed.  The last coordinate is solved: a residue pairs with
+the values that cancel it.  In rank 2 no polynomial is packed: both
+coordinates keep plain lists of field offsets, so the time stays linear in
+a large exponent.
 
-The work, candidate points of the fundamental domain times the lift patterns
-tried on each, is bounded before any array is built.  Within that bound every
-intermediate and every count is exact in int64.
+The work, loop steps weighted by the 64-bit words each moves, is bounded
+before the first step (:func:`box_work`).  Every count is an exact Python
+int.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
-
-import numpy as np
 
 from .errors import InvalidParameters
 
-# Largest work, in candidate lattice points, one box count may take on.
-BOX_WORK_LIMIT = 10**8
-# Candidate fundamental-domain points handled per vectorized batch.
-_BOX_BATCH = 1 << 16
+# Largest work one box count may take: loop steps, each weighted by the
+# 64-bit words of the packed polynomial it shifts and adds.  At this bound
+# the slowest inputs take 1-2 s on a 2-core Xeon VM.
+BOX_WORK_LIMIT = 5 * 10**8
+# Words one loop step on int residues costs besides the words it moves: the
+# interpreter's overhead of a step takes about as long as shifting and adding
+# that many words.
+_STEP_WORDS = 190
 
 
-def box_table(congruences, n: int, radius: int) -> np.ndarray:
-    """Table of lattice vectors in the box |a_i| <= radius by (norm, zeros).
+def _group_ops(congs):
+    # residue keys of the congruence group, ints for one congruence and
+    # tuples for several: the generator of each coordinate, the keys of
+    # a * g for a in xs, the sum of two keys and the negative of one
+    if len(congs) == 1:
+        ((q, s),) = congs
+        return (
+            list(s),
+            lambda xs, g: [a * g % q for a in xs],
+            lambda r, c: (r + c) % q,
+            lambda r: -r % q,
+        )
+    moduli = [q for q, _ in congs]
+    gens = [tuple(s[j] for _, s in congs) for j in range(len(congs[0][1]))]
 
-    Entry [k, z] counts the integer vectors a with sum_j a_j s_{i,j} = 0 mod
-    q_i for every congruence (q_i, s_i), one-norm k and z zero entries.
-    """
+    def scale(xs, g):
+        return [tuple(a * x % q for x, q in zip(g, moduli)) for a in xs]
+
+    def add(r, c):
+        return tuple((x + y) % q for x, y, q in zip(r, c, moduli))
+
+    def neg(r):
+        return tuple(-x % q for x, q in zip(r, moduli))
+
+    return gens, scale, add, neg
+
+
+def _plan(congruences, n: int, radius: int):
+    # normalized congruences, coordinate order, bits per packed count, work
     if n < 2:
         raise InvalidParameters("rank n must be >= 2")
     if radius < 0:
         raise InvalidParameters("radius must be >= 0")
     congs = [(q, tuple(x % q for x in s)) for q, s in congruences] or [(1, (0,) * n)]
-    # solve the congruence with the fewest solutions mod E, those with more
-    # only filter; q // gcd(q, s) is the index of its lattice in Z^n
-    congs.sort(key=lambda c: c[0] // math.gcd(c[0], *c[1]), reverse=True)
-    (q, s), others = congs[0], congs[1:]
-    period = math.lcm(*(qi for qi, _ in congs))
-    offsets = range(-((radius + period - 1) // period), radius // period + 1)
-    work = period**n * math.gcd(q, *s) // q * len(offsets) ** n
+    values = 2 * radius + 1
+
+    def reach(js):
+        # bound on the residues of sum_{j in js} a_j g_j: its subgroup size
+        return math.prod(q // math.gcd(q, *(s[j] for j in js)) for q, s in congs)
+
+    # coordinates of fewer residues first keep the state count low; the last
+    # coordinate, solved for, has the most and so the fewest solutions
+    order = sorted(range(n), key=lambda j: reach([j]))
+    states = [min(reach(order[: j + 1]), values ** (j + 1)) for j in range(n - 1)]
+    # values of the last coordinate with one residue
+    solutions = -(-values // math.lcm(*(q // math.gcd(q, s[order[-1]]) for q, s in congs)))
+    # bits per packed count: given the others, the last coordinate of a
+    # vector of one-norm k takes at most two values
+    field = (2 * values ** (n - 1)).bit_length()
+    # 64-bit words of a polynomial over j + 1 coordinates
+    words = [-(-(j + 1) * (radius + 1) * (n + 1) * field // 64) for j in range(n)]
+    # a step on tuple residues, one entry per congruence, costs more
+    step = _STEP_WORDS * (2 * len(congs) - 1)
+    if n == 2:
+        # list steps: one per value for each coordinate's offsets, one per pair
+        work = values * (2 + solutions) * step
+    else:
+        # shift-adds: per value of the first coordinate, per state and value
+        # of each middle one, per state and solution of the last
+        steps = [values, *(states[j - 1] * values for j in range(1, n - 1)), states[-1] * solutions]
+        work = sum(k * (w + step) for k, w in zip(steps, words))
+    return congs, order, field, work
+
+
+def box_work(congruences, n: int, radius: int) -> int:
+    """Work of :func:`box_table` on the same arguments, in word steps: its
+    loop steps, each weighted by the 64-bit words it shifts and adds plus an
+    overhead of :data:`_STEP_WORDS` per residue entry.  Needs no table, so
+    it can run before one."""
+    return _plan(congruences, n, radius)[3]
+
+
+def box_table(congruences, n: int, radius: int) -> list[tuple[int, ...]]:
+    """Table of lattice vectors in the box |a_i| <= radius by (norm, zeros).
+
+    Row k, entry z counts the integer vectors a with sum_j a_j s_{i,j} = 0
+    mod q_i for every congruence (q_i, s_i), one-norm k and z zero entries;
+    rows run from norm 0 to n * radius.  Raises InvalidParameters, before the
+    first step, when the work exceeds :data:`BOX_WORK_LIMIT`.
+    """
+    congs, order, field, work = _plan(congruences, n, radius)
     if work > BOX_WORK_LIMIT:
         raise InvalidParameters(
-            f"box count of radius {radius} in rank {n} over exponent {period} takes"
-            f" {work} candidate points, above the limit of {BOX_WORK_LIMIT}"
+            f"box count of radius {radius} in rank {n} over exponent"
+            f" {math.lcm(*(q for q, _ in congs))} takes {work} word steps,"
+            f" above the limit of {BOX_WORK_LIMIT}"
         )
-
-    # norms and zero counts ignore the order of coordinates, so the one
-    # solved for goes last: the one with the fewest solutions
-    last = min(range(n), key=lambda j: math.gcd(s[j], q))
-    order = [j for j in range(n) if j != last] + [last]
-    s = [s[j] for j in order]
-    others = [(qi, np.array([si[j] for j in order], dtype=np.int64)) for qi, si in others]
-    g = math.gcd(s[-1], q)
-    step = q // g
-    inverse = pow(s[-1] // g, -1, step) if step > 1 else 0
-    # s[-1] x = c (mod q) holds for g | c at x = x0 + t * step, t < period / step
-    x_steps = np.arange(0, period, step, dtype=np.int64)
-
+    gens, scale, add, neg = _group_ops(congs)
     width = n + 1
-    out = np.zeros((n * radius + 1) * width, dtype=np.int64)
-    rows = period ** (n - 1)
-    batch = max(1, _BOX_BATCH // x_steps.size)
-    for start in range(0, rows, batch):
-        digits = np.arange(start, min(start + batch, rows), dtype=np.int64)
-        cols = []
-        for _ in range(n - 1):
-            digits, r = np.divmod(digits, period)
-            cols.append(r)
-        c = -sum(sj * r for sj, r in zip(s, cols)) % q
-        ok = c % g == 0
-        x0 = (c[ok] // g) * inverse % step
-        base = np.stack([col[ok] for col in cols] + [x0], axis=1)
-        pts = np.repeat(base, x_steps.size, axis=0)
-        pts[:, -1] += np.tile(x_steps, base.shape[0])
-        for qi, si in others:
-            pts = pts[pts @ si % qi == 0]
-        # flat index norm * width + zeros, summed over coordinates; a lift
-        # outside the box gets -out.size, which keeps any sum with it negative
-        codes = []
-        for col in pts.T:
-            per_offset = []
-            for m in offsets:
-                v = col + m * period
-                a = np.abs(v)
-                per_offset.append(np.where(a <= radius, a * width + (v == 0), -out.size))
-            codes.append(per_offset)
-        for pattern in product(range(len(offsets)), repeat=n):
-            idx = sum(codes[j][m] for j, m in enumerate(pattern))
-            out += np.bincount(idx[idx >= 0], minlength=out.size)
-    return out.reshape(n * radius + 1, width)
+    xs = range(-radius, radius + 1)
+    # field offset of z^|a| w^[a = 0] for each value a
+    value_offsets = [abs(a) * width + (a == 0) for a in xs]
+
+    def offsets(g):
+        # residue of a * g -> field offsets of the values a
+        by_residue = {}
+        for r, o in zip(scale(xs, g), value_offsets):
+            by_residue.setdefault(r, []).append(o)
+        return by_residue
+
+    first = offsets(gens[order[0]])
+    # keyed by the residue of -a * g: the value a of the last coordinate
+    # cancels the residue r exactly when it is listed under r
+    last = offsets(neg(gens[order[-1]]))
+    rows = n * radius + 1
+    if n == 2:
+        counts = [0] * (rows * width)
+        for r, offs in first.items():
+            for o in last.get(r, ()):
+                for p in offs:
+                    counts[o + p] += 1
+        return list(zip(*[iter(counts)] * width))
+
+    dp = {r: sum(1 << (o * field) for o in offs) for r, offs in first.items()}
+    for j in order[1:-1]:
+        # negating a partial vector negates its residue and keeps its norm
+        # and zeros, so residues r and -r hold one polynomial: only the
+        # targets t <= -t are summed
+        nxt = {}
+        for c, offs in offsets(gens[j]).items():
+            for r, poly in dp.items():
+                t = add(r, c)
+                if t <= neg(t):
+                    acc = nxt.get(t, 0)
+                    for o in offs:
+                        acc += poly << (o * field)
+                    nxt[t] = acc
+        dp = {**nxt, **{neg(t): poly for t, poly in nxt.items()}}
+    total = 0
+    for r, poly in dp.items():
+        for o in last.get(r, ()):
+            total += poly << (o * field)
+    # field i is the i-th run of `field` binary digits from the low end
+    bits = format(total, "b").zfill(rows * width * field)
+    counts = [int(bits[i - field : i or None], 2) for i in range(0, -rows * width * field, -field)]
+    return list(zip(*[iter(counts)] * width))

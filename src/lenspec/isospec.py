@@ -6,7 +6,9 @@ permutations and sign flips; :func:`canonical_key` minimizes over that whole
 action, so key equality decides isometry.  :func:`isometry_classes` lists the
 keys themselves, the sorted sign-folded tuples that no unit lowers, rather
 than keying every parameter vector; its candidate count is bounded before it
-starts.  The isospectrality tests compare exact rational series, never
+starts.  :func:`search` buckets the classes by character sums mod a prime,
+which need no lattice, and builds exact series only for classes that share a
+bucket.  The isospectrality tests compare exact rational series, never
 truncations.
 """
 
@@ -175,38 +177,175 @@ def fingerprint_digest(data) -> str:
     return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
 
 
+# -- character sums ---------------------------------------------------------------
+
+# Evaluation points of the moment numerators, reduced mod P: the first 64
+# fraction bits of pi and of e.
+_POINTS = (0x243F6A8885A308D3, 0xB7E151628AED2A6A)
+
+
+def _is_prime(m: int) -> bool:
+    # Miller-Rabin on the first twelve prime bases, exact below 3 * 10^24
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if m < 2 or any(m % b == 0 for b in bases):
+        return m in bases
+    d, r = m - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class _CharacterSums:
+    """Moment numerators of the lens classes of one (q, n), evaluated mod a
+    61-bit prime P = 1 (mod q) at the fixed points :data:`_POINTS`.
+
+    A class (q; s) has box-count polynomial phi(z, w) = sum_m phi_m(z) w^m,
+    by Ikeda's finite Fourier form (1/q) sum_t prod_j (w + H(t s_j)) with
+    H(u) = sum_{r=1}^{q-1} omega^(u r) (z^r + z^(q-r)), omega a primitive
+    q-th root of unity mod P; H(-u) = H(u), so t and q - t pair up.  The
+    moment numerator of order h is sum_m phi_m(z) c_{h,m}(z) with
+    c_{h,m} = sum_l C(m, l) l^h (1 - z^q)^l (2 z^q)^(m-l), the lifted
+    theta^(l) numerators of :func:`lenspec.genfun.moment_series` regrouped
+    by m.  ``points`` holds, per point z, the table of w + H(u) packed as one
+    int and the weights c; both are built once.
+    """
+
+    def __init__(self, q: int, n: int, p0: int):
+        P = (1 << 60) // q * q + 1
+        while P < 1 << 60 or not _is_prime(P):
+            P += q
+        primes = {d for d in range(2, q + 1) if q % d == 0 and _is_prime(d)}
+        g = 2
+        while any(pow(g, (P - 1) // d, P) == 1 for d in primes):
+            g += 1
+        omega = pow(g, (P - 1) // q, P)
+        self.q, self.n, self.P = q, n, P
+        self.q_inverse = pow(q, -1, P)
+        # field width of the packed polynomials in w: a product of n factors
+        # w + H, summed over at most q values of t, fits in it
+        self.width = 62 * n + q.bit_length() + 1
+        self.points = []
+        for z in _POINTS:
+            z %= P
+            while pow(z, q, P) == 1:  # H's closed form needs z^q != 1
+                z += 1
+            zq = pow(z, q, P)
+            table = []
+            x = 1  # omega^u
+            for _ in range(q):
+                # geometric sums over r = 1..q-1, with x^q = 1
+                h = (zq - x * z) * pow(x * z - 1, -1, P) + (z - x * zq) * pow(x - z, -1, P)
+                table.append((1 << self.width) + h % P)
+                x = x * omega % P
+            weights = [
+                [
+                    sum(math.comb(m, l) * l**h * pow(1 - zq, l, P) * pow(2 * zq, m - l, P) for l in range(m + 1)) % P
+                    for m in range(n + 1)
+                ]
+                for h in range(p0 + 1)
+            ]
+            self.points.append((z, table, weights))
+
+
+def _phi_values(sums: _CharacterSums, s: tuple[int, ...]) -> list[list[int]]:
+    """phi_m(z) mod P for m = 0..n of the class (q; s), at every point of
+    ``sums``, by the character sum."""
+    q, P, width = sums.q, sums.P, sums.width
+    mask = (1 << width) - 1
+    values = []
+    for _, table, _ in sums.points:
+        total = 0
+        for t in range(q // 2 + 1):
+            term = 1
+            for x in s:
+                term *= table[t * x % q]
+            total += term if 2 * t % q == 0 else 2 * term
+        values.append([(total >> (m * width) & mask) * sums.q_inverse % P for m in range(sums.n + 1)])
+    return values
+
+
+def _moment_values(sums: _CharacterSums, s: tuple[int, ...]) -> tuple[int, ...]:
+    """The moment numerators of orders 0..p0 of the class (q; s) mod P, at
+    every point of ``sums``.  Equal numerators give equal values."""
+    return tuple(
+        sum(c * f for c, f in zip(row, phi)) % sums.P
+        for (_, _, weights), phi in zip(sums.points, _phi_values(sums, s))
+        for row in weights
+    )
+
+
+def _check_phi_values(sums: _CharacterSums, key: LensKey, L: CongruenceLattice) -> None:
+    # the box count of one class certifies the tables of a search: its phi
+    # polynomials evaluated at the points against the character sums
+    P = sums.P
+    exact = [
+        [sum(c * pow(z, e, P) for e, c in phi.coeffs.items()) % P for phi in L.phi_polynomials()]
+        for z, _, _ in sums.points
+    ]
+    if exact != _phi_values(sums, key.exponents):
+        raise InternalError(f"character sums disagree with the box count of {key.label()}")
+
+
 def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[IsospectralFamily]:
     """Group the isometry classes with modulus q into families that are
     p-isospectral for all p <= p0; families of size >= 2 are returned.
 
-    Classes are bucketed by the exact moment-series fingerprint of one
-    lattice per class, dropped right after; members of a bucket are checked
-    against its first by equality of F^p for every p <= p0, so the result
-    rests on both exact criteria, not on hashing.
+    Classes are first bucketed by their moment numerators evaluated mod a
+    prime at two points through a character sum (:class:`_CharacterSums`),
+    which costs no box count; equal series give equal values, so no family
+    is split.  Only members of a bucket of two or more get a lattice: they
+    are split by the exact moment-series fingerprint, and each is checked
+    against the first of its group by equality of F^p for every p <= p0.
+    The result rests on both exact criteria, not on the values.  The box
+    count of one class (a bucket member, else the first class) checks the
+    character sums; a disagreement raises InternalError.
     """
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     keys = isometry_classes(q, n, mode)
+    sums = _CharacterSums(q, n, p0)
     buckets: dict[tuple, list[LensKey]] = {}
     for key in keys:
-        fp = _moment_fingerprint(key.lattice(), p0)
-        buckets.setdefault(fp, []).append(key)
+        buckets.setdefault(_moment_values(sums, key.exponents), []).append(key)
+    shared = [members for members in buckets.values() if len(members) > 1]
+    # the tables are checked on the first class that gets a box count, or on
+    # the first class when none does
+    probe = (shared[0] if shared else keys)[0]
+    if not shared:
+        _check_phi_values(sums, probe, probe.lattice())
     families = []
-    for fp, members in buckets.items():
-        if len(members) < 2:
-            continue
-        base, *others = (key.lattice() for key in members)
-        for L in others:
-            if not all(p_isospectral(base, L, p) for p in range(p0 + 1)):
-                raise InternalError("fingerprint bucket failed exact verification")
-        families.append(
-            IsospectralFamily(
-                q=q,
-                n=n,
-                p0=p0,
-                members=tuple(members),
-                fingerprint=fingerprint_digest(fp),
+    for members in shared:
+        groups: dict[tuple, list[tuple[LensKey, CongruenceLattice]]] = {}
+        for key in members:
+            L = key.lattice()
+            if key is probe:
+                _check_phi_values(sums, key, L)
+            groups.setdefault(_moment_fingerprint(L, p0), []).append((key, L))
+        for fp, group in groups.items():
+            if len(group) < 2:
+                continue
+            base = group[0][1]
+            for _, L in group[1:]:
+                if not all(p_isospectral(base, L, p) for p in range(p0 + 1)):
+                    raise InternalError("fingerprint bucket failed exact verification")
+            families.append(
+                IsospectralFamily(
+                    q=q,
+                    n=n,
+                    p0=p0,
+                    members=tuple(key for key, _ in group),
+                    fingerprint=fingerprint_digest(fp),
+                )
             )
-        )
     families.sort(key=lambda fam: fam.members)
     return families

@@ -15,13 +15,39 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from . import _kernels
 from .errors import DimensionMismatch, InvalidParameters
 from .polyseries import LaurentPolynomial
 
 _FREENESS_LIMIT = 2_000_000
+
+
+def _subgroup_order(rows, m: int) -> int:
+    """Order of the subgroup of Z_m^n spanned by ``rows``.
+
+    Echelon form over Z, entries mod m: Euclid's steps on column j leave one
+    pivot, whose entry spans the projection to column j of the rows zero
+    before j, an image of m / gcd(m, entry) elements; that multiple of the
+    pivot is zero in column j and joins the remaining rows.
+    """
+    order = 1
+    for j in range(len(rows[0]) if rows else 0):
+        pivot, rest = None, []
+        for r in rows:
+            if pivot is None and r[j]:
+                pivot = r
+                continue
+            while r[j]:
+                k = pivot[j] // r[j]
+                pivot, r = r, [(x - k * y) % m for x, y in zip(pivot, r)]
+            rest.append(r)
+        if pivot is not None:
+            step = m // math.gcd(m, pivot[j])
+            order *= step
+            rest.append([x * step % m for x in pivot])
+        rows = rest
+    return order
 
 
 @dataclass(frozen=True)
@@ -41,37 +67,20 @@ class TorusSubgroup:
         """Least m with g^m = 1 for every group element."""
         return math.lcm(*(q for q, _ in self.generators)) if self.generators else 1
 
-    def _element_rotations(self) -> set[tuple[int, ...]]:
-        # rotation exponents of every group element, over the common modulus
-        big = self.exponent
-        elems = set()
-        ranges = [range(q) for q, _ in self.generators]
-        scaled = [
-            tuple(x * (big // q) % big for x in s) for q, s in self.generators
-        ]
-        for powers in product(*ranges):
-            rot = [0] * self.n
-            for m, s in zip(powers, scaled):
-                for j in range(self.n):
-                    rot[j] = (rot[j] + m * s[j]) % big
-            elems.add(tuple(rot))
-        return elems
-
     def acts_freely(self) -> bool:
         """True when no nontrivial element fixes a point of the sphere.
 
-        A normalized cyclic group (q, s) acts freely exactly when every s_j
-        is a unit mod q; groups of two or more generators are enumerated.
+        As rotation exponents mod the exponent E, the group is the subgroup
+        of Z_E^n its generators span, and it acts freely exactly when every
+        coordinate projection is injective: when the image E / gcd(E, column
+        j) of each coordinate j has as many elements as the group.
         """
         if math.prod(q for q, _ in self.generators) > _FREENESS_LIMIT:
             raise InvalidParameters("group too large to check for freeness")
-        if len(self.generators) == 1:
-            q, s = self.generators[0]
-            return all(math.gcd(x, q) == 1 for x in s)
-        for rot in self._element_rotations():
-            if any(rot) and not all(rot):
-                return False
-        return True
+        big = self.exponent
+        rows = [[x * (big // q) % big for x in s] for q, s in self.generators]
+        order = _subgroup_order(rows, big)
+        return all(big // math.gcd(big, *column) == order for column in zip(*rows))
 
     def lattice(self) -> "CongruenceLattice":
         return CongruenceLattice(
@@ -149,7 +158,7 @@ class CongruenceLattice:
     # -- counting ------------------------------------------------------------
 
     @cached_property
-    def _reduced(self):
+    def _reduced(self) -> list[tuple[int, ...]]:
         return _kernels.box_table(self.congruences, self.n, self.exponent - 1)
 
     def reduced_counts(self) -> tuple[tuple[int, ...], ...]:
@@ -158,25 +167,17 @@ class CongruenceLattice:
         Row k lists the counts by zero entries; rows run from norm 0 to
         n*(exponent-1), beyond which every count vanishes.
         """
-        return tuple(tuple(int(x) for x in row) for row in self._reduced)
+        return tuple(self._reduced)
 
     def reduced_count(self, k: int, zeros: int) -> int:
         table = self._reduced
-        if k < 0 or k >= table.shape[0]:
+        if k < 0 or k >= len(table):
             return 0
-        return int(table[k, zeros])
+        return table[k][zeros]
 
     @cached_property
     def _phi(self) -> tuple[LaurentPolynomial, ...]:
-        table = self._reduced
-        polys = []
-        for zeros in range(self.n + 1):
-            polys.append(
-                LaurentPolynomial(
-                    {k: int(table[k, zeros]) for k in range(table.shape[0])}
-                )
-            )
-        return tuple(polys)
+        return tuple(LaurentPolynomial(dict(enumerate(column))) for column in zip(*self._reduced))
 
     def phi_polynomials(self) -> tuple[LaurentPolynomial, ...]:
         """Box-count generating polynomials, one per zero-entry count.

@@ -104,7 +104,7 @@ def _dominant_below(n: int, maxnorm: int):
     yield from rec(0, maxnorm, maxnorm)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _dominant_multiplicities(lam: tuple[int, ...], n: int) -> dict:
     """Weight multiplicities of the irreducible with highest weight lam,
     tabulated on dominant weights only, via the Freudenthal recursion."""
@@ -211,7 +211,7 @@ def weyl_dimension(highest_weight, n: int) -> int:
     return value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _monomial_table(kind: str, degree: int, n: int) -> dict:
     # weights of the standard 2n-dimensional representation
     items = []

@@ -22,8 +22,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DimensionMismatch, InvalidParameters
 from .lattice import CongruenceLattice
 from .polyseries import binom
@@ -54,6 +52,8 @@ def _count_shells(L: CongruenceLattice, firsts, lo: int, hi: int) -> np.ndarray:
     takes every value keeping the norm <= hi, and the last one also reaches
     norm >= lo, so each vector of the shells is generated exactly once.
     """
+    import numpy as np
+
     n = L.n
     values = np.asarray(firsts, dtype=np.int64)
     norm = np.abs(values)
@@ -84,6 +84,8 @@ def _count_shells(L: CongruenceLattice, firsts, lo: int, hi: int) -> np.ndarray:
 
 def _enumerate_shells(L: CongruenceLattice, lo: int, hi: int) -> np.ndarray:
     """int64 table [k - lo, zeros] of lattice vectors with lo <= one-norm k <= hi."""
+    import numpy as np
+
     n = L.n
     out = np.zeros((hi - lo + 1) * (n + 1), dtype=np.int64)
     batch: list[int] = []
@@ -118,6 +120,8 @@ def shell_table(L: CongruenceLattice, kmax: int) -> np.ndarray:
         )
     if kmax * L.exponent >= 1 << 62:
         raise InvalidParameters("congruence residues exceed the exact int64 range")
+    import numpy as np
+
     table = _shell_tables.pop(L, None)
     have = -1 if table is None else table.shape[0] - 1
     if kmax > have:
@@ -170,7 +174,7 @@ class RepIndex:
             raise InvalidParameters(f"p must lie in 0..{self.n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _class_multiplicity(n: int, k: int, p: int, norm: int, zeros: int) -> int:
     """Multiplicity of any weight with the given (norm, zeros) in family (k, p)."""
     gap = k + p - norm

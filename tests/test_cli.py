@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -266,3 +269,38 @@ def test_verify_small(capsys):
     assert code == 0
     assert "multiplicity-closed-form" in out
     assert "FAIL" not in out
+
+
+# runs one CLI call in a fresh interpreter and reports, on stderr's last
+# line, its exit status and whether numpy was imported by then
+_IMPORT_PROBE = """
+import sys
+from lenspec.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}\\n")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, numpy_imported",
+    [
+        (("--help",), False),
+        (("search", "--q", "13", "--n", "3"), False),
+        (("spectrum", "--space", "L(11;1,2,3)", "--p", "1", "--kmax", "10"), False),
+        (("genfun", "--space", "L(11;1,2,4)", "--order", "10"), False),
+        (("isospectral", "--space", "L(11;1,2,3)", "--space2", "L(11;1,2,4)"), False),
+        # the certification route behind verify imports numpy on use
+        (("verify", "--n", "2", "--kmax", "3"), True),
+    ],
+)
+def test_numpy_only_on_the_certification_route(argv, numpy_imported):
+    src = os.path.dirname(os.path.dirname(lenspec.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.stdout
+    assert res.stderr.splitlines()[-1] == f"exit 0, numpy imported: {numpy_imported}"

@@ -3,20 +3,24 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lenspec import _kernels, isospec
 from lenspec import (
     CongruenceLattice,
     canonical_key,
     isometry_classes,
     isospectral_range,
     lattice_from_lens,
+    moment_series,
     norm_star_isospectral,
     p_isospectral,
     search,
     spectrum_table,
     theta_rational,
 )
-from lenspec.errors import DimensionMismatch, InvalidParameters
+from lenspec.errors import DimensionMismatch, InternalError, InvalidParameters
 
 
 def test_canonical_key_unit_multiplier():
@@ -168,9 +172,7 @@ def _live_lattices() -> int:
 
 def test_search_keeps_no_lattice():
     # q = 13 has families, so the bucket check builds lattices too; nothing
-    # may hold on to any lattice of the search once it returns.  No other
-    # test searches q = 13, so no earlier test has made equal lattices that
-    # a process-wide cache would keep in place of these
+    # may hold on to any lattice of the search once it returns
     before = _live_lattices()
     assert search(13, 3, 0)
     assert _live_lattices() == before
@@ -192,3 +194,66 @@ def test_search_validation():
         search(5, 2, 3)
     with pytest.raises(InvalidParameters):
         isometry_classes(5, 2, "everything")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    q=st.integers(1, 40),
+    s=st.lists(st.integers(0, 39), min_size=2, max_size=4),
+)
+@example(q=1, s=[0, 0])
+@example(q=2, s=[1, 0, 1])
+@example(q=12, s=[0, 3, 4])  # s_j = 0 and no exponent a unit
+@example(q=30, s=[6, 10, 15, 1])
+def test_character_sums_match_box_count_numerators(q, s):
+    # the exact moment numerators of the box-count chain, evaluated at each
+    # point mod P term by term, against the character sums
+    s = tuple(x % q for x in s)
+    if math.gcd(q, *s) != 1:
+        s = (1,) + s[1:]
+    n, p0 = len(s), len(s) - 1
+    sums = isospec._CharacterSums(q, n, p0)
+    P = sums.P
+    numerators = [r.numerator.coeffs for r in moment_series(lattice_from_lens(q, s), p0)]
+    expected = tuple(
+        sum(c * pow(z, e, P) for e, c in coeffs.items()) % P
+        for z, _, _ in sums.points
+        for coeffs in numerators
+    )
+    assert isospec._moment_values(sums, s) == expected
+
+
+def _families(q, n, p0, mode):
+    return [(fam.members, fam.fingerprint) for fam in search(q, n, p0, mode)]
+
+
+@pytest.mark.parametrize(
+    "q, n, p0, mode",
+    [(13, 3, 0, "manifolds"), (11, 4, 0, "orbifolds"), (49, 3, 2, "manifolds")],
+)
+def test_value_collisions_are_split_exactly(monkeypatch, q, n, p0, mode):
+    # one value for every class puts all of them in one bucket: the exact
+    # fingerprints must split it into the same families, with no error
+    expected = _families(q, n, p0, mode)
+    assert expected
+    monkeypatch.setattr(isospec, "_moment_values", lambda sums, s: 0)
+    assert _families(q, n, p0, mode) == expected
+
+
+def test_search_box_counts_family_members_only(monkeypatch):
+    calls = []
+    box_table = _kernels.box_table
+    monkeypatch.setattr(_kernels, "box_table", lambda *args: calls.append(args) or box_table(*args))
+    families = search(13, 3, 0)
+    assert families
+    assert len(calls) == sum(len(fam.members) for fam in families)
+
+
+@pytest.mark.parametrize("q, n", [(13, 3), (14, 4)])  # with and without a shared bucket
+def test_wrong_character_sums_are_an_internal_error(monkeypatch, q, n):
+    phi_values = isospec._phi_values
+    monkeypatch.setattr(
+        isospec, "_phi_values", lambda sums, s: [[v + 1 for v in point] for point in phi_values(sums, s)]
+    )
+    with pytest.raises(InternalError):
+        search(q, n, 0)

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from lenspec import (
     CongruenceLattice,
     LaurentPolynomial,
+    isometry_classes,
     lattice_from_lens,
     lens_group,
     torus_subgroup,
 )
 from lenspec import _kernels
 from lenspec.errors import DimensionMismatch, InvalidParameters
+from lenspec.lattice import _subgroup_order
 from lenspec.weights import shell_table
 from support import brute_box
 
@@ -257,6 +259,56 @@ def brute_free(q, s):
 def test_cyclic_freeness_matches_enumeration(q, s):
     s = tuple(x % q for x in s)
     assert torus_subgroup(len(s), [(q, s)]).acts_freely() == brute_free(q, s)
+
+
+def brute_group(n, generators):
+    """Every element of the group, as rotation exponents over the common
+    exponent, by enumerating all products of generator powers."""
+    big = math.lcm(*(q for q, _ in generators))
+    return {
+        tuple(sum(m * s[j] * (big // q) for m, (q, s) in zip(powers, generators)) % big for j in range(n))
+        for powers in product(*(range(q) for q, _ in generators))
+    }
+
+
+@st.composite
+def multi_generator_groups(draw):
+    n = draw(st.integers(2, 4))
+    orders = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), min_size=2, max_size=3))
+    generators = [
+        (q, tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))) for q in orders
+    ]
+    return n, generators
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(group=multi_generator_groups())
+@example(group=(3, [(3, (1, 1, 1)), (3, (1, 2, 0))]))  # Z3 x Z3 on S^5, not free
+@example(group=(4, [(2, (1, 1, 1, 1)), (4, (1, 3, 1, 3))]))  # Z2 x Z4 on S^7
+@example(group=(2, [(2, (1, 1)), (4, (1, 3))]))  # the first generator is a power of the second
+@example(group=(2, [(5, (1, 2)), (3, (1, 1))]))  # cyclic of order 15, free
+@example(group=(3, [(6, (1, 1, 1)), (4, (1, 1, 3)), (9, (0, 3, 3))]))
+def test_freeness_matches_enumeration_for_several_generators(group):
+    # free: every nontrivial element moves every coordinate plane
+    n, generators = group
+    G = torus_subgroup(n, generators)
+    elements = brute_group(n, G.generators)
+    assert G.acts_freely() == all(all(rot) for rot in elements if any(rot))
+    rows = [[x * (G.exponent // q) for x in s] for q, s in G.generators]
+    assert _subgroup_order(rows, G.exponent) == len(elements)
+
+
+def test_box_work_bound_admits_the_required_inputs():
+    # checked by the work alone, so none of these runs here
+    def work(q, s):
+        return _kernels.box_work(((q, s),), len(s), q - 1)
+
+    assert work(100003, (1, 2)) <= _kernels.BOX_WORK_LIMIT
+    for q, n in ((151, 3), (31, 4)):
+        for key in isometry_classes(q, n, "orbifolds"):
+            assert work(q, key.exponents) <= _kernels.BOX_WORK_LIMIT, key
+    for q, s in ((3499, (1, 2, 3)), (100003, (1, 2, 3)), (331000, (1, 3))):
+        assert work(q, s) > _kernels.BOX_WORK_LIMIT
 
 
 def test_freeness_group_size_guard():
