@@ -54,7 +54,11 @@ def parse_space(text: str | None, gen_file: str | None):
     generators = []
     n = None
     with open(gen_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise LenspecError(f"generator file {gen_file!r} is not UTF-8 ({exc.reason} at byte {exc.start})")
+        for lineno, line in enumerate(lines, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

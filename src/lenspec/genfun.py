@@ -2,11 +2,12 @@
 
 The one-norm count series theta and its refinements theta^(ell) by zero
 entries are rational with denominator (1 - z^q)^(n - ell); their numerators
-come from the finite box-count polynomials.  F^p and the moment series sum
-the theta^(ell) numerators, lifted once to (1 - z^q)^n, on a denominator known
-in advance: F^p against universal Laurent weights plus one corrective monomial
-over (1-z^2)^(n-1) (1-z^q)^n, moment h against ell^h over (1 - z^q)^n.  No
-result is cached per lattice.
+come from the finite box-count polynomials phi_m.  Every series here is
+sum_m phi_m W_m on a denominator known in advance; :func:`phi_weights` turns
+the weights w_ell of sum_ell w_ell theta^(ell) into the W_m on (1 - z^q)^n.
+F^p takes a_laurent(p+1, ell, n) plus a corrective polynomial over
+(1-z^2)^(n-1) (1-z^q)^n, moment h takes ell^h and theta takes 1.  No result
+is cached per lattice.
 """
 
 from __future__ import annotations
@@ -27,26 +28,34 @@ def theta_ell_rational(L: CongruenceLattice, ell: int) -> RationalSeries:
     n, q = L.n, L.exponent
     if not 0 <= ell <= n:
         raise InvalidParameters(f"ell must lie in 0..{n}")
-    phis = L.phi_polynomials()
-    num = LaurentPolynomial.zero()
-    for s in range(n - ell + 1):
-        weight = (1 << s) * binom(ell + s, s)
-        num = num + phis[ell + s].shift(s * q) * weight
+    # W_m = C(m, ell) (2 z^q)^(m - ell) for m >= ell
+    weights = [LaurentPolynomial.term(binom(m, ell) << (m - ell), (m - ell) * q) for m in range(ell, n + 1)]
     factors = ((q, n - ell),) if n > ell else ()
-    return RationalSeries(num, factors)
+    return RationalSeries(_phi_sum(L.phi_polynomials()[ell:], weights), factors)
 
 
 def theta_rational(L: CongruenceLattice) -> RationalSeries:
-    """Generating function of all shell counts, with denominator (1 - z^q)^n."""
-    n, q = L.n, L.exponent
-    phis = L.phi_polynomials()
-    num = LaurentPolynomial.zero()
-    for t in range(n + 1):
-        inner = LaurentPolynomial.zero()
-        for ell in range(t, n + 1):
-            inner = inner + phis[ell] * binom(ell, t)
-        num = num + inner.shift(t * q)
-    return RationalSeries(num, ((q, n),))
+    """Generating function of all shell counts, with denominator (1 - z^q)^n:
+    the moment series of order 0."""
+    return moment_series(L, 0)[0]
+
+
+def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
+    """The weights W_m of phi_m, m = 0..n, in sum_ell w_ell theta^(ell) on
+    (1 - z^q)^n, for w_0..w_n integers or Laurent polynomials:
+    W_m = sum_ell C(m, ell) (2 z^q)^(m - ell) (1 - z^q)^ell w_ell, as theta^(ell)
+    weights phi_m by C(m, ell) (2 z^q)^(m - ell) on (1 - z^q)^(n - ell)."""
+    lifted = [one_minus_z(q, ell) * w for ell, w in enumerate(weights)]
+    zero = LaurentPolynomial.zero()
+    return [
+        sum((lifted[ell].shift((m - ell) * q) * (binom(m, ell) << (m - ell)) for ell in range(m + 1)), zero)
+        for m in range(len(lifted))
+    ]
+
+
+def _phi_sum(phis, weights) -> LaurentPolynomial:
+    # sum_m phi_m W_m
+    return sum((phi * w for phi, w in zip(phis, weights)), LaurentPolynomial.zero())
 
 
 @lru_cache(maxsize=None)
@@ -86,35 +95,23 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs)
 
 
-def _lifted_thetas(L: CongruenceLattice) -> list[LaurentPolynomial]:
-    # numerator of each theta^(ell), ell = 0..n, over (1 - z^q)^n
-    return [
-        theta_ell_rational(L, ell).numerator * one_minus_z(L.exponent, ell)
-        for ell in range(L.n + 1)
-    ]
-
-
-def _weighted_sum(lifted: list[LaurentPolynomial], weights) -> LaurentPolynomial:
-    return sum((num * w for num, w in zip(lifted, weights)), LaurentPolynomial.zero())
-
-
 def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     """Spectrum-encoding series F^p: coefficient k is the multiplicity of the
     (k+1)-st eigenvalue of the p-family on p-forms of the quotient.
 
-    Sums the lifted theta^(ell) numerators times a_laurent(p+1, ell, n) on
-    (1-z^2)^(n-1) (1-z^q)^n; the corrective monomial cancels exactly against
-    them, so no negative exponent survives.  One that does signals an
-    internal inconsistency and raises NegativeOrderTerm.
+    Sums theta^(ell) times a_laurent(p+1, ell, n) on (1-z^2)^(n-1) (1-z^q)^n;
+    the corrective monomial -+z^(-p-1) cancels exactly against them, so no
+    negative exponent survives.  One that does signals an internal
+    inconsistency and raises NegativeOrderTerm.
     """
     n, q = L.n, L.exponent
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     P = p + 1
-    weights = (a_laurent(P, ell, n) for ell in range(n + 1))
-    acc = RationalSeries(_weighted_sum(_lifted_thetas(L), weights), ((q, n), (2, n - 1)))
+    weights = phi_weights(q, [a_laurent(P, ell, n) for ell in range(n + 1)])
     sign = -1 if P % 2 else 1
-    series = acc + RationalSeries(LaurentPolynomial.term(sign, -P))
+    corrective = (one_minus_z(q, n) * one_minus_z(2, n - 1) * sign).shift(-P)
+    series = RationalSeries(_phi_sum(L.phi_polynomials(), weights) + corrective, ((q, n), (2, n - 1)))
     lo = series.numerator.min_exp()
     if lo is not None and lo < 0:
         raise NegativeOrderTerm(
@@ -125,16 +122,15 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
 
 def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
     """The moment series sum_ell ell^h * theta^(ell), with 0^0 = 1, for every
-    order h = 0 .. p0, each on the denominator (1 - z^q)^n and all read off
-    one lift of the theta^(ell) numerators.  Raises InvalidParameters unless
-    0 <= p0 <= n - 1.
+    order h = 0 .. p0, each on the denominator (1 - z^q)^n.  Raises
+    InvalidParameters unless 0 <= p0 <= n - 1.
     """
     n, q = L.n, L.exponent
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    lifted = _lifted_thetas(L)
+    phis = L.phi_polynomials()
     return [
-        RationalSeries(_weighted_sum(lifted, (ell**h for ell in range(n + 1))), ((q, n),))
+        RationalSeries(_phi_sum(phis, phi_weights(q, [ell**h for ell in range(n + 1)])), ((q, n),))
         for h in range(p0 + 1)
     ]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
 
 from .errors import DimensionMismatch, InternalError, InvalidParameters
-from .genfun import f_rational, moment_series, theta_ell_rational
+from .genfun import f_rational, moment_series, phi_weights, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 
 # bound on the entries of the candidate keys isometry_classes checks,
@@ -213,11 +213,12 @@ class _CharacterSums:
     by Ikeda's finite Fourier form (1/q) sum_t prod_j (w + H(t s_j)) with
     H(u) = sum_{r=1}^{q-1} omega^(u r) (z^r + z^(q-r)), omega a primitive
     q-th root of unity mod P; H(-u) = H(u), so t and q - t pair up.  The
-    moment numerator of order h is sum_m phi_m(z) c_{h,m}(z) with
-    c_{h,m} = sum_l C(m, l) l^h (1 - z^q)^l (2 z^q)^(m-l), the lifted
-    theta^(l) numerators of :func:`lenspec.genfun.moment_series` regrouped
-    by m.  ``points`` holds, per point z, the table of w + H(u) packed as one
-    int and the weights c; both are built once.
+    moment numerator of order h is sum_m phi_m(z) W_m(z), W_m the weights of
+    :func:`lenspec.genfun.moment_series`, taken from
+    :func:`lenspec.genfun.phi_weights` with w_l = l^h; this route and the box
+    count differ only in how phi_m is obtained.  ``points`` holds, per point
+    z, the table of w + H(u) packed as one int and the W_m(z); both are built
+    once.
     """
 
     def __init__(self, q: int, n: int, p0: int):
@@ -234,6 +235,7 @@ class _CharacterSums:
         # field width of the packed polynomials in w: a product of n factors
         # w + H, summed over at most q values of t, fits in it
         self.width = 62 * n + q.bit_length() + 1
+        moment_weights = [phi_weights(q, [l**h for l in range(n + 1)]) for h in range(p0 + 1)]
         self.points = []
         for z in _POINTS:
             z %= P
@@ -247,14 +249,13 @@ class _CharacterSums:
                 h = (zq - x * z) * pow(x * z - 1, -1, P) + (z - x * zq) * pow(x - z, -1, P)
                 table.append((1 << self.width) + h % P)
                 x = x * omega % P
-            weights = [
-                [
-                    sum(math.comb(m, l) * l**h * pow(1 - zq, l, P) * pow(2 * zq, m - l, P) for l in range(m + 1)) % P
-                    for m in range(n + 1)
-                ]
-                for h in range(p0 + 1)
-            ]
+            weights = [[_at(w, z, P) for w in row] for row in moment_weights]
             self.points.append((z, table, weights))
+
+
+def _at(poly, z: int, P: int) -> int:
+    # poly(z) mod P
+    return sum(c * pow(z, e, P) for e, c in poly.coeffs.items()) % P
 
 
 def _phi_values(sums: _CharacterSums, s: tuple[int, ...]) -> list[list[int]]:
@@ -287,11 +288,7 @@ def _moment_values(sums: _CharacterSums, s: tuple[int, ...]) -> tuple[int, ...]:
 def _check_phi_values(sums: _CharacterSums, key: LensKey, L: CongruenceLattice) -> None:
     # the box count of one class certifies the tables of a search: its phi
     # polynomials evaluated at the points against the character sums
-    P = sums.P
-    exact = [
-        [sum(c * pow(z, e, P) for e, c in phi.coeffs.items()) % P for phi in L.phi_polynomials()]
-        for z, _, _ in sums.points
-    ]
+    exact = [[_at(phi, z, sums.P) for phi in L.phi_polynomials()] for z, _, _ in sums.points]
     if exact != _phi_values(sums, key.exponents):
         raise InternalError(f"character sums disagree with the box count of {key.label()}")
 

@@ -78,6 +78,10 @@ def test_bad_gen_file(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     code, _, err = run_cli(capsys, "spectrum", "--gen-file", str(missing))
     assert code == 2 and err.startswith("error:")
+    binary = tmp_path / "utf16.txt"
+    binary.write_bytes(b"\xff\xfe1: 1,2\n")
+    code, out, err = run_cli(capsys, "spectrum", "--gen-file", str(binary))
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err
 
 
 def test_bad_parameters_exit_code(capsys):
@@ -91,6 +95,9 @@ def test_bad_parameters_exit_code(capsys):
         ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,3)", "--p0", "2", "--method", "direct"),
         ("verify", "--n", "1"),
         ("verify", "--kmax", "-2"),
+        # verify scales beyond its Freudenthal work bound, rejected before any check
+        ("verify", "--kmax", "1000"),
+        ("verify", "--n", "1000"),
         # box count over 10^10 fundamental-domain points, rejected before it starts
         ("genfun", "--space", "L(100003;1,2,3)", "--order", "2"),
         # class lists over more than 10^6 candidate entries, rejected before they start

@@ -17,6 +17,7 @@ from lenspec import (
     torus_subgroup,
 )
 from lenspec.errors import InvalidParameters
+from lenspec.genfun import phi_weights
 from lenspec.polyseries import binom
 from lenspec.weights import shell_table
 from support import brute_box, small_lattices
@@ -201,6 +202,14 @@ def test_one_denominator_sums_match_merged_sums(L):
         assert f_rational(L, p).to_text() == merged.to_text(), (L.label(), p)
     for h, series in enumerate(moment_series(L, n - 1)):
         assert series.to_text() == _merged_sum(L, lambda ell: ell**h).to_text(), (L.label(), h)
+    assert theta_rational(L).to_text() == _merged_sum(L, lambda ell: 1).to_text(), L.label()
+
+
+@pytest.mark.parametrize("q", [1, 2, 7, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_phi_weights_of_ones_closed_form(q, n):
+    # all w_ell = 1 gives sum_ell C(m, ell) (2 z^q)^(m - ell) (1 - z^q)^ell = (1 + z^q)^m
+    assert phi_weights(q, [1] * (n + 1)) == [LaurentPolynomial({0: 1, q: 1}) ** m for m in range(n + 1)]
 
 
 def test_moment_series_order_range():

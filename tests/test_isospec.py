@@ -223,6 +223,26 @@ def test_character_sums_match_box_count_numerators(q, s):
     assert isospec._moment_values(sums, s) == expected
 
 
+@pytest.mark.parametrize("q", [1, 2, 7, 12])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_character_sum_weights_match_binomial_sum(q, n):
+    # the moment weights at each point mod P against the binomial sum
+    # c_{h,m} = sum_l C(m, l) l^h (1 - z^q)^l (2 z^q)^(m-l) written out here
+    sums = isospec._CharacterSums(q, n, n - 1)
+    P = sums.P
+    assert [z for z, _, _ in sums.points] == [z % P for z in isospec._POINTS]
+    for z, _, weights in sums.points:
+        zq = pow(z, q, P)
+        expected = [
+            [
+                sum(math.comb(m, l) * l**h * pow(1 - zq, l, P) * pow(2 * zq, m - l, P) for l in range(m + 1)) % P
+                for m in range(n + 1)
+            ]
+            for h in range(n)
+        ]
+        assert weights == expected, (q, n)
+
+
 def _families(q, n, p0, mode):
     return [(fam.members, fam.fingerprint) for fam in search(q, n, p0, mode)]
 

@@ -1,7 +1,9 @@
+import time
 from itertools import permutations, product
 
 import pytest
 
+import lenspec.verify
 from lenspec import (
     freudenthal_weights,
     monomial_weight_count,
@@ -9,7 +11,8 @@ from lenspec import (
     weyl_dimension,
 )
 from lenspec.errors import InvalidParameters, NotDominant
-from lenspec.oracle import dominant_representative
+from lenspec.oracle import _dominant_below, dominant_representative
+from lenspec.verify import check_verify_work
 
 
 def test_standard_representation_rank2():
@@ -129,3 +132,30 @@ def test_combined_table_at_top_degree_full_sign_symmetry():
                 assert oracle_weight_multiplicity(k, n, mu, n) == oracle_weight_multiplicity(
                     k, n, flipped, n
                 )
+
+
+@pytest.mark.parametrize("n, kmax", [(2, 0), (2, 5), (3, 6), (4, 3), (5, 2)])
+def test_verify_work_is_the_freudenthal_table_steps(monkeypatch, n, kmax):
+    # the count, exactly at its bound and one step above, against the
+    # dominant weights the Freudenthal tables scan times their root strings
+    steps = sum(
+        sum(1 for _ in _dominant_below(m, k + p)) * m * (m - 1) * (k + p)
+        for m in range(2, n + 1)
+        for p in range(1, m + 1)
+        for k in range(kmax + 1)
+    )
+    monkeypatch.setattr(lenspec.verify, "MAX_VERIFY_WORK", steps)
+    check_verify_work(n, kmax)
+    monkeypatch.setattr(lenspec.verify, "MAX_VERIFY_WORK", steps - 1)
+    with pytest.raises(InvalidParameters):
+        check_verify_work(n, kmax)
+
+
+def test_verify_work_bound_admits_the_documented_scales():
+    for n, kmax in ((3, 6), (2, 3), (9, 6), (3, 33), (12, 2)):
+        check_verify_work(n, kmax)
+    for n, kmax in ((3, 34), (10, 6), (3, 1000), (1000, 6), (10**12, 10**12)):
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameters):
+            check_verify_work(n, kmax)
+        assert time.perf_counter() - start < 1.0, (n, kmax)
