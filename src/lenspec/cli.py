@@ -9,36 +9,28 @@ decimal strings since they outgrow 64-bit integers quickly.
 Identical invocations produce byte-identical output.  Invalid input exits 2
 and an internal inconsistency exits 3, each with a single ``error:`` line;
 the work of every series expansion is bounded before it starts.
+
+Each subcommand imports the modules it runs when it is called, so ``--help``
+and ``search`` never load the certification side (:mod:`lenspec.verify`,
+:mod:`lenspec.oracle`, :mod:`lenspec.weights`) or numpy, and output rows are
+written as they are rendered.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import re
 import sys
 
 from .errors import DimensionMismatch, InternalError, LenspecError
-from .genfun import (
-    check_f_expand_work,
-    f_rational,
-    moment_series,
-    theta_ell_rational,
-    theta_rational,
-)
-from .isospec import fingerprint_digest, numerator_fingerprint, search
-from .lattice import CongruenceLattice, lens_group, torus_subgroup
-from .polyseries import RationalSeries
-from .spectrum import spectrum_table
-from .verify import run_checks
 
 _LENS_RE = re.compile(r"^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$")
 
 
 def parse_space(text: str | None, gen_file: str | None):
     """Resolve --space / --gen-file into (label, lattice)."""
+    from .lattice import lens_group, torus_subgroup
+
     if (text is None) == (gen_file is None):
         raise LenspecError("exactly one of --space or --gen-file is required")
     if text is not None:
@@ -77,24 +69,51 @@ def parse_space(text: str | None, gen_file: str | None):
     return lattice.label(), lattice
 
 
-def _emit_records(fmt: str, records: list[dict], columns: list[str]) -> str:
+def _emit_records(fmt: str, records, columns: list[str]) -> None:
+    """Write the records to stdout one row at a time.
+
+    ``records`` is a function returning a fresh iterator of record dicts; the
+    table format calls it twice, first for the column widths.  The output is
+    that of rendering the whole list at once: ``json.dumps(..., indent=2)``,
+    a csv ``DictWriter`` or space-padded columns.
+    """
+    write = sys.stdout.write
     if fmt == "json":
-        return json.dumps(records, indent=2) + "\n"
+        import json
+
+        # one flat record at indent 2 inside the list: the C encoder with
+        # these separators writes the same bytes, since json escapes every
+        # newline inside a string
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        sep = "[\n  {\n    "
+        for rec in records():
+            write(sep + encode(rec)[1:-1] + "\n  }")
+            sep = ",\n  {\n    "
+        write("[]\n" if sep.startswith("[") else "\n]\n")
+        return
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+        import csv
+
+        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        for rec in records:
+        for rec in records():
             writer.writerow({c: rec.get(c, "") for c in columns})
-        return buf.getvalue()
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in records)) if records else len(c) for c in columns}
-    lines = ["  ".join(c.ljust(widths[c]) for c in columns)]
-    for rec in records:
-        lines.append("  ".join(str(rec.get(c, "")).ljust(widths[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+        return
+
+    def cells(rec):
+        return [str(rec.get(c, "")) for c in columns]
+
+    widths = list(map(len, columns))
+    for rec in records():
+        widths = list(map(max, widths, map(len, cells(rec))))
+    write("  ".join(map(str.ljust, columns, widths)) + "\n")
+    for rec in records():
+        write("  ".join(map(str.ljust, cells(rec), widths)) + "\n")
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import spectrum_table
+
     label, lattice = parse_space(args.space, args.gen_file)
     n = lattice.n
     p = args.p
@@ -102,66 +121,55 @@ def cmd_spectrum(args) -> int:
         raise LenspecError(f"p must lie in 0..{2 * n - 1} for this space")
     internal = min(p, 2 * n - 1 - p)  # spectra on p- and (2n-1-p)-forms agree
     table = spectrum_table(lattice, internal, args.kmax)
-    records = []
-    for entry in table.entries:
-        contribs = ";".join(
-            f"{c.k}:{c.family}:{c.multiplicity}" for c in entry.contributors
-        )
-        records.append(
-            {
+
+    def records():
+        for entry in table.entries:
+            yield {
                 "space": label,
                 "n": n,
                 "p": p,
                 "eigenvalue": entry.eigenvalue,
                 "multiplicity": str(entry.multiplicity),
-                "contributors": contribs,
+                "contributors": ";".join(f"{c.k}:{c.family}:{c.multiplicity}" for c in entry.contributors),
             }
-        )
-    sys.stdout.write(
-        _emit_records(args.format, records, ["space", "n", "p", "eigenvalue", "multiplicity", "contributors"])
-    )
+
+    _emit_records(args.format, records, ["space", "n", "p", "eigenvalue", "multiplicity", "contributors"])
     return 0
-
-
-def _series_records(label: str, lattice: CongruenceLattice, order: int):
-    n = lattice.n
-    named: list[tuple[str, RationalSeries]] = []
-    for p in range(n):
-        named.append((f"F^{p}", f_rational(lattice, p)))
-    named.append(("theta", theta_rational(lattice)))
-    for ell in range(n + 1):
-        named.append((f"theta^({ell})", theta_ell_rational(lattice, ell)))
-    records = []
-    for name, series in named:
-        records.append(
-            {
-                "space": label,
-                "name": name,
-                "rational": series.to_text(),
-                "series": " ".join(str(c) for c in series.expand(order)),
-            }
-        )
-    return records
 
 
 def cmd_genfun(args) -> int:
+    from .genfun import check_f_expand_work, check_laurent_work, f_rational, theta_ell_rational, theta_rational
+
     if args.order < 0:
         raise LenspecError("--order must be >= 0")
     label, lattice = parse_space(args.space, args.gen_file)
-    check_f_expand_work(lattice.n, args.order)
-    records = _series_records(label, lattice, args.order)
+    n = lattice.n
+    check_f_expand_work(n, args.order)
+    check_laurent_work(n, range(1, n + 1))
+    # every series is built before the first row is written, so an error
+    # leaves stdout empty; each row is rendered only when written
+    named = [(f"F^{p}", f_rational(lattice, p)) for p in range(n)]
+    named.append(("theta", theta_rational(lattice)))
+    named.extend((f"theta^({ell})", theta_ell_rational(lattice, ell)) for ell in range(n + 1))
+
+    def records():
+        for name, series in named:
+            yield {
+                "space": label,
+                "name": name,
+                "rational": series.to_text(),
+                "series": " ".join(str(c) for c in series.expand(args.order)),
+            }
+
     if args.format == "table":
-        lines = []
-        for rec in records:
-            lines.append(f"{rec['name']} = {rec['rational']}")
-            lines.append(f"  series[0..{args.order}] = {rec['series']}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        for rec in records():
+            sys.stdout.write(f"{rec['name']} = {rec['rational']}\n  series[0..{args.order}] = {rec['series']}\n")
     else:
-        sys.stdout.write(_emit_records(args.format, records, ["space", "name", "rational", "series"]))
+        _emit_records(args.format, records, ["space", "name", "rational", "series"])
     return 0
 
 
-def _first_series_difference(r1: RationalSeries, r2: RationalSeries):
+def _first_series_difference(r1, r2):
     diff = (r1 - r2).numerator
     if diff.is_zero():
         return None
@@ -172,6 +180,9 @@ def _first_series_difference(r1: RationalSeries, r2: RationalSeries):
 
 
 def cmd_isospectral(args) -> int:
+    from .genfun import check_laurent_work, f_rational, moment_series
+    from .isospec import fingerprint_digest, numerator_fingerprint
+
     label1, lat1 = parse_space(args.space, args.gen_file)
     if args.space2 is None:
         raise LenspecError("--space2 is required for isospectral")
@@ -179,6 +190,8 @@ def cmd_isospectral(args) -> int:
     if lat1.n != lat2.n:
         raise DimensionMismatch(f"rank mismatch: {lat1.n} vs {lat2.n}")
     p0 = args.p0 if args.p0 is not None else lat1.n - 1
+    if args.method == "direct" and p0 < lat1.n:  # moment_series rejects a larger p0
+        check_laurent_work(lat1.n, range(1, p0 + 2))
     # isospectral up to p: the moment series (range) or F series (direct) of
     # every order <= p agree
     moments1 = moment_series(lat1, p0)  # rejects p0 outside 0..n-1
@@ -207,15 +220,13 @@ def cmd_isospectral(args) -> int:
                 "detail": detail,
             }
         )
-    sys.stdout.write(
-        _emit_records(
-            args.format, records, ["space", "space2", "p", "isospectral_upto_p", "detail"]
-        )
-    )
+    _emit_records(args.format, lambda: records, ["space", "space2", "p", "isospectral_upto_p", "detail"])
     return 0
 
 
 def cmd_search(args) -> int:
+    from .isospec import search
+
     families = search(args.q, args.n, args.p0, mode=args.mode)
     records = []
     for i, fam in enumerate(families):
@@ -229,15 +240,17 @@ def cmd_search(args) -> int:
                 "fingerprint": fam.fingerprint,
             }
         )
-    sys.stdout.write(
-        _emit_records(args.format, records, ["family", "q", "n", "p0", "members", "fingerprint"])
-    )
+    _emit_records(args.format, lambda: records, ["family", "q", "n", "p0", "members", "fingerprint"])
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     results = run_checks(max_n=args.n, kmax=args.kmax)
     if args.format == "json":
+        import json
+
         records = [{"check": r.name, "ok": r.ok, "detail": r.detail} for r in results]
         sys.stdout.write(json.dumps(records, indent=2) + "\n")
     else:

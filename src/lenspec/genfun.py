@@ -18,6 +18,12 @@ from .errors import InvalidParameters, NegativeOrderTerm
 from .lattice import CongruenceLattice
 from .polyseries import LaurentPolynomial, RationalSeries, binom, check_expand_work, one_minus_z
 
+# bound on the innermost loop steps of the a_laurent weights one call may
+# compute, counted by check_laurent_work: it admits genfun up to rank 25 and
+# spectrum --p n-1 up to rank 30, whose slowest calls take about 2 s on a
+# 2-core Xeon VM
+MAX_LAURENT_WORK = 10**7
+
 
 def theta_ell_rational(L: CongruenceLattice, ell: int) -> RationalSeries:
     """Generating function of shell counts with exactly ``ell`` zero entries.
@@ -93,6 +99,26 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
                         e = p - 2 * (j + t + alpha - i)
                         coeffs[e] = coeffs.get(e, 0) + c
     return LaurentPolynomial(coeffs)
+
+
+def check_laurent_work(n: int, ps) -> None:
+    """Reject computing a_laurent(P, ell, n) for every P in ``ps`` and every
+    ell = 0..n when their innermost loop steps, at most
+    sum_j j sum_t (m_t + 1)(m_t + 2) / 2 with m_t = P - j - 2t per weight,
+    exceed :data:`MAX_LAURENT_WORK`.
+
+    The count stops at the bound, so the check itself stays small at any n.
+    """
+    work = 0
+    for P in ps:
+        for j in range(1, P + 1):
+            for t in range((P - j) // 2 + 1):
+                m = P - j - 2 * t
+                work += (n + 1) * j * (m + 1) * (m + 2) // 2
+            if work > MAX_LAURENT_WORK:
+                raise InvalidParameters(
+                    f"the F^p weights of rank {n} need more than {MAX_LAURENT_WORK} steps"
+                )
 
 
 def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:

@@ -14,10 +14,9 @@ truncations.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, InternalError, InvalidParameters
 from .genfun import f_rational, moment_series, phi_weights, theta_ell_rational
@@ -29,8 +28,7 @@ from .lattice import CongruenceLattice, lattice_from_lens
 MAX_CLASS_WORK = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class LensKey:
+class LensKey(NamedTuple):
     """Canonical isometry key of lens parameters: equal keys <=> isometric."""
 
     n: int
@@ -110,8 +108,7 @@ def norm_star_isospectral(L1: CongruenceLattice, L2: CongruenceLattice) -> bool:
 # -- search ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsospectralFamily:
+class IsospectralFamily(NamedTuple):
     """A maximal set of >= 2 isometry classes sharing all spectra up to p0."""
 
     q: int
@@ -174,6 +171,8 @@ def _moment_fingerprint(L: CongruenceLattice, p0: int):
 
 
 def fingerprint_digest(data) -> str:
+    import hashlib
+
     return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
 
 

@@ -13,8 +13,8 @@ directly to certify that route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import DimensionMismatch, InvalidParameters
@@ -50,8 +50,7 @@ def _subgroup_order(rows, m: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class TorusSubgroup:
+class TorusSubgroup(NamedTuple):
     """Finite subgroup of the standard torus, given by generator exponents.
 
     Each generator is a pair (order q_i, exponents s_i mod q_i).  Use
@@ -130,19 +129,23 @@ def lattice_from_lens(q: int, s) -> "CongruenceLattice":
     return lens_group(q, s).lattice()
 
 
-@dataclass(frozen=True)
-class CongruenceLattice:
+class _LatticeFields(NamedTuple):
+    n: int
+    congruences: tuple[tuple[int, tuple[int, ...]], ...]
+    exponent: int
+    is_manifold: bool
+
+
+class CongruenceLattice(_LatticeFields):
     """Sublattice of Z^n cut out by modular congruences.
 
     Membership is exact: a is in the lattice iff every congruence
     sum_j a_j s_{i,j} = 0 mod q_i holds.  ``exponent`` is the lcm of the
     moduli; membership is periodic with that period in every coordinate.
+    Fields ``n``, ``congruences``, ``exponent`` and ``is_manifold`` are a
+    named tuple's, read-only and hashed; as a subclass without ``__slots__``
+    it keeps a ``__dict__`` for its cached box count.
     """
-
-    n: int
-    congruences: tuple[tuple[int, tuple[int, ...]], ...]
-    exponent: int
-    is_manifold: bool
 
     def member(self, a) -> bool:
         # every congruence is tested directly; a Smith-normal-form reduction of

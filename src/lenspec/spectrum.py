@@ -9,10 +9,10 @@ exact spectrum-encoding series F^(p-1) and F^p of :mod:`lenspec.genfun`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameters
-from .genfun import check_f_expand_work, f_rational
+from .genfun import check_f_expand_work, check_laurent_work, f_rational
 from .lattice import CongruenceLattice
 
 
@@ -32,8 +32,7 @@ def eigenvalue(k: int, p: int, n: int) -> int:
     return (k + p) * (k + 2 * n - 2 - p)
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One (k, family) source feeding an eigenvalue, with its multiplicity."""
 
     k: int
@@ -41,15 +40,13 @@ class Contribution:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     eigenvalue: int
     multiplicity: int
     contributors: tuple[Contribution, ...]
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Eigenvalue -> multiplicity table of the p-form spectrum.
 
     Complete for all eigenvalues up to the k_max-th member of family p-1
@@ -69,7 +66,8 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
     Coefficient k-1 of F^j is the multiplicity of the k-th eigenvalue of
     family j, for j = p-1 and j = p; family -1 is empty.  For p = 0 the zero
     eigenvalue of the constants is added with multiplicity 1.  The expansion
-    work is checked before any series is built.
+    work and the work of the F^p weights are checked before any series is
+    built.
     """
     n = L.n
     if not 0 <= p <= n - 1:
@@ -77,6 +75,7 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
     if k_max < 1:
         raise InvalidParameters("k_max must be >= 1")
     check_f_expand_work(n, k_max - 1)
+    check_laurent_work(n, range(max(p, 1), p + 2))
 
     cells: dict[int, list[Contribution]] = {}
     if p == 0:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import lenspec.cli
+import lenspec.genfun
 import lenspec.isospec
 import lenspec.spectrum
 from lenspec.cli import main
@@ -100,6 +101,11 @@ def test_bad_parameters_exit_code(capsys):
         ("verify", "--n", "1000"),
         # box count over 10^10 fundamental-domain points, rejected before it starts
         ("genfun", "--space", "L(100003;1,2,3)", "--order", "2"),
+        # F^p weights of rank 60 (about 2.6 * 10^9 a_laurent steps) and 40, rejected before any is built
+        ("genfun", "--space", f"L(2;{','.join(['1'] * 60)})", "--order", "2"),
+        ("spectrum", "--space", f"L(2;{','.join(['1'] * 40)})", "--p", "39", "--kmax", "2"),
+        ("isospectral", "--space", f"L(3;{','.join(['1'] * 40)})", "--space2", f"L(3;{','.join(['1'] * 39)},2)",
+         "--method", "direct"),
         # class lists over more than 10^6 candidate entries, rejected before they start
         ("search", "--q", "100000", "--n", "3"),
         ("search", "--q", "1000", "--n", "6"),
@@ -130,11 +136,12 @@ def _fail_if_called(*args, **kwargs):
     ],
 )
 def test_expansion_work_rejected_before_any_series(capsys, monkeypatch, argv):
-    # the series builders fail the test if reached, so an unbounded run never starts
-    for module in (lenspec.cli, lenspec.spectrum):
-        monkeypatch.setattr(module, "f_rational", _fail_if_called)
-    monkeypatch.setattr(lenspec.cli, "theta_rational", _fail_if_called)
-    monkeypatch.setattr(lenspec.cli, "theta_ell_rational", _fail_if_called)
+    # the series builders fail the test if reached, so an unbounded run never
+    # starts; the commands import them from genfun when called, and spectrum
+    # binds f_rational at import
+    for name in ("f_rational", "theta_rational", "theta_ell_rational", "moment_series"):
+        monkeypatch.setattr(lenspec.genfun, name, _fail_if_called)
+    monkeypatch.setattr(lenspec.spectrum, "f_rational", _fail_if_called)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
     assert out == ""
@@ -279,16 +286,32 @@ def test_verify_small(capsys):
 
 
 # runs one CLI call in a fresh interpreter and reports, on stderr's last
-# line, its exit status and whether numpy was imported by then
+# line, its exit status, whether numpy was imported by then and which of the
+# watched modules the import of lenspec.cli and the call loaded
 _IMPORT_PROBE = """
 import sys
+watched = ("dataclasses", "numpy", "lenspec.isospec", "lenspec.spectrum", "lenspec.weights",
+           "lenspec.oracle", "lenspec.verify")
+before = set(sys.modules)
 from lenspec.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}\\n")
+loaded = " ".join(m for m in watched if m in sys.modules and m not in before)
+sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}, loaded: {loaded}\\n")
 """
+
+# the watched modules each subcommand loads: the certification side
+# (weights, oracle, verify), numpy and dataclasses only behind verify
+_LOADED = {
+    "--help": "",
+    "search": "lenspec.isospec",
+    "spectrum": "lenspec.spectrum",
+    "genfun": "",
+    "isospectral": "lenspec.isospec",
+    "verify": "dataclasses numpy lenspec.spectrum lenspec.weights lenspec.oracle lenspec.verify",
+}
 
 
 @pytest.mark.parametrize(
@@ -310,4 +333,6 @@ def test_numpy_only_on_the_certification_route(argv, numpy_imported):
         [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
     )
     assert res.stdout
-    assert res.stderr.splitlines()[-1] == f"exit 0, numpy imported: {numpy_imported}"
+    assert res.stderr.splitlines()[-1] == (
+        f"exit 0, numpy imported: {numpy_imported}, loaded: {_LOADED[argv[0]]}"
+    )
