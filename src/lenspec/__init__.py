@@ -20,7 +20,7 @@ _EXPORTS = {
     for module, names in {
         "errors": "LenspecError InvalidParameters DimensionMismatch NegativeOrderTerm NotDominant",
         "polyseries": "binom LaurentPolynomial RationalSeries",
-        "lattice": "TorusSubgroup torus_subgroup lens_group CongruenceLattice lattice_from_lens",
+        "lattice": "CongruenceLattice lattice_from_lens",
         "weights": "WeightClass RepIndex weight_multiplicity m_gamma invariant_dimension",
         "spectrum": "eigenvalue spectrum_table SpectrumTable SpectrumEntry Contribution",
         "genfun": "theta_ell_rational theta_rational a_laurent f_rational f_rational_p0_direct moment_series",

@@ -72,14 +72,24 @@ def _plan(congruences, n: int, radius: int):
     congs = [(q, tuple(x % q for x in s)) for q, s in congruences] or [(1, (0,) * n)]
     values = 2 * radius + 1
 
-    def reach(js):
-        # bound on the residues of sum_{j in js} a_j g_j: its subgroup size
-        return math.prod(q // math.gcd(q, *(s[j] for j in js)) for q, s in congs)
+    def reach(gcds):
+        # bound on the residues of sum_j a_j g_j over the coordinates whose
+        # exponents have these gcds with the moduli: its subgroup size
+        return math.prod(q // g for (q, _), g in zip(congs, gcds))
 
     # coordinates of fewer residues first keep the state count low; the last
     # coordinate, solved for, has the most and so the fewest solutions
-    order = sorted(range(n), key=lambda j: reach([j]))
-    states = [min(reach(order[: j + 1]), values ** (j + 1)) for j in range(n - 1)]
+    order = sorted(range(n), key=lambda j: reach([math.gcd(q, s[j]) for q, s in congs]))
+    # residues after each prefix of the order, at most values^(j+1) and at
+    # most the product of the moduli, which bounds every reach
+    states = []
+    gcds = [q for q, _ in congs]
+    cap = math.prod(gcds)
+    power = 1
+    for j in order[:-1]:
+        gcds = [math.gcd(g, s[j]) for g, (_, s) in zip(gcds, congs)]
+        power = min(power * values, cap)
+        states.append(min(reach(gcds), power))
     # values of the last coordinate with one residue
     solutions = -(-values // math.lcm(*(q // math.gcd(q, s[order[-1]]) for q, s in congs)))
     # bits per packed count: given the others, the last coordinate of a

@@ -29,7 +29,7 @@ _LENS_RE = re.compile(r"^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$")
 
 def parse_space(text: str | None, gen_file: str | None):
     """Resolve --space / --gen-file into (label, lattice)."""
-    from .lattice import lens_group, torus_subgroup
+    from .lattice import CongruenceLattice, lattice_from_lens
 
     if (text is None) == (gen_file is None):
         raise LenspecError("exactly one of --space or --gen-file is required")
@@ -42,7 +42,7 @@ def parse_space(text: str | None, gen_file: str | None):
             s = tuple(int(x) for x in m.group(2).split(","))
         except ValueError:
             raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)")
-        return f"L({q};{','.join(str(x % max(q, 1)) for x in s)})", lens_group(q, s).lattice()
+        return f"L({q};{','.join(str(x % max(q, 1)) for x in s)})", lattice_from_lens(q, s)
     generators = []
     n = None
     with open(gen_file, encoding="utf-8") as fh:
@@ -65,7 +65,7 @@ def parse_space(text: str | None, gen_file: str | None):
             generators.append((q, s))
     if n is None:
         raise LenspecError(f"generator file {gen_file!r} defines no generators")
-    lattice = torus_subgroup(n, generators).lattice()
+    lattice = CongruenceLattice(n, generators)
     return lattice.label(), lattice
 
 

@@ -23,6 +23,11 @@ from .polyseries import LaurentPolynomial, RationalSeries, binom, check_expand_w
 # spectrum --p n-1 up to rank 30, whose slowest calls take about 2 s on a
 # 2-core Xeon VM
 MAX_LAURENT_WORK = 10**7
+# bound on the steps of the phi_m weights one series builder may compute,
+# (n + 1)^3 per set of weights, counted by check_weight_work: it admits the
+# moment series of every order below n up to rank 43, which for the two
+# lattices of an isospectral call take about 2 s on a 2-core Xeon VM
+MAX_WEIGHT_WORK = 4 * 10**6
 
 
 def theta_ell_rational(L: CongruenceLattice, ell: int) -> RationalSeries:
@@ -57,6 +62,16 @@ def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
         sum((lifted[ell].shift((m - ell) * q) * (binom(m, ell) << (m - ell)) for ell in range(m + 1)), zero)
         for m in range(len(lifted))
     ]
+
+
+def check_weight_work(n: int, sets: int) -> None:
+    """Reject computing ``sets`` sets of rank-n weights with :func:`phi_weights`
+    when their steps exceed :data:`MAX_WEIGHT_WORK`: each W_m sums m + 1
+    shifted polynomials of up to m + 1 terms, (n + 1)^3 steps per set."""
+    if sets * (n + 1) ** 3 > MAX_WEIGHT_WORK:
+        raise InvalidParameters(
+            f"{sets} sets of phi_m weights of rank {n} need more than {MAX_WEIGHT_WORK} steps"
+        )
 
 
 def _phi_sum(phis, weights) -> LaurentPolynomial:
@@ -128,16 +143,19 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     Sums theta^(ell) times a_laurent(p+1, ell, n) on (1-z^2)^(n-1) (1-z^q)^n;
     the corrective monomial -+z^(-p-1) cancels exactly against them, so no
     negative exponent survives.  One that does signals an internal
-    inconsistency and raises NegativeOrderTerm.
+    inconsistency and raises NegativeOrderTerm.  The weight work and the box
+    count are checked before any weight is built (InvalidParameters).
     """
     n, q = L.n, L.exponent
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     P = p + 1
+    check_weight_work(n, 1)
+    phis = L.phi_polynomials()
     weights = phi_weights(q, [a_laurent(P, ell, n) for ell in range(n + 1)])
     sign = -1 if P % 2 else 1
     corrective = (one_minus_z(q, n) * one_minus_z(2, n - 1) * sign).shift(-P)
-    series = RationalSeries(_phi_sum(L.phi_polynomials(), weights) + corrective, ((q, n), (2, n - 1)))
+    series = RationalSeries(_phi_sum(phis, weights) + corrective, ((q, n), (2, n - 1)))
     lo = series.numerator.min_exp()
     if lo is not None and lo < 0:
         raise NegativeOrderTerm(
@@ -149,11 +167,13 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
 def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
     """The moment series sum_ell ell^h * theta^(ell), with 0^0 = 1, for every
     order h = 0 .. p0, each on the denominator (1 - z^q)^n.  Raises
-    InvalidParameters unless 0 <= p0 <= n - 1.
+    InvalidParameters unless 0 <= p0 <= n - 1, and before any work when its
+    p0 + 1 sets of weights exceed :data:`MAX_WEIGHT_WORK`.
     """
     n, q = L.n, L.exponent
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
+    check_weight_work(n, p0 + 1)
     phis = L.phi_polynomials()
     return [
         RationalSeries(_phi_sum(phis, phi_weights(q, [ell**h for ell in range(n + 1)])), ((q, n),))

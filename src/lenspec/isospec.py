@@ -18,8 +18,9 @@ import math
 from itertools import combinations_with_replacement, islice
 from typing import NamedTuple
 
+from ._kernels import _STEP_WORDS, BOX_WORK_LIMIT
 from .errors import DimensionMismatch, InternalError, InvalidParameters
-from .genfun import f_rational, moment_series, phi_weights, theta_ell_rational
+from .genfun import check_weight_work, f_rational, moment_series, phi_weights, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 
 # bound on the entries of the candidate keys isometry_classes checks,
@@ -217,10 +218,26 @@ class _CharacterSums:
     :func:`lenspec.genfun.phi_weights` with w_l = l^h; this route and the box
     count differ only in how phi_m is obtained.  ``points`` holds, per point
     z, the table of w + H(u) packed as one int and the W_m(z); both are built
-    once.
+    once.  Raises InvalidParameters, before either is built, when the weights
+    exceed :data:`lenspec.genfun.MAX_WEIGHT_WORK` or the sums over ``classes``
+    classes exceed :data:`lenspec._kernels.BOX_WORK_LIMIT`.
     """
 
-    def __init__(self, q: int, n: int, p0: int):
+    def __init__(self, q: int, n: int, p0: int, classes: int):
+        check_weight_work(n, p0 + 1)
+        # field width of the packed polynomials in w: a product of n factors
+        # w + H, summed over at most q values of t, fits in it
+        width = 62 * n + q.bit_length() + 1
+        # per class, point and t the product of j factors, j fields, takes one
+        # more factor: its 64-bit word products plus the overhead of a step,
+        # the unit of the box counts these sums stand in for
+        words = sum(-(-j * width // 64) * -(-width // 64) + _STEP_WORDS for j in range(1, n))
+        work = classes * len(_POINTS) * (q // 2 + 1) * words
+        if work > BOX_WORK_LIMIT:
+            raise InvalidParameters(
+                f"the character sums of {classes} classes of q={q}, n={n} take {work}"
+                f" word steps, above the limit of {BOX_WORK_LIMIT}"
+            )
         P = (1 << 60) // q * q + 1
         while P < 1 << 60 or not _is_prime(P):
             P += q
@@ -229,11 +246,8 @@ class _CharacterSums:
         while any(pow(g, (P - 1) // d, P) == 1 for d in primes):
             g += 1
         omega = pow(g, (P - 1) // q, P)
-        self.q, self.n, self.P = q, n, P
+        self.q, self.n, self.P, self.width = q, n, P, width
         self.q_inverse = pow(q, -1, P)
-        # field width of the packed polynomials in w: a product of n factors
-        # w + H, summed over at most q values of t, fits in it
-        self.width = 62 * n + q.bit_length() + 1
         moment_weights = [phi_weights(q, [l**h for l in range(n + 1)]) for h in range(p0 + 1)]
         self.points = []
         for z in _POINTS:
@@ -304,12 +318,14 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     against the first of its group by equality of F^p for every p <= p0.
     The result rests on both exact criteria, not on the values.  The box
     count of one class (a bucket member, else the first class) checks the
-    character sums; a disagreement raises InternalError.
+    character sums; a disagreement raises InternalError.  The class listing,
+    the weights and the character sums are each bounded before they start
+    (InvalidParameters).
     """
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     keys = isometry_classes(q, n, mode)
-    sums = _CharacterSums(q, n, p0)
+    sums = _CharacterSums(q, n, p0, len(keys))
     buckets: dict[tuple, list[LensKey]] = {}
     for key in keys:
         buckets.setdefault(_moment_values(sums, key.exponents), []).append(key)

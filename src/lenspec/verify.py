@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameters, LenspecError
 from .genfun import a_laurent, f_rational, f_rational_p0_direct, theta_ell_rational, theta_rational
-from .lattice import CongruenceLattice, lattice_from_lens, torus_subgroup
+from .lattice import CongruenceLattice, lattice_from_lens
 from .oracle import _dominant_below, oracle_weight_multiplicity, weyl_dimension
 from .polyseries import LaurentPolynomial, RationalSeries, binom
 from .weights import RepIndex, _class_multiplicity, invariant_dimension, shell_table
@@ -39,7 +39,7 @@ def _sample_lattices(max_n: int, qmax: int) -> list[CongruenceLattice]:
         samples.append(lattice_from_lens(min(qmax, 11), (1, 2, 3)))
         samples.append(lattice_from_lens(4, (1, 2, 2)))
         # a genuinely non-cyclic group
-        samples.append(torus_subgroup(3, [(2, (1, 1, 0)), (2, (0, 1, 1))]).lattice())
+        samples.append(CongruenceLattice(3, [(2, (1, 1, 0)), (2, (0, 1, 1))]))
     return samples
 
 

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 from hypothesis import strategies as st
 
-from lenspec import torus_subgroup
+from lenspec import CongruenceLattice
 
 
 def brute_box(congruences, n, radius):
@@ -29,4 +29,4 @@ def small_lattices(draw):
         (order, tuple(draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))))
         for order in orders
     ]
-    return torus_subgroup(n, generators).lattice()
+    return CongruenceLattice(n, generators)

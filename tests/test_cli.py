@@ -109,6 +109,13 @@ def test_bad_parameters_exit_code(capsys):
         # class lists over more than 10^6 candidate entries, rejected before they start
         ("search", "--q", "100000", "--n", "3"),
         ("search", "--q", "1000", "--n", "6"),
+        # rank-driven work: box plans, phi_m weights and character sums, each
+        # rejected before it starts
+        ("spectrum", "--space", f"L(5;{','.join(['1'] * 400)})", "--kmax", "1"),
+        ("spectrum", "--space", f"L(5;{','.join(['1'] * 10000)})", "--kmax", "1"),
+        ("isospectral", "--space", f"L(5;{','.join(['1'] * 20000)})", "--space2", f"L(5;{','.join(['1'] * 20000)})"),
+        ("search", "--q", "2", "--n", "100", "--p0", "0", "--mode", "orbifolds"),
+        ("isospectral", "--space", f"L(2;{','.join(['1'] * 90)})", "--space2", f"L(2;{','.join(['1'] * 90)})"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, argv

@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenspec import (
+    CongruenceLattice,
     LaurentPolynomial,
     RationalSeries,
     RepIndex,
@@ -14,10 +15,10 @@ from lenspec import (
     moment_series,
     theta_ell_rational,
     theta_rational,
-    torus_subgroup,
 )
 from lenspec.errors import InvalidParameters
-from lenspec.genfun import phi_weights
+from lenspec import _kernels, genfun
+from lenspec.genfun import check_weight_work, phi_weights
 from lenspec.polyseries import binom
 from lenspec.weights import shell_table
 from support import brute_box, small_lattices
@@ -32,7 +33,7 @@ SAMPLES = [
     lattice_from_lens(1, (0, 0, 0)),
     lattice_from_lens(11, (1, 2, 3)),
     lattice_from_lens(6, (1, 2, 3)),
-    torus_subgroup(2, [(2, (1, 1)), (4, (1, 3))]).lattice(),
+    CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))]),
 ]
 
 
@@ -218,6 +219,33 @@ def test_moment_series_order_range():
     for p0 in (-1, 2):
         with pytest.raises(InvalidParameters):
             moment_series(L, p0)
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before its bound was checked")
+
+
+def test_weight_work_rejected_before_any_count(monkeypatch):
+    # p0 + 1 sets of (n + 1)^3 steps: the moment series of every order below
+    # n is admitted up to rank 43, one set up to rank 157
+    check_weight_work(43, 43)
+    check_weight_work(157, 1)
+    for n, sets in ((44, 44), (158, 1)):
+        with pytest.raises(InvalidParameters):
+            check_weight_work(n, sets)
+    monkeypatch.setattr(genfun, "phi_weights", _fail_if_called)
+    monkeypatch.setattr(_kernels, "box_table", _fail_if_called)
+    L = lattice_from_lens(2, (1,) * 44)
+    with pytest.raises(InvalidParameters):
+        moment_series(L, 43)
+    with pytest.raises(InvalidParameters):
+        f_rational(lattice_from_lens(2, (1,) * 158), 0)
+
+
+def test_box_count_bound_checked_before_any_weight(monkeypatch):
+    monkeypatch.setattr(genfun, "phi_weights", _fail_if_called)
+    with pytest.raises(InvalidParameters):
+        f_rational(lattice_from_lens(100003, (1, 2, 3)), 0)
 
 
 def test_f_denominator_shape():

@@ -134,7 +134,7 @@ def test_isometry_classes_match_brute_force(n):
 @pytest.mark.parametrize("n", sorted(_BRUTE_Q_MAX))
 def test_manifold_classes_are_free_orbifold_classes(n):
     for q in range(1, _BRUTE_Q_MAX[n] + 1):
-        free = [k for k in isometry_classes(q, n, "orbifolds") if k.lattice().is_manifold]
+        free = [k for k in isometry_classes(q, n, "orbifolds") if k.lattice().acts_freely()]
         assert isometry_classes(q, n, "manifolds") == free, (q, n)
 
 
@@ -212,7 +212,7 @@ def test_character_sums_match_box_count_numerators(q, s):
     if math.gcd(q, *s) != 1:
         s = (1,) + s[1:]
     n, p0 = len(s), len(s) - 1
-    sums = isospec._CharacterSums(q, n, p0)
+    sums = isospec._CharacterSums(q, n, p0, 1)
     P = sums.P
     numerators = [r.numerator.coeffs for r in moment_series(lattice_from_lens(q, s), p0)]
     expected = tuple(
@@ -228,7 +228,7 @@ def test_character_sums_match_box_count_numerators(q, s):
 def test_character_sum_weights_match_binomial_sum(q, n):
     # the moment weights at each point mod P against the binomial sum
     # c_{h,m} = sum_l C(m, l) l^h (1 - z^q)^l (2 z^q)^(m-l) written out here
-    sums = isospec._CharacterSums(q, n, n - 1)
+    sums = isospec._CharacterSums(q, n, n - 1, 1)
     P = sums.P
     assert [z for z, _, _ in sums.points] == [z % P for z in isospec._POINTS]
     for z, _, weights in sums.points:
@@ -241,6 +241,22 @@ def test_character_sum_weights_match_binomial_sum(q, n):
             for h in range(n)
         ]
         assert weights == expected, (q, n)
+
+
+def test_character_sum_bound_admits_the_gate_scales():
+    # the q-range gates at every p0 pass both bounds of the search's sums;
+    # checked by the work alone, so no class is summed here
+    scales = [(101, 3), (151, 3), (31, 4), *((q, 5) for q in range(1, 18))]
+    for q, n in scales:
+        for mode in ("manifolds", "orbifolds"):
+            isospec._CharacterSums(q, n, n - 1, len(isometry_classes(q, n, mode)))
+    # q = 2 has n orbifold classes of rank n and one manifold class: the last
+    # admitted searches are of rank 48 and 127
+    isospec._CharacterSums(2, 48, 0, 48)
+    isospec._CharacterSums(2, 127, 0, 1)
+    for n, classes in ((49, 49), (128, 1)):
+        with pytest.raises(InvalidParameters):
+            isospec._CharacterSums(2, n, 0, classes)
 
 
 def _families(q, n, p0, mode):

@@ -12,10 +12,10 @@ from lenspec import (
     LaurentPolynomial,
     isometry_classes,
     lattice_from_lens,
-    lens_group,
-    torus_subgroup,
+    theta_rational,
 )
 from lenspec import _kernels
+from lenspec.cli import main
 from lenspec.errors import DimensionMismatch, InvalidParameters
 from lenspec.lattice import _subgroup_order
 from lenspec.weights import shell_table
@@ -38,32 +38,74 @@ def test_trivial_lens_is_full_lattice():
     L = lattice_from_lens(1, (0, 0))
     assert L.congruences == ()
     assert L.exponent == 1
-    assert L.is_manifold
+    assert L.acts_freely()
     assert L.member((3, -7))
 
 
 def test_lens_manifold_flags():
-    assert lattice_from_lens(4, (1, 1)).is_manifold
+    assert lattice_from_lens(4, (1, 1)).acts_freely()
     orb = lattice_from_lens(4, (1, 2))
-    assert not orb.is_manifold
+    assert not orb.acts_freely()
     assert orb.member((2, 1))  # 2 + 2 = 4
 
 
 def test_lens_rejects_bad_gcd():
     with pytest.raises(InvalidParameters):
-        lens_group(4, (2, 2))
+        lattice_from_lens(4, (2, 2))
 
 
 def test_rank_one_rejected():
     with pytest.raises(InvalidParameters):
-        torus_subgroup(1, [(5, (1,))])
+        CongruenceLattice(1, [(5, (1,))])
 
 
 def test_generator_normalization():
     # common factor with the order divides out; order-1 generators vanish
-    G = torus_subgroup(2, [(6, (2, 4)), (1, (0, 0))])
-    assert G.generators == ((3, (1, 2)),)
-    assert G.exponent == 3
+    L = CongruenceLattice(2, [(6, (2, 4)), (1, (0, 0))])
+    assert L.congruences == ((3, (1, 2)),)
+    assert L.exponent == 3
+
+
+def test_lattice_derives_its_exponent_and_theta():
+    # a hand-built lattice has no exponent to get wrong: theta is that of the
+    # lens lattice and of the brute-force box
+    L = CongruenceLattice(2, ((4, (1, 1)),))
+    assert L == lattice_from_lens(4, (1, 1))
+    assert L.exponent == 4
+    order = 12
+    box = brute_box(L.congruences, L.n, order)
+    assert theta_rational(L).expand(order) == [int(box[k].sum()) for k in range(order + 1)]
+    assert theta_rational(L).expand(6) == [1, 0, 2, 0, 12, 0, 6]
+
+
+def test_lattice_fields_are_only_its_congruences():
+    assert CongruenceLattice._fields == ("n", "congruences")
+    for derived in ({"exponent": 4}, {"is_manifold": True}):
+        with pytest.raises(TypeError):
+            CongruenceLattice(n=2, congruences=((4, (1, 1)),), **derived)
+    L = lattice_from_lens(4, (1, 1))
+    with pytest.raises(AttributeError):
+        L.exponent = 2
+    assert L.exponent == 4
+
+
+def test_lattices_that_normalize_alike_are_equal():
+    same = [
+        CongruenceLattice(2, [(4, (1, 1))]),
+        CongruenceLattice(2, [(4, (5, -3)), (1, (7, 7))]),
+        CongruenceLattice(2, [(8, (2, 10))]),
+        CongruenceLattice(2, ((4, [1, 1]),)),
+        lattice_from_lens(4, (1, 1)),
+        lattice_from_lens(2, (1, 1))._replace(congruences=((8, (2, 2)),)),
+    ]
+    for L in same:
+        assert L == same[0] and hash(L) == hash(same[0])
+        assert L.congruences == ((4, (1, 1)),) and L.exponent == 4
+    assert CongruenceLattice(3, [(2, (0, 0, 0))]) == lattice_from_lens(1, (0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        CongruenceLattice(3, [(4, (1, 1))])
+    with pytest.raises(InvalidParameters):
+        CongruenceLattice(2, [(0, (1, 1))])
 
 
 def test_member_examples():
@@ -76,8 +118,7 @@ def test_member_examples():
 
 
 def test_multi_generator_intersection():
-    G = torus_subgroup(2, [(2, (1, 0)), (3, (0, 1))])
-    L = G.lattice()
+    L = CongruenceLattice(2, [(2, (1, 0)), (3, (0, 1))])
     assert L.exponent == 6
     for a in product(range(-6, 7), repeat=2):
         assert L.member(a) == (a[0] % 2 == 0 and a[1] % 3 == 0)
@@ -110,7 +151,7 @@ def test_shell_table_matches_naive_enumeration():
         lattice_from_lens(4, (1, 1)),
         lattice_from_lens(4, (1, 2)),
         lattice_from_lens(7, (1, 2, 3)),
-        torus_subgroup(2, [(2, (1, 1)), (4, (1, 3))]).lattice(),
+        CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))]),
     ):
         kmax = 8
         table = shell_table(L, kmax)
@@ -138,9 +179,8 @@ def test_periodicity_property():
 def test_reduced_counts_q1():
     # the open box for q = 1 contains only the zero vector
     L = lattice_from_lens(1, (0, 0, 0))
-    table = L.reduced_counts()
-    assert table[0][3] == 1
-    assert sum(map(sum, table)) == 1
+    assert L.reduced_count(0, 3) == 1
+    assert sum(L.reduced_count(k, ell) for k in range(-1, 3) for ell in range(4)) == 1
 
 
 def test_reduced_counts_box_oracle():
@@ -151,25 +191,25 @@ def test_reduced_counts_box_oracle():
         if L.member(a):
             key = (sum(abs(x) for x in a), sum(1 for x in a if x == 0))
             brute[key] = brute.get(key, 0) + 1
-    table = L.reduced_counts()
-    for k in range(len(table)):
+    # norms past the box, 2 * (q - 1), and below 0 count nothing
+    top = 2 * (q - 1) + 2
+    for k in range(-1, top + 1):
         for ell in range(3):
-            assert table[k][ell] == brute.get((k, ell), 0)
+            assert L.reduced_count(k, ell) == brute.get((k, ell), 0)
     # reduced counts never exceed shell counts
-    shell = shell_table(L, len(table) - 1)
-    for k in range(len(table)):
+    shell = shell_table(L, top)
+    for k in range(top + 1):
         for ell in range(3):
-            assert table[k][ell] <= int(shell[k, ell])
+            assert L.reduced_count(k, ell) <= int(shell[k, ell])
 
 
 def test_reduced_counts_degree_bound():
     L = lattice_from_lens(5, (1, 2, 3))
     q = L.exponent
-    table = L.reduced_counts()
-    for k in range(len(table)):
+    for k in range(L.n * (q - 1) + 1):
         for ell in range(L.n + 1):
             if k > (L.n - ell) * (q - 1):
-                assert table[k][ell] == 0
+                assert L.reduced_count(k, ell) == 0
 
 
 def test_phi_polynomials_examples():
@@ -198,7 +238,7 @@ def test_box_table_matches_certification_route():
         s = tuple(int(x) for x in rng.integers(0, q, n))
         congs = ((q, s),)
         # the box |a_i| <= 9 holds every shell of one-norm <= 9
-        L = CongruenceLattice(n=n, congruences=congs, exponent=q, is_manifold=False)
+        L = CongruenceLattice(n, congs)
         assert (shell_table(L, 9) == _kernels.box_table(congs, n, 9)[:10]).all()
 
 
@@ -258,7 +298,7 @@ def brute_free(q, s):
 @example(q=9, s=[3, 6, 3])  # common factor 3 divides out
 def test_cyclic_freeness_matches_enumeration(q, s):
     s = tuple(x % q for x in s)
-    assert torus_subgroup(len(s), [(q, s)]).acts_freely() == brute_free(q, s)
+    assert CongruenceLattice(len(s), [(q, s)]).acts_freely() == brute_free(q, s)
 
 
 def brute_group(n, generators):
@@ -291,11 +331,11 @@ def multi_generator_groups(draw):
 def test_freeness_matches_enumeration_for_several_generators(group):
     # free: every nontrivial element moves every coordinate plane
     n, generators = group
-    G = torus_subgroup(n, generators)
-    elements = brute_group(n, G.generators)
-    assert G.acts_freely() == all(all(rot) for rot in elements if any(rot))
-    rows = [[x * (G.exponent // q) for x in s] for q, s in G.generators]
-    assert _subgroup_order(rows, G.exponent) == len(elements)
+    L = CongruenceLattice(n, generators)
+    elements = brute_group(n, L.congruences)
+    assert L.acts_freely() == all(all(rot) for rot in elements if any(rot))
+    rows = [[x * (L.exponent // q) for x in s] for q, s in L.congruences]
+    assert _subgroup_order(rows, L.exponent) == len(elements)
 
 
 def test_box_work_bound_admits_the_required_inputs():
@@ -311,16 +351,20 @@ def test_box_work_bound_admits_the_required_inputs():
         assert work(q, s) > _kernels.BOX_WORK_LIMIT
 
 
-def test_freeness_group_size_guard():
-    # the closed form keeps the bound on the group order the enumeration had
-    with pytest.raises(InvalidParameters):
-        lens_group(3000017, (1, 2)).acts_freely()
-    assert lens_group(1999993, (1, 2)).acts_freely()
+def test_freeness_group_size_guard(capsys):
+    # the closed form decides large groups at once; the box-count bound, not
+    # the group order, refuses their series
+    assert lattice_from_lens(3000017, (1, 2)).acts_freely()
+    assert not lattice_from_lens(3000017, (1, 3000017 - 1, 0)).acts_freely()
+    assert lattice_from_lens(1999993, (1, 2)).acts_freely()
+    code = main(["genfun", "--space", "L(3000017;1,2)"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_kernel_scale_guard():
     congs = ((3, (1, 1, 1, 1, 1, 1, 1, 1)),)
-    L = CongruenceLattice(n=8, congruences=congs, exponent=3, is_manifold=False)
+    L = CongruenceLattice(8, congs)
     with pytest.raises(InvalidParameters):
         shell_table(L, 10**8)
     with pytest.raises(InvalidParameters):
@@ -330,5 +374,5 @@ def test_kernel_scale_guard():
 def test_labels():
     assert lattice_from_lens(4, (1, 3)).label() == "L(4;1,3)"
     assert lattice_from_lens(1, (0, 0)).label() == "Z^2"
-    G = torus_subgroup(2, [(2, (1, 1)), (4, (1, 3))])
-    assert G.lattice().label() == "G(2:1,1|4:1,3)"
+    L = CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))])
+    assert L.label() == "G(2:1,1|4:1,3)"

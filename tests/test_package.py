@@ -7,13 +7,13 @@ import pytest
 import lenspec
 from lenspec import weights
 from lenspec.isospec import IsospectralFamily, LensKey, canonical_key, isometry_classes
-from lenspec.lattice import lattice_from_lens, lens_group
+from lenspec.lattice import lattice_from_lens
 from lenspec.spectrum import spectrum_table
 
 PUBLIC = {
     "LenspecError", "InvalidParameters", "DimensionMismatch", "NegativeOrderTerm", "NotDominant",
     "binom", "LaurentPolynomial", "RationalSeries",
-    "TorusSubgroup", "torus_subgroup", "lens_group", "CongruenceLattice", "lattice_from_lens",
+    "CongruenceLattice", "lattice_from_lens",
     "WeightClass", "RepIndex", "weight_multiplicity", "m_gamma", "invariant_dimension",
     "eigenvalue", "spectrum_table", "SpectrumTable", "SpectrumEntry", "Contribution",
     "theta_ell_rational", "theta_rational", "a_laurent", "f_rational", "f_rational_p0_direct",
@@ -86,7 +86,7 @@ def test_family_and_spectrum_records_are_read_only():
     with pytest.raises(AttributeError):
         table.entries = ()
     with pytest.raises(AttributeError):
-        lens_group(5, (1, 2)).n = 3
+        lattice_from_lens(5, (1, 2)).n = 3
 
 
 def test_congruence_lattice_is_a_dict_key():
