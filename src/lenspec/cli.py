@@ -6,9 +6,16 @@ or as a generator file (one ``q: s1,s2,...,sn`` line per generator) for
 non-cyclic torus subgroups.  Structured output renders multiplicities as
 decimal strings since they outgrow 64-bit integers quickly.
 
-Identical invocations produce byte-identical output.  Invalid input exits 2
-and an internal inconsistency exits 3, each with a single ``error:`` line;
-the work of every series expansion is bounded before it starts.
+Options are ``--name value`` or ``--name=value``; a unique prefix of a name
+is accepted and the last of repeated options counts.  One table,
+:data:`COMMANDS`, gives every subcommand's handler, help line and options;
+:func:`parse_args` and the ``--help`` texts are both read off it, so no
+argument-parsing library is loaded.
+
+Identical invocations produce byte-identical output.  Invalid input,
+bad usage included, exits 2 and an internal inconsistency exits 3, each with
+a single ``error:`` line on stderr and nothing on stdout; the work of every
+series expansion is bounded before it starts.
 
 Each subcommand imports the modules it runs when it is called, so ``--help``
 and ``search`` never load the certification side (:mod:`lenspec.verify`,
@@ -18,9 +25,10 @@ written as they are rendered.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, InternalError, LenspecError
 
@@ -184,8 +192,6 @@ def cmd_isospectral(args) -> int:
     from .isospec import fingerprint_digest, numerator_fingerprint
 
     label1, lat1 = parse_space(args.space, args.gen_file)
-    if args.space2 is None:
-        raise LenspecError("--space2 is required for isospectral")
     label2, lat2 = parse_space(args.space2, None)
     if lat1.n != lat2.n:
         raise DimensionMismatch(f"rank mismatch: {lat1.n} vs {lat2.n}")
@@ -260,64 +266,151 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lenspec",
-        description="Exact Hodge-Laplace spectra of lens spaces and lens orbifolds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One ``--name value`` option of a subcommand."""
 
-    def add_space(p, second=False):
-        p.add_argument("--space", help="lens shorthand L(q;s1,...,sn)")
-        p.add_argument("--gen-file", help="generator file, one 'q: s1,...,sn' line each")
-        if second:
-            p.add_argument("--space2", help="second space, lens shorthand")
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple[str, ...] = ()
+    required: bool = False
+    help: str = ""
 
-    def add_common(p):
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
-    p_spec = sub.add_parser("spectrum", help="eigenvalue/multiplicity table on p-forms")
-    add_space(p_spec)
-    p_spec.add_argument("--p", type=int, default=0)
-    p_spec.add_argument("--kmax", type=int, default=25)
-    add_common(p_spec)
-    p_spec.set_defaults(fn=cmd_spectrum)
+class Command(NamedTuple):
+    """A subcommand: the function that runs it, its help line, its options."""
 
-    p_gen = sub.add_parser("genfun", help="exact rational generating functions")
-    add_space(p_gen)
-    p_gen.add_argument("--order", type=int, default=30, help="series preview order (default 30)")
-    add_common(p_gen)
-    p_gen.set_defaults(fn=cmd_genfun)
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    options: tuple[Option, ...]
 
-    p_iso = sub.add_parser("isospectral", help="decide p-isospectrality of two spaces")
-    add_space(p_iso, second=True)
-    p_iso.add_argument("--p0", type=int, default=None, help="check p = 0..p0 (default n-1)")
-    p_iso.add_argument("--method", choices=("range", "direct"), default="range")
-    add_common(p_iso)
-    p_iso.set_defaults(fn=cmd_isospectral)
 
-    p_sea = sub.add_parser("search", help="families of isospectral lens parameters")
-    p_sea.add_argument("--q", type=int, required=True)
-    p_sea.add_argument("--n", type=int, required=True)
-    p_sea.add_argument("--p0", type=int, default=0)
-    p_sea.add_argument("--mode", choices=("manifolds", "orbifolds"), default="manifolds")
-    add_common(p_sea)
-    p_sea.set_defaults(fn=cmd_search)
+_SPACE = (
+    Option("space", help="lens shorthand L(q;s1,...,sn)"),
+    Option("gen-file", help="generator file, one 'q: s1,...,sn' line each"),
+)
+_FORMAT = Option("format", default="table", choices=("table", "json", "csv"), help="output format")
 
-    p_ver = sub.add_parser("verify", help="run the cross-route identity checks")
-    p_ver.add_argument("--n", type=int, default=3, help="largest rank to certify")
-    p_ver.add_argument("--kmax", type=int, default=6)
-    add_common(p_ver)
-    p_ver.set_defaults(fn=cmd_verify)
+# subcommand -> its handler, help line and options; parse_args and the help
+# text both read this table
+COMMANDS = {
+    "spectrum": Command(cmd_spectrum, "eigenvalue/multiplicity table on p-forms", (
+        *_SPACE,
+        Option("p", int, 0, help="form degree, 0..2n-1"),
+        Option("kmax", int, 25, help="largest eigenvalue index k"),
+        _FORMAT,
+    )),
+    "genfun": Command(cmd_genfun, "exact rational generating functions", (
+        *_SPACE,
+        Option("order", int, 30, help="series preview order"),
+        _FORMAT,
+    )),
+    "isospectral": Command(cmd_isospectral, "decide p-isospectrality of two spaces", (
+        *_SPACE,
+        Option("space2", required=True, help="second space, lens shorthand"),
+        Option("p0", int, help="check p = 0..p0 (default n-1)"),
+        Option("method", default="range", choices=("range", "direct"), help="moment series or every F^p"),
+        _FORMAT,
+    )),
+    "search": Command(cmd_search, "families of isospectral lens parameters", (
+        Option("q", int, required=True, help="modulus"),
+        Option("n", int, required=True, help="rank"),
+        Option("p0", int, 0, help="isospectral for p = 0..p0"),
+        Option("mode", default="manifolds", choices=("manifolds", "orbifolds"), help="free actions only, or all"),
+        _FORMAT,
+    )),
+    "verify": Command(cmd_verify, "run the cross-route identity checks", (
+        Option("n", int, 3, help="largest rank to certify"),
+        Option("kmax", int, 6, help="largest eigenvalue index k"),
+        _FORMAT,
+    )),
+}
 
-    return parser
+
+def help_text(command: str | None = None) -> str:
+    """The ``--help`` text of the program, or of one subcommand."""
+    if command is None:
+        width = max(map(len, COMMANDS))
+        lines = [f"usage: lenspec <command> [options]\n\nExact Hodge-Laplace spectra of lens spaces and lens orbifolds.\n\ncommands:"]
+        lines += [f"  {name.ljust(width)}  {cmd.help}" for name, cmd in COMMANDS.items()]
+        lines.append("\nRun 'lenspec <command> --help' for the options of a command.")
+        return "\n".join(lines) + "\n"
+    cmd = COMMANDS[command]
+    rows = [("-h, --help", "show this help")]
+    for opt in cmd.options:
+        value = "{" + ",".join(opt.choices) + "}" if opt.choices else opt.name.replace("-", "_").upper()
+        note = " (required)" if opt.required else "" if opt.default is None else f" (default {opt.default})"
+        rows.append((f"--{opt.name} {value}", opt.help + note))
+    width = max(len(flag) for flag, _ in rows)
+    lines = [f"usage: lenspec {command} [options]\n\n{cmd.help}\n\noptions:"]
+    lines += [f"  {flag.ljust(width)}  {text}" for flag, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _show_help(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
+
+
+def parse_args(argv: list[str]):
+    """Parse ``<command> --name value ...`` against :data:`COMMANDS`.
+
+    Returns (handler, args), ``args`` holding every option of the command
+    under its name with ``-`` read as ``_``.  An option is ``--name value``
+    or ``--name=value``, ``name`` may be shortened to any unique prefix and
+    the last of repeated options counts.  ``-h``/``--help`` returns a handler
+    that writes the help text.  Bad usage raises LenspecError.
+    """
+    if not argv:
+        raise LenspecError(f"a command is required: {', '.join(COMMANDS)}")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        return _show_help, help_text()
+    if command not in COMMANDS:
+        raise LenspecError(f"invalid command {command!r}, choose from {', '.join(COMMANDS)}")
+    options = {opt.name: opt for opt in COMMANDS[command].options}
+    values = {name: opt.default for name, opt in options.items()}
+    given = set()
+    tokens = iter(rest)
+    for token in tokens:
+        token = "--help" if token == "-h" else token
+        name, has_value, value = token[2:].partition("=")
+        if not token.startswith("--") or not name:
+            raise LenspecError(f"unrecognized argument {token!r}")
+        if name not in options and name != "help":
+            matches = [known for known in (*options, "help") if known.startswith(name)]
+            if not matches:
+                raise LenspecError(f"unrecognized option --{name}")
+            if len(matches) > 1:
+                raise LenspecError(f"ambiguous option --{name}: could be {', '.join('--' + m for m in matches)}")
+            name = matches[0]
+        if name == "help":
+            return _show_help, help_text(command)
+        if not has_value:
+            value = next(tokens, None)
+            # a negative number is a value, any other dash word an option
+            if value is None or value.startswith("-") and not value[1:].isdigit():
+                raise LenspecError(f"option --{name} expects a value")
+        opt = options[name]
+        if opt.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise LenspecError(f"option --{name} expects an integer, got {value!r}") from None
+        if opt.choices and value not in opt.choices:
+            raise LenspecError(f"option --{name} must be one of {', '.join(opt.choices)}, got {value!r}")
+        values[name] = value
+        given.add(name)
+    missing = [f"--{name}" for name, opt in options.items() if opt.required and name not in given]
+    if missing:
+        raise LenspecError(f"{command} requires {', '.join(missing)}")
+    return COMMANDS[command].handler, SimpleNamespace(**{k.replace("-", "_"): v for k, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3

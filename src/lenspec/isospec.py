@@ -119,6 +119,18 @@ class IsospectralFamily(NamedTuple):
     fingerprint: str
 
 
+def _reaching_units(q: int, x: int) -> set[int]:
+    """The units t in [2, q // 2] with t * x = +-g (mod q), g = gcd(x, q).
+
+    With x = g x' and q = g q', those are t = +-x'^(-1) (mod q'): the lifts
+    of both residues to [2, q // 2] that are units mod q, at O(g) cost.
+    """
+    g = math.gcd(x, q)
+    q1 = q // g
+    r = pow(x // g, -1, q1)
+    return {t for start in (r, q1 - r) for t in range(start, q // 2 + 1, q1) if t > 1 and math.gcd(t, q) == 1}
+
+
 def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     """All isometry classes of lens parameters with modulus q and rank n, sorted.
 
@@ -128,8 +140,15 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     visited: the candidates are the sorted tuples c over [0, q // 2] (units
     only, for manifolds) with gcd(q, *c) = 1, and c is kept when no unit
     multiplier folds it to a smaller tuple, so the list comes out sorted.
-    Raises InvalidParameters, before any candidate is built, when the
-    candidates hold more than :data:`MAX_CLASS_WORK` entries
+
+    A unit carries x to every residue with the same gcd with q, so the least
+    nonzero entry g of a key is the least gcd(c_i, q) over its nonzero
+    entries, and a manifold key (q >= 2) starts with 1.  A unit t can fold c
+    lower only if it carries some entry x with gcd(x, q) = g to +-g; every
+    other unit leaves that slot above g.  So only those units are tried
+    (:func:`_reaching_units`, at most n of them for a manifold), not every
+    unit in [2, q // 2].  Raises InvalidParameters, before any candidate is
+    built, when the candidates hold more than :data:`MAX_CLASS_WORK` entries
     (n * C(values + n - 1, n)).
     """
     if q < 1:
@@ -146,17 +165,26 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
             f"listing the classes of q={q}, n={n} ({mode}) takes more than "
             f"{MAX_CLASS_WORK} candidate entries"
         )
-    # t and q - t fold alike, and t = 1 leaves a candidate unchanged
-    units = [t for t in range(2, q // 2 + 1) if math.gcd(t, q) == 1]
-    # units carry s_i to every residue with the same gcd with q, so the least
-    # entry of a key is the least gcd(c_i, q), read as 0 for c_i = 0
-    return [
-        LensKey(n=n, q=q, exponents=c)
-        for c in combinations_with_replacement(values, n)
-        if math.gcd(q, *c) == 1
-        and c[0] == min(math.gcd(x, q) % q for x in c)
-        and all(_folded(q, c, t) >= c for t in units)
-    ]
+    gcds = {x: math.gcd(x, q) for x in values}
+    reach = {x: _reaching_units(q, x) for x in values if x}
+    if mode == "manifolds" and q >= 2:
+        candidates = ((1, *c) for c in combinations_with_replacement(values, n - 1))
+    else:
+        candidates = combinations_with_replacement(values, n)
+    keys = []
+    for c in candidates:
+        if math.gcd(q, *c) != 1:
+            continue
+        nonzero = c[c.count(0):]  # empty only for q = 1
+        if nonzero:
+            g = nonzero[0]
+            if any(gcds[x] < g for x in nonzero):
+                continue
+            trials = {t for x in nonzero if gcds[x] == g for t in reach[x]}
+            if not all(_folded(q, c, t) >= c for t in trials):
+                continue
+        keys.append(LensKey(n=n, q=q, exponents=c))
+    return keys
 
 
 def numerator_fingerprint(series) -> tuple:

@@ -116,10 +116,52 @@ def test_bad_parameters_exit_code(capsys):
         ("isospectral", "--space", f"L(5;{','.join(['1'] * 20000)})", "--space2", f"L(5;{','.join(['1'] * 20000)})"),
         ("search", "--q", "2", "--n", "100", "--p0", "0", "--mode", "orbifolds"),
         ("isospectral", "--space", f"L(2;{','.join(['1'] * 90)})", "--space2", f"L(2;{','.join(['1'] * 90)})"),
+        # bad usage: no or an unknown subcommand, a missing, mistyped, unknown
+        # or valueless option, a value outside the choices
+        (),
+        ("bogus",),
+        ("search", "--n", "3"),
+        ("search", "--q", "abc", "--n", "3"),
+        ("search", "--q", "5", "--n", "3", "--mode", "foo"),
+        ("search", "--q", "5", "--n", "3", "--bogus", "1"),
+        ("search", "--q"),
+        ("isospectral", "--s", "L(7;1,2)", "--space2", "L(7;1,3)"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, argv
         assert out == "", argv
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), *((name, "--help") for name in lenspec.cli.COMMANDS)])
+def test_help_lists_every_command_and_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: lenspec")
+    if len(argv) == 1:
+        for name, command in lenspec.cli.COMMANDS.items():
+            assert f"  {name}" in out and command.help in out
+        return
+    assert out == run_cli(capsys, argv[0], "-h")[1]
+    command = lenspec.cli.COMMANDS[argv[0]]
+    assert command.help in out
+    lines = out.splitlines()
+    for opt in command.options:
+        (line,) = [line for line in lines if line.startswith(f"  --{opt.name} ")]
+        assert opt.help in line
+        assert all(choice in line for choice in opt.choices)
+        if opt.default is not None:
+            assert f"(default {opt.default})" in line
+        assert ("(required)" in line) == opt.required
+
+
+def test_options_by_prefix_and_repeat(capsys):
+    # a unique prefix names an option and the last of repeated options counts,
+    # as --name value or --name=value
+    full = run_cli(capsys, "search", "--q", "11", "--n", "3", "--format", "json")
+    assert full[0] == 0 and json.loads(full[1])
+    assert run_cli(capsys, "search", "--q", "11", "--n", "3", "--form", "json") == full
+    assert run_cli(capsys, "search", "--q=11", "--n=3", "--fo=json") == full
+    assert run_cli(capsys, "search", "--q", "12", "--n", "3", "--q=11", "--format", "csv", "--format", "json") == full
 
 
 def test_large_exponent_within_box_work_bound(capsys):
@@ -297,14 +339,11 @@ def test_verify_small(capsys):
 # watched modules the import of lenspec.cli and the call loaded
 _IMPORT_PROBE = """
 import sys
-watched = ("dataclasses", "numpy", "lenspec.isospec", "lenspec.spectrum", "lenspec.weights",
+watched = ("argparse", "dataclasses", "numpy", "lenspec.isospec", "lenspec.spectrum", "lenspec.weights",
            "lenspec.oracle", "lenspec.verify")
 before = set(sys.modules)
 from lenspec.cli import main
-try:
-    code = main(sys.argv[1:])
-except SystemExit as exc:
-    code = exc.code
+code = main(sys.argv[1:])
 loaded = " ".join(m for m in watched if m in sys.modules and m not in before)
 sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}, loaded: {loaded}\\n")
 """

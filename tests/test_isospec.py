@@ -122,11 +122,14 @@ def brute_classes(q, n, mode):
 
 # every q up to this bound, per rank, is checked against the brute force
 _BRUTE_Q_MAX = {2: 40, 3: 16, 4: 8}
+# and these divisor-rich q above it, where entries with gcd > 1 and zero
+# entries widen the set of units the listing tries
+_BRUTE_Q_EXTRA = {2: (), 3: (18, 24, 30), 4: (12,)}
 
 
 @pytest.mark.parametrize("n", sorted(_BRUTE_Q_MAX))
 def test_isometry_classes_match_brute_force(n):
-    for q in range(1, _BRUTE_Q_MAX[n] + 1):
+    for q in (*range(1, _BRUTE_Q_MAX[n] + 1), *_BRUTE_Q_EXTRA[n]):
         for mode in ("manifolds", "orbifolds"):
             assert isometry_classes(q, n, mode) == brute_classes(q, n, mode), (q, n, mode)
 
