@@ -6,17 +6,19 @@ permutations and sign flips; :func:`canonical_key` minimizes over that whole
 action, so key equality decides isometry.  :func:`isometry_classes` lists the
 keys themselves, the sorted sign-folded tuples that no unit lowers, rather
 than keying every parameter vector; its candidate count is bounded before it
-starts.  :func:`search` buckets the classes by character sums mod a prime,
-which need no lattice, and builds exact series only for classes that share a
-bucket.  The isospectrality tests compare exact rational series, never
-truncations.
+starts.  :func:`search` buckets the classes by character sums mod a prime at
+one point, which need no lattice and are taken in one walk over the sorted
+keys that shares the products of their common leading entries, and builds
+exact series only for classes that share a bucket.  The isospectrality tests
+compare exact rational series, never truncations.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement, islice
-from typing import NamedTuple
+from operator import mul
+from typing import Iterator, NamedTuple
 
 from ._kernels import _STEP_WORDS, BOX_WORK_LIMIT
 from .errors import DimensionMismatch, InternalError, InvalidParameters
@@ -24,8 +26,10 @@ from .genfun import check_weight_work, f_rational, moment_series, phi_weights, t
 from .lattice import CongruenceLattice, lattice_from_lens
 
 # bound on the entries of the candidate keys isometry_classes checks,
-# n * C(values + n - 1, n); the largest search of the benchmark and of the
-# q-range gates (q = 151, n = 3, orbifolds) needs 228228
+# n * C(values + n - 1, n), or n * C(values + n - 2, n - 1) for manifolds,
+# whose keys start with 1; the largest search of the benchmark and of the
+# q-range gates (q = 151, n = 3, orbifolds) needs 228228, and q = 251, n = 3
+# (manifolds) 23625
 MAX_CLASS_WORK = 10**6
 
 
@@ -148,8 +152,8 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     other unit leaves that slot above g.  So only those units are tried
     (:func:`_reaching_units`, at most n of them for a manifold), not every
     unit in [2, q // 2].  Raises InvalidParameters, before any candidate is
-    built, when the candidates hold more than :data:`MAX_CLASS_WORK` entries
-    (n * C(values + n - 1, n)).
+    built, when the candidates hold more than :data:`MAX_CLASS_WORK` entries:
+    n * C(values + n - 1, n), or n * C(values + n - 2, n - 1) for manifolds.
     """
     if q < 1:
         raise InvalidParameters("q must be >= 1")
@@ -157,20 +161,22 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
         raise InvalidParameters("rank n must be >= 2")
     if mode not in ("manifolds", "orbifolds"):
         raise InvalidParameters(f"mode must be 'manifolds' or 'orbifolds', got {mode!r}")
+    # a manifold key (q >= 2) is (1,) + a sorted (n - 1)-tuple of units
+    free = mode == "manifolds" and q >= 2
+    k = n - 1 if free else n
     values = (x for x in range(q // 2 + 1) if mode == "orbifolds" or math.gcd(x, q) == 1)
-    # C(m + n - 1, n) >= m, so no more values are read than the bound can admit
+    # C(m + k - 1, k) >= m, so no more values are read than the bound can admit
     values = list(islice(values, MAX_CLASS_WORK // n + 1))
-    if n * math.comb(len(values) + n - 1, n) > MAX_CLASS_WORK:
+    if n * math.comb(len(values) + k - 1, k) > MAX_CLASS_WORK:
         raise InvalidParameters(
             f"listing the classes of q={q}, n={n} ({mode}) takes more than "
             f"{MAX_CLASS_WORK} candidate entries"
         )
     gcds = {x: math.gcd(x, q) for x in values}
     reach = {x: _reaching_units(q, x) for x in values if x}
-    if mode == "manifolds" and q >= 2:
-        candidates = ((1, *c) for c in combinations_with_replacement(values, n - 1))
-    else:
-        candidates = combinations_with_replacement(values, n)
+    candidates = combinations_with_replacement(values, k)
+    if free:
+        candidates = ((1, *c) for c in candidates)
     keys = []
     for c in candidates:
         if math.gcd(q, *c) != 1:
@@ -200,16 +206,30 @@ def _moment_fingerprint(L: CongruenceLattice, p0: int):
 
 
 def fingerprint_digest(data) -> str:
-    import hashlib
+    """The first 16 hex digits of the sha256 of ``repr(data)``."""
+    return _builtin_sha256()(repr(data).encode()).hexdigest()[:16]
 
-    return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
+
+def _builtin_sha256():
+    # the interpreter's builtin sha256 (_sha2 from Python 3.12, _sha256 before
+    # it) loads in well under a millisecond; hashlib loads OpenSSL's _hashlib,
+    # about ten times as long, and is only the fallback
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+
+    return sha256
 
 
 # -- character sums ---------------------------------------------------------------
 
-# Evaluation points of the moment numerators, reduced mod P: the first 64
-# fraction bits of pi and of e.
-_POINTS = (0x243F6A8885A308D3, 0xB7E151628AED2A6A)
+# Evaluation point of the moment numerators, reduced mod P: the first 64
+# fraction bits of pi.  Two different numerators of degree d agree at it with
+# chance at most d / P, and such a collision costs only an exact fingerprint.
+_POINT = 0x243F6A8885A308D3
 
 
 def _is_prime(m: int) -> bool:
@@ -235,7 +255,7 @@ def _is_prime(m: int) -> bool:
 
 class _CharacterSums:
     """Moment numerators of the lens classes of one (q, n), evaluated mod a
-    61-bit prime P = 1 (mod q) at the fixed points :data:`_POINTS`.
+    61-bit prime P = 1 (mod q) at one fixed point z (:data:`_POINT`).
 
     A class (q; s) has box-count polynomial phi(z, w) = sum_m phi_m(z) w^m,
     by Ikeda's finite Fourier form (1/q) sum_t prod_j (w + H(t s_j)) with
@@ -244,10 +264,11 @@ class _CharacterSums:
     moment numerator of order h is sum_m phi_m(z) W_m(z), W_m the weights of
     :func:`lenspec.genfun.moment_series`, taken from
     :func:`lenspec.genfun.phi_weights` with w_l = l^h; this route and the box
-    count differ only in how phi_m is obtained.  ``points`` holds, per point
-    z, the table of w + H(u) packed as one int and the W_m(z); both are built
-    once.  Raises InvalidParameters, before either is built, when the weights
-    exceed :data:`lenspec.genfun.MAX_WEIGHT_WORK` or the sums over ``classes``
+    count differ only in how phi_m is obtained.  ``table`` holds w + H(u) at
+    z packed as one int per u, and ``weights`` the W_m(z); both are built
+    once, and :func:`_phi_sums` walks the classes over them.  Raises
+    InvalidParameters, before either is built, when the weights exceed
+    :data:`lenspec.genfun.MAX_WEIGHT_WORK` or the sums over ``classes``
     classes exceed :data:`lenspec._kernels.BOX_WORK_LIMIT`.
     """
 
@@ -256,11 +277,12 @@ class _CharacterSums:
         # field width of the packed polynomials in w: a product of n factors
         # w + H, summed over at most q values of t, fits in it
         width = 62 * n + q.bit_length() + 1
-        # per class, point and t the product of j factors, j fields, takes one
-        # more factor: its 64-bit word products plus the overhead of a step,
-        # the unit of the box counts these sums stand in for
+        # per class and t the product of j factors, j fields, takes one more
+        # factor: its 64-bit word products plus the overhead of a step, the
+        # unit of the box counts these sums stand in for; shared prefixes only
+        # save some of these products
         words = sum(-(-j * width // 64) * -(-width // 64) + _STEP_WORDS for j in range(1, n))
-        work = classes * len(_POINTS) * (q // 2 + 1) * words
+        work = classes * (q // 2 + 1) * words
         if work > BOX_WORK_LIMIT:
             raise InvalidParameters(
                 f"the character sums of {classes} classes of q={q}, n={n} take {work}"
@@ -274,24 +296,27 @@ class _CharacterSums:
         while any(pow(g, (P - 1) // d, P) == 1 for d in primes):
             g += 1
         omega = pow(g, (P - 1) // q, P)
-        self.q, self.n, self.P, self.width = q, n, P, width
+        z = _POINT % P
+        while pow(z, q, P) == 1:  # H's closed form needs z^q != 1
+            z += 1
+        zq = pow(z, q, P)
+        table = []
+        x = 1  # omega^u
+        for _ in range(q // 2 + 1):
+            # geometric sums over r = 1..q-1, with x^q = 1
+            h = (zq - x * z) * pow(x * z - 1, -1, P) + (z - x * zq) * pow(x - z, -1, P)
+            table.append((1 << width) + h % P)
+            x = x * omega % P
+        table += table[(q + 1) // 2 - 1 : 0 : -1]  # H(q - u) = H(u)
+        self.q, self.n, self.P, self.width, self.z, self.table = q, n, P, width, z, table
         self.q_inverse = pow(q, -1, P)
         moment_weights = [phi_weights(q, [l**h for l in range(n + 1)]) for h in range(p0 + 1)]
-        self.points = []
-        for z in _POINTS:
-            z %= P
-            while pow(z, q, P) == 1:  # H's closed form needs z^q != 1
-                z += 1
-            zq = pow(z, q, P)
-            table = []
-            x = 1  # omega^u
-            for _ in range(q):
-                # geometric sums over r = 1..q-1, with x^q = 1
-                h = (zq - x * z) * pow(x * z - 1, -1, P) + (z - x * zq) * pow(x - z, -1, P)
-                table.append((1 << self.width) + h % P)
-                x = x * omega % P
-            weights = [[_at(w, z, P) for w in row] for row in moment_weights]
-            self.points.append((z, table, weights))
+        self.weights = [[_at(w, z, P) for w in row] for row in moment_weights]
+
+    def moment_values(self, phi: list[int]) -> tuple[int, ...]:
+        """The moment numerators of orders 0..p0 mod P of the class whose
+        phi_m(z) are ``phi``.  Equal numerators give equal values."""
+        return tuple(sum(map(mul, row, phi)) % self.P for row in self.weights)
 
 
 def _at(poly, z: int, P: int) -> int:
@@ -299,38 +324,46 @@ def _at(poly, z: int, P: int) -> int:
     return sum(c * pow(z, e, P) for e, c in poly.coeffs.items()) % P
 
 
-def _phi_values(sums: _CharacterSums, s: tuple[int, ...]) -> list[list[int]]:
-    """phi_m(z) mod P for m = 0..n of the class (q; s), at every point of
-    ``sums``, by the character sum."""
-    q, P, width = sums.q, sums.P, sums.width
+def _phi_sums(sums: _CharacterSums, classes: list[tuple[int, ...]]) -> Iterator[list[int]]:
+    """phi_m(z) mod P for m = 0..n of each class (q; s), s in ``classes``, by
+    the character sum, in one walk over the classes.
+
+    The row of an entry x, w + H(t x) for t = 0..q // 2, is built once; it
+    refers to the ints of ``sums.table``, so the rows cost one pointer per
+    (x, t).  A stack keeps the products of the rows of a class's first
+    entries, each t weighted by 2 unless t = -t (mod q), and a class reuses
+    the products of the entries it shares with the class before it; the
+    sorted keys of :func:`isometry_classes` share most of them.  So a class
+    mostly costs one product of the stack's top and the row of its last
+    entry.  Any order of ``classes`` gives the same values.
+    """
+    q, P, width, table = sums.q, sums.P, sums.width, sums.table
     mask = (1 << width) - 1
-    values = []
-    for _, table, _ in sums.points:
-        total = 0
-        for t in range(q // 2 + 1):
-            term = 1
-            for x in s:
-                term *= table[t * x % q]
-            total += term if 2 * t % q == 0 else 2 * term
-        values.append([(total >> (m * width) & mask) * sums.q_inverse % P for m in range(sums.n + 1)])
-    return values
+    shifts = [m * width for m in range(sums.n + 1)]
+    half = range(q // 2 + 1)
+    rows: dict[int, list[int]] = {}
+    prefixes = [[1 if 2 * t % q == 0 else 2 for t in half]]
+    previous: tuple[int, ...] = ()
+    for s in classes:
+        for x in s:
+            if x not in rows:
+                rows[x] = [table[t * x % q] for t in half]
+        shared = 0
+        while shared < len(previous) and s[shared] == previous[shared]:
+            shared += 1
+        del prefixes[shared + 1 :]
+        for x in s[shared:-1]:
+            prefixes.append(list(map(mul, prefixes[-1], rows[x])))
+        total = sum(map(mul, prefixes[-1], rows[s[-1]]))
+        yield [(total >> shift & mask) * sums.q_inverse % P for shift in shifts]
+        previous = s[:-1]
 
 
-def _moment_values(sums: _CharacterSums, s: tuple[int, ...]) -> tuple[int, ...]:
-    """The moment numerators of orders 0..p0 of the class (q; s) mod P, at
-    every point of ``sums``.  Equal numerators give equal values."""
-    return tuple(
-        sum(c * f for c, f in zip(row, phi)) % sums.P
-        for (_, _, weights), phi in zip(sums.points, _phi_values(sums, s))
-        for row in weights
-    )
-
-
-def _check_phi_values(sums: _CharacterSums, key: LensKey, L: CongruenceLattice) -> None:
-    # the box count of one class certifies the tables of a search: its phi
-    # polynomials evaluated at the points against the character sums
-    exact = [[_at(phi, z, sums.P) for phi in L.phi_polynomials()] for z, _, _ in sums.points]
-    if exact != _phi_values(sums, key.exponents):
+def _check_phi_sums(sums: _CharacterSums, key: LensKey, L: CongruenceLattice) -> None:
+    # the box count of one class certifies the table of a search: its phi
+    # polynomials evaluated at the point against the walk over that class
+    exact = [_at(phi, sums.z, sums.P) for phi in L.phi_polynomials()]
+    if exact != next(_phi_sums(sums, [key.exponents])):
         raise InternalError(f"character sums disagree with the box count of {key.label()}")
 
 
@@ -339,15 +372,17 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     p-isospectral for all p <= p0; families of size >= 2 are returned.
 
     Classes are first bucketed by their moment numerators evaluated mod a
-    prime at two points through a character sum (:class:`_CharacterSums`),
-    which costs no box count; equal series give equal values, so no family
-    is split.  Only members of a bucket of two or more get a lattice: they
-    are split by the exact moment-series fingerprint, and each is checked
-    against the first of its group by equality of F^p for every p <= p0.
-    The result rests on both exact criteria, not on the values.  The box
-    count of one class (a bucket member, else the first class) checks the
-    character sums; a disagreement raises InternalError.  The class listing,
-    the weights and the character sums are each bounded before they start
+    prime at one point through a character sum (:class:`_CharacterSums`),
+    in one walk over the sorted keys that shares the products of common
+    leading entries (:func:`_phi_sums`) and costs no box count; equal series
+    give equal values, so no family is split.  Only members of a bucket of
+    two or more get a lattice: they are split by the exact moment-series
+    fingerprint, and each is checked against the first of its group by
+    equality of F^p for every p <= p0.  The result rests on both exact
+    criteria, not on the values.  The box count of one class (a bucket
+    member, else the first class) checks the character sums through the same
+    walk; a disagreement raises InternalError.  The class listing, the
+    weights and the character sums are each bounded before they start
     (InvalidParameters).
     """
     if not 0 <= p0 <= n - 1:
@@ -355,21 +390,21 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     keys = isometry_classes(q, n, mode)
     sums = _CharacterSums(q, n, p0, len(keys))
     buckets: dict[tuple, list[LensKey]] = {}
-    for key in keys:
-        buckets.setdefault(_moment_values(sums, key.exponents), []).append(key)
+    for key, phi in zip(keys, _phi_sums(sums, [key.exponents for key in keys])):
+        buckets.setdefault(sums.moment_values(phi), []).append(key)
     shared = [members for members in buckets.values() if len(members) > 1]
-    # the tables are checked on the first class that gets a box count, or on
+    # the table is checked on the first class that gets a box count, or on
     # the first class when none does
     probe = (shared[0] if shared else keys)[0]
     if not shared:
-        _check_phi_values(sums, probe, probe.lattice())
+        _check_phi_sums(sums, probe, probe.lattice())
     families = []
     for members in shared:
         groups: dict[tuple, list[tuple[LensKey, CongruenceLattice]]] = {}
         for key in members:
             L = key.lattice()
             if key is probe:
-                _check_phi_values(sums, key, L)
+                _check_phi_sums(sums, key, L)
             groups.setdefault(_moment_fingerprint(L, p0), []).append((key, L))
         for fp, group in groups.items():
             if len(group) < 2:

@@ -339,7 +339,7 @@ def test_verify_small(capsys):
 # watched modules the import of lenspec.cli and the call loaded
 _IMPORT_PROBE = """
 import sys
-watched = ("argparse", "dataclasses", "numpy", "lenspec.isospec", "lenspec.spectrum", "lenspec.weights",
+watched = ("argparse", "dataclasses", "numpy", "_hashlib", "lenspec.isospec", "lenspec.spectrum", "lenspec.weights",
            "lenspec.oracle", "lenspec.verify")
 before = set(sys.modules)
 from lenspec.cli import main
@@ -349,7 +349,9 @@ sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}, loa
 """
 
 # the watched modules each subcommand loads: the certification side
-# (weights, oracle, verify), numpy and dataclasses only behind verify
+# (weights, oracle, verify), numpy and dataclasses only behind verify, and
+# OpenSSL's _hashlib behind none (the fingerprint digests use the builtin
+# sha256)
 _LOADED = {
     "--help": "",
     "search": "lenspec.isospec",

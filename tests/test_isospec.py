@@ -1,6 +1,7 @@
 import gc
+import hashlib
 import math
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from lenspec import (
     theta_rational,
 )
 from lenspec.errors import DimensionMismatch, InternalError, InvalidParameters
+from lenspec.isospec import fingerprint_digest
 
 
 def test_canonical_key_unit_multiplier():
@@ -141,13 +143,29 @@ def test_manifold_classes_are_free_orbifold_classes(n):
         assert isometry_classes(q, n, "manifolds") == free, (q, n)
 
 
-def test_isometry_classes_bounded_before_listing():
-    # n * C(values + n - 1, n) candidate entries: one candidate of 10^7
-    # entries is refused before it is built
-    with pytest.raises(InvalidParameters):
-        isometry_classes(2, 10**7, "manifolds")
-    # the largest benchmark and q-range gate inputs stay within it
+def test_isometry_classes_bounded_before_listing(monkeypatch):
+    # n * C(values + n - 1, n) candidate entries, n * C(values + n - 2, n - 1)
+    # for manifolds: one candidate of 10^7 entries, or the 999 units of
+    # q = 1999 in (1, a, b), is refused before any candidate is built
+    built = []
+    combinations = isospec.combinations_with_replacement
+    monkeypatch.setattr(
+        isospec, "combinations_with_replacement", lambda *args: built.append(args) or combinations(*args)
+    )
+    for q, n in ((2, 10**7), (1999, 3)):
+        with pytest.raises(InvalidParameters):
+            isometry_classes(q, n, "manifolds")
+    assert built == []
+    # the largest benchmark and q-range gate inputs stay within it, and
+    # q = 251 takes 23625 manifold entries
     assert len(isometry_classes(151, 3, "orbifolds")) == 1015
+    assert len(isometry_classes(251, 3, "manifolds")) == 2667
+
+
+def test_fingerprint_digest_is_sha256():
+    # the builtin sha256 the digest takes gives hashlib's digits
+    for data in ((), (((0, 1),),), (((0, 3), (2, -1)), ((1, 5), (7, 2))), "x" * 1000):
+        assert fingerprint_digest(data) == hashlib.sha256(repr(data).encode()).hexdigest()[:16]
 
 
 def test_search_empty_for_small_three_dimensional():
@@ -209,41 +227,58 @@ def test_search_validation():
 @example(q=12, s=[0, 3, 4])  # s_j = 0 and no exponent a unit
 @example(q=30, s=[6, 10, 15, 1])
 def test_character_sums_match_box_count_numerators(q, s):
-    # the exact moment numerators of the box-count chain, evaluated at each
-    # point mod P term by term, against the character sums
+    # the exact moment numerators of the box-count chain, evaluated at the
+    # point mod P term by term, against the walk over the one class
     s = tuple(x % q for x in s)
     if math.gcd(q, *s) != 1:
         s = (1,) + s[1:]
     n, p0 = len(s), len(s) - 1
     sums = isospec._CharacterSums(q, n, p0, 1)
+    assert sums.moment_values(next(isospec._phi_sums(sums, [s]))) == _numerators_at(sums, q, s, p0)
+
+
+def _numerators_at(sums, q, s, p0):
     P = sums.P
     numerators = [r.numerator.coeffs for r in moment_series(lattice_from_lens(q, s), p0)]
-    expected = tuple(
-        sum(c * pow(z, e, P) for e, c in coeffs.items()) % P
-        for z, _, _ in sums.points
-        for coeffs in numerators
-    )
-    assert isospec._moment_values(sums, s) == expected
+    return tuple(sum(c * pow(sums.z, e, P) for e, c in coeffs.items()) % P for coeffs in numerators)
+
+
+@pytest.mark.parametrize(
+    "q, n, mode, p0",
+    [
+        (12, 3, "orbifolds", 2),
+        (13, 3, "manifolds", 1),
+        (20, 3, "manifolds", 2),
+        (9, 4, "orbifolds", 0),
+        (7, 5, "orbifolds", 4),
+    ],
+)
+def test_walk_matches_box_count_numerators_on_every_class(q, n, mode, p0):
+    # one walk over the sorted classes, which shares prefix products between
+    # them, against each class's exact moment numerators at the point
+    keys = isometry_classes(q, n, mode)
+    sums = isospec._CharacterSums(q, n, p0, len(keys))
+    values = [sums.moment_values(phi) for phi in isospec._phi_sums(sums, [key.exponents for key in keys])]
+    assert values == [_numerators_at(sums, q, key.exponents, p0) for key in keys]
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 12])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_character_sum_weights_match_binomial_sum(q, n):
-    # the moment weights at each point mod P against the binomial sum
+    # the moment weights at the point mod P against the binomial sum
     # c_{h,m} = sum_l C(m, l) l^h (1 - z^q)^l (2 z^q)^(m-l) written out here
     sums = isospec._CharacterSums(q, n, n - 1, 1)
     P = sums.P
-    assert [z for z, _, _ in sums.points] == [z % P for z in isospec._POINTS]
-    for z, _, weights in sums.points:
-        zq = pow(z, q, P)
-        expected = [
-            [
-                sum(math.comb(m, l) * l**h * pow(1 - zq, l, P) * pow(2 * zq, m - l, P) for l in range(m + 1)) % P
-                for m in range(n + 1)
-            ]
-            for h in range(n)
+    assert sums.z == isospec._POINT % P
+    zq = pow(sums.z, q, P)
+    expected = [
+        [
+            sum(math.comb(m, l) * l**h * pow(1 - zq, l, P) * pow(2 * zq, m - l, P) for l in range(m + 1)) % P
+            for m in range(n + 1)
         ]
-        assert weights == expected, (q, n)
+        for h in range(n)
+    ]
+    assert sums.weights == expected, (q, n)
 
 
 def test_character_sum_bound_admits_the_gate_scales():
@@ -254,10 +289,10 @@ def test_character_sum_bound_admits_the_gate_scales():
         for mode in ("manifolds", "orbifolds"):
             isospec._CharacterSums(q, n, n - 1, len(isometry_classes(q, n, mode)))
     # q = 2 has n orbifold classes of rank n and one manifold class: the last
-    # admitted searches are of rank 48 and 127
-    isospec._CharacterSums(2, 48, 0, 48)
-    isospec._CharacterSums(2, 127, 0, 1)
-    for n, classes in ((49, 49), (128, 1)):
+    # admitted searches are of rank 55 and 151
+    isospec._CharacterSums(2, 55, 0, 55)
+    isospec._CharacterSums(2, 151, 0, 1)
+    for n, classes in ((56, 56), (152, 1)):
         with pytest.raises(InvalidParameters):
             isospec._CharacterSums(2, n, 0, classes)
 
@@ -275,8 +310,19 @@ def test_value_collisions_are_split_exactly(monkeypatch, q, n, p0, mode):
     # fingerprints must split it into the same families, with no error
     expected = _families(q, n, p0, mode)
     assert expected
-    monkeypatch.setattr(isospec, "_moment_values", lambda sums, s: 0)
+    phi_sums = isospec._phi_sums
+    calls = []
+
+    def first_class_values(sums, classes):
+        # the values of the first class for every class: the probe check,
+        # which walks that class alone, still gets its true values
+        calls.append(len(classes))
+        return repeat(next(phi_sums(sums, classes[:1])), len(classes))
+
+    monkeypatch.setattr(isospec, "_phi_sums", first_class_values)
     assert _families(q, n, p0, mode) == expected
+    # the search walked every class, then the probe alone
+    assert calls == [len(isometry_classes(q, n, mode)), 1]
 
 
 def test_search_box_counts_family_members_only(monkeypatch):
@@ -290,9 +336,15 @@ def test_search_box_counts_family_members_only(monkeypatch):
 
 @pytest.mark.parametrize("q, n", [(13, 3), (14, 4)])  # with and without a shared bucket
 def test_wrong_character_sums_are_an_internal_error(monkeypatch, q, n):
-    phi_values = isospec._phi_values
-    monkeypatch.setattr(
-        isospec, "_phi_values", lambda sums, s: [[v + 1 for v in point] for point in phi_values(sums, s)]
-    )
+    phi_sums = isospec._phi_sums
+    calls = []
+
+    def shifted(sums, classes):
+        calls.append(len(classes))
+        return ([v + 1 for v in phi] for phi in phi_sums(sums, classes))
+
+    monkeypatch.setattr(isospec, "_phi_sums", shifted)
     with pytest.raises(InternalError):
         search(q, n, 0)
+    # the probe's box count was checked through the same walk
+    assert calls == [len(isometry_classes(q, n, "manifolds")), 1]
