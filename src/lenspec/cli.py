@@ -19,8 +19,8 @@ series expansion is bounded before it starts.
 
 Each subcommand imports the modules it runs when it is called, so ``--help``
 and ``search`` never load the certification side (:mod:`lenspec.verify`,
-:mod:`lenspec.oracle`, :mod:`lenspec.weights`) or numpy, and output rows are
-written as they are rendered.
+:mod:`lenspec.oracle`, :mod:`lenspec.weights`), and output rows are written
+as they are rendered.
 """
 
 from __future__ import annotations

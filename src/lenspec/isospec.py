@@ -409,9 +409,10 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
         for fp, group in groups.items():
             if len(group) < 2:
                 continue
-            base = group[0][1]
+            # p-isospectral for every p <= p0 exactly when F^0..F^p0 agree
+            base = [f_rational(group[0][1], j) for j in range(p0 + 1)]
             for _, L in group[1:]:
-                if not all(p_isospectral(base, L, p) for p in range(p0 + 1)):
+                if not all(f_rational(L, j) == F for j, F in enumerate(base)):
                     raise InternalError("fingerprint bucket failed exact verification")
             families.append(
                 IsospectralFamily(

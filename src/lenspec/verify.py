@@ -219,7 +219,7 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
             table = shell_table(L, top)
             for ell in range(L.n + 1):
                 got = theta_ell_rational(L, ell).expand(top)
-                assert got == [int(table[k, ell]) for k in range(top + 1)], (L.label(), ell)
+                assert got == [table[k][ell] for k in range(top + 1)], (L.label(), ell)
             total = theta_rational(L)
             summed = RationalSeries.zero()
             for ell in range(L.n + 1):
@@ -236,7 +236,7 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
             for a in range(4):
                 for r in range(q):
                     for ell in range(L.n + 1):
-                        lhs = int(table[a * q + r, ell])
+                        lhs = table[a * q + r][ell]
                         assert lhs == convolution_rhs(L, a, r, ell), (L.label(), a, r, ell)
         return f"{len(lattices)} lattices, a <= 3"
 

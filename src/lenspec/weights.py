@@ -30,10 +30,12 @@ from .polyseries import binom
 _SHELL_LATTICES = 512
 # Largest ball of integer points, by one-norm, that one enumeration may cover.
 _SHELL_POINT_LIMIT = 10**8
-# Integer points generated per vectorized batch.
-_SHELL_BATCH = 1 << 20
+# Least number of shells a table grows by.  An enumeration walks every partial
+# vector of norm <= its top shell, however few shells it adds, so callers that
+# ask for one more shell per call (m_gamma over k) share one walk per step.
+_SHELL_GROWTH = 8
 
-_shell_tables: OrderedDict[CongruenceLattice, np.ndarray] = OrderedDict()
+_shell_tables: OrderedDict[CongruenceLattice, list[tuple[int, ...]]] = OrderedDict()
 
 
 def _ball_size(d: int, k: int) -> int:
@@ -43,72 +45,72 @@ def _ball_size(d: int, k: int) -> int:
     return sum((1 << i) * math.comb(d, i) * math.comb(k, i) for i in range(d + 1))
 
 
-def _count_shells(L: CongruenceLattice, firsts, lo: int, hi: int) -> np.ndarray:
-    """Flat counts [(k - lo) * (n+1) + zeros] of the lattice vectors with
-    lo <= one-norm k <= hi whose first coordinate lies in ``firsts``.
+def _enumerate_shells(L: CongruenceLattice, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """Rows lo..hi of the shell table, each lattice vector generated once.
 
-    Vectors are built one coordinate at a time, carrying the one-norm, the
-    number of zero entries and the residue of every congruence; coordinate j
-    takes every value keeping the norm <= hi, and the last one also reaches
-    norm >= lo, so each vector of the shells is generated exactly once.
+    The first n - 1 coordinates take every value that keeps the one-norm
+    <= hi, carrying the norm, the zero count and the congruence residues.
+    The last coordinate is solved: its values that cancel those residues are
+    one class modulo ``period``, stepped through within the norms lo..hi.
     """
-    import numpy as np
-
     n = L.n
-    values = np.asarray(firsts, dtype=np.int64)
-    norm = np.abs(values)
-    zeros = (values == 0).astype(np.int64)
-    residues = [values * s[0] % q for q, s in L.congruences]
-    for j in range(1, n):
-        # each partial vector takes the magnitudes low..span at coordinate j
+    width = n + 1
+    congs = L.congruences
+    # one bit field of residues per congruence; a field adds at most n - 1
+    # residues below its modulus, so none carries into the next
+    bits = (n * L.exponent).bit_length()
+    shifts = range(0, len(congs) * bits, bits)
+
+    def residues(j, x):
+        return sum((x * s[j] % q) << t for t, (q, s) in zip(shifts, congs))
+
+    def reduced(key):
+        return sum((key >> t) % (1 << bits) % q << t for t, (q, _) in zip(shifts, congs))
+
+    packed = [[residues(j, x) for x in range(-hi, hi + 1)] for j in range(n - 1)]
+    period = math.lcm(*(q // math.gcd(q, s[-1]) for q, s in congs))
+    # the least value >= 0 of the last coordinate that cancels the residues
+    least = {residues(n - 1, -x): x for x in range(period)}
+    solved: dict[int, int] = {}
+    counts = [0] * ((hi - lo + 1) * width)
+
+    def walk(j, norm, zeros, key):
         span = hi - norm
-        low = np.maximum(lo - norm, 0) if j == n - 1 else np.zeros_like(norm)
-        count = np.maximum(span - low + 1, 0)
-        parent = np.repeat(np.arange(norm.size), count)
-        starts = np.repeat(np.cumsum(count) - count, count)
-        size = np.arange(parent.size, dtype=np.int64) - starts + low[parent]
-        signed = size > 0
-        parent = np.concatenate([parent, parent[signed]])
-        values = np.concatenate([size, -size[signed]])
-        norm = norm[parent] + np.abs(values)
-        zeros = zeros[parent] + (values == 0)
-        residues = [
-            (r[parent] + values * s[j]) % q for r, (q, s) in zip(residues, L.congruences)
-        ]
-    member = np.ones(norm.size, dtype=bool)
-    for r in residues:
-        member &= r == 0
-    keys = (norm[member] - lo) * (n + 1) + zeros[member]
-    return np.bincount(keys, minlength=(hi - lo + 1) * (n + 1))
+        values = zip(range(-span, span + 1), packed[j][hi - span : hi + span + 1])
+        if j < n - 2:
+            for x, c in values:
+                walk(j + 1, norm + abs(x), zeros + (x == 0), key + c)
+            return
+        for x, c in values:
+            x0 = solved.get(key + c)
+            if x0 is None:
+                x0 = solved[key + c] = least.get(reduced(key + c), -1)
+            if x0 < 0:
+                continue
+            part = norm + abs(x)
+            z = zeros + (x == 0)
+            if x0 == 0 and part >= lo:
+                counts[(part - lo) * width + z + 1] += 1
+            # the last value is t or -t, with t >= 1 and lo <= part + t <= hi
+            low = max(lo - part, 1)
+            base = (part - lo) * width + z
+            stop = base + (hi - part) * width + 1
+            for r in (x0, -x0):
+                first = low + (r - low) % period
+                for i in range(base + first * width, stop, period * width):
+                    counts[i] += 1
+
+    walk(0, 0, 0, 0)
+    return list(zip(*[iter(counts)] * width))
 
 
-def _enumerate_shells(L: CongruenceLattice, lo: int, hi: int) -> np.ndarray:
-    """int64 table [k - lo, zeros] of lattice vectors with lo <= one-norm k <= hi."""
-    import numpy as np
+def shell_table(L: CongruenceLattice, kmax: int) -> list[tuple[int, ...]]:
+    """Table N[k][zeros] of lattice vectors with one-norm k, for 0 <= k <= kmax,
+    by brute-force enumeration.
 
-    n = L.n
-    out = np.zeros((hi - lo + 1) * (n + 1), dtype=np.int64)
-    batch: list[int] = []
-    points = 0
-    for first in range(-hi, hi + 1):
-        tail = _ball_size(n - 1, hi - abs(first))
-        if batch and points + tail > _SHELL_BATCH:
-            out += _count_shells(L, batch, lo, hi)
-            batch, points = [], 0
-        batch.append(first)
-        points += tail
-    out += _count_shells(L, batch, lo, hi)
-    return out.reshape(hi - lo + 1, n + 1)
-
-
-def shell_table(L: CongruenceLattice, kmax: int) -> np.ndarray:
-    """Read-only int64 table N[k, zeros] of lattice vectors with one-norm k,
-    for 0 <= k <= kmax, by brute-force enumeration.
-
-    Every integer vector of each shell is generated and tested against every
-    congruence.  A lattice's table grows on demand, enumerating only the
-    shells not yet counted; the last ``_SHELL_LATTICES`` lattices used keep
-    their tables.
+    A lattice's table grows on demand, enumerating only the shells not yet
+    counted, by at least ``_SHELL_GROWTH`` while within the point limit; the
+    last ``_SHELL_LATTICES`` lattices used keep their tables.
     """
     if kmax < 0:
         raise InvalidParameters("kmax must be >= 0")
@@ -118,16 +120,12 @@ def shell_table(L: CongruenceLattice, kmax: int) -> np.ndarray:
             f"shell enumeration to one-norm {kmax} in rank {L.n} covers {points}"
             f" points, above the limit of {_SHELL_POINT_LIMIT}"
         )
-    if kmax * L.exponent >= 1 << 62:
-        raise InvalidParameters("congruence residues exceed the exact int64 range")
-    import numpy as np
-
-    table = _shell_tables.pop(L, None)
-    have = -1 if table is None else table.shape[0] - 1
-    if kmax > have:
-        grown = _enumerate_shells(L, have + 1, kmax)
-        table = grown if table is None else np.concatenate([table, grown])
-        table.setflags(write=False)
+    table = _shell_tables.pop(L, [])
+    if kmax >= len(table):
+        top = max(kmax, len(table) - 1 + _SHELL_GROWTH)
+        if _ball_size(L.n, top) > _SHELL_POINT_LIMIT:
+            top = kmax
+        table = table + _enumerate_shells(L, len(table), top)
     _shell_tables[L] = table
     while len(_shell_tables) > _SHELL_LATTICES:
         _shell_tables.popitem(last=False)
@@ -235,7 +233,7 @@ def m_gamma(L: CongruenceLattice, k: int, p: int) -> int:
     for r in range(top // 2 + 1):
         norm = top - 2 * r
         for zeros in range(n + 1):
-            count = int(table[norm, zeros])
+            count = table[norm][zeros]
             if count:
                 total += count * _class_multiplicity(n, k - 1, p, norm, zeros)
     return total

@@ -2,7 +2,6 @@
 
 from itertools import product
 
-import numpy as np
 from hypothesis import strategies as st
 
 from lenspec import CongruenceLattice
@@ -11,11 +10,11 @@ from lenspec import CongruenceLattice
 def brute_box(congruences, n, radius):
     """Filter every vector of the box by every congruence, sharing no code
     with the kernel."""
-    out = np.zeros((n * radius + 1, n + 1), dtype=np.int64)
+    out = [[0] * (n + 1) for _ in range(n * radius + 1)]
     for a in product(range(-radius, radius + 1), repeat=n):
         if all(sum(x * c for x, c in zip(a, s)) % q == 0 for q, s in congruences):
-            out[sum(abs(x) for x in a), a.count(0)] += 1
-    return out
+            out[sum(abs(x) for x in a)][a.count(0)] += 1
+    return [tuple(row) for row in out]
 
 
 @st.composite

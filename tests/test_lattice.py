@@ -2,7 +2,6 @@ import math
 import random
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ from lenspec import (
     lattice_from_lens,
     theta_rational,
 )
-from lenspec import _kernels
+from lenspec import _kernels, weights
 from lenspec.cli import main
 from lenspec.errors import DimensionMismatch, InvalidParameters
 from lenspec.lattice import _subgroup_order
@@ -31,7 +30,7 @@ def brute_shell(L, kmax):
         norm = sum(abs(x) for x in a)
         if norm <= kmax and L.member(a):
             out[norm][sum(1 for x in a if x == 0)] += 1
-    return out
+    return [tuple(row) for row in out]
 
 
 def test_trivial_lens_is_full_lattice():
@@ -74,7 +73,7 @@ def test_lattice_derives_its_exponent_and_theta():
     assert L.exponent == 4
     order = 12
     box = brute_box(L.congruences, L.n, order)
-    assert theta_rational(L).expand(order) == [int(box[k].sum()) for k in range(order + 1)]
+    assert theta_rational(L).expand(order) == [sum(box[k]) for k in range(order + 1)]
     assert theta_rational(L).expand(6) == [1, 0, 2, 0, 12, 0, 6]
 
 
@@ -130,7 +129,7 @@ def test_shell_counts_full_lattice_rank3():
     assert counts[2] == 6
     assert counts[1] == 12
     assert counts[0] == 0
-    assert counts.sum() == 18
+    assert sum(counts) == 18
 
 
 def test_shell_counts_lens_4_11():
@@ -142,7 +141,7 @@ def test_shell_counts_k0():
     for L in (lattice_from_lens(5, (1, 2)), lattice_from_lens(1, (0, 0, 0))):
         counts = shell_table(L, 0)[0]
         assert counts[L.n] == 1
-        assert counts.sum() == 1
+        assert sum(counts) == 1
 
 
 def test_shell_table_matches_naive_enumeration():
@@ -153,11 +152,40 @@ def test_shell_table_matches_naive_enumeration():
         lattice_from_lens(7, (1, 2, 3)),
         CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))]),
     ):
-        kmax = 8
-        table = shell_table(L, kmax)
-        brute = brute_shell(L, kmax)
-        for k in range(kmax + 1):
-            assert [int(x) for x in table[k]] == brute[k], (L.label(), k)
+        assert shell_table(L, 8) == brute_shell(L, 8), L.label()
+
+
+def test_shell_table_grows_to_the_request():
+    for L, top in (
+        (lattice_from_lens(1, (0, 0, 0)), 12),
+        (lattice_from_lens(7, (1, 2, 3)), 12),
+        (CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))]), 30),
+    ):
+        weights._shell_tables.clear()
+        grown = [shell_table(L, k) for k in range(top + 1)]
+        weights._shell_tables.clear()
+        fresh = shell_table(L, top)
+        brute = brute_shell(L, top)
+        assert fresh == brute, L.label()
+        assert all(table == brute[: k + 1] for k, table in enumerate(grown)), L.label()
+
+
+def test_shell_table_growth_step_stops_at_the_point_limit(monkeypatch):
+    L = lattice_from_lens(7, (1, 2, 3))
+    brute = brute_shell(L, 5)
+    weights._shell_tables.clear()
+    assert shell_table(L, 0) == brute[:1]
+    assert len(weights._shell_tables[L]) == weights._SHELL_GROWTH
+    weights._shell_tables.clear()
+    # a limit that admits one-norm 5 in rank 3 but not a growth step past it
+    monkeypatch.setattr(weights, "_SHELL_POINT_LIMIT", weights._ball_size(3, 5))
+    assert shell_table(L, 4) == brute[:5]
+    assert shell_table(L, 5) == brute
+    assert len(weights._shell_tables[L]) == 6
+    # a request above the limit is refused before any enumeration
+    monkeypatch.setattr(weights, "_enumerate_shells", None)
+    with pytest.raises(InvalidParameters):
+        shell_table(L, 6)
 
 
 def test_periodicity_property():
@@ -200,7 +228,7 @@ def test_reduced_counts_box_oracle():
     shell = shell_table(L, top)
     for k in range(top + 1):
         for ell in range(3):
-            assert L.reduced_count(k, ell) <= int(shell[k, ell])
+            assert L.reduced_count(k, ell) <= shell[k][ell]
 
 
 def test_reduced_counts_degree_bound():
@@ -231,15 +259,22 @@ def test_phi_always_one_at_top():
 
 
 def test_box_table_matches_certification_route():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        n = int(rng.integers(2, 4))
-        q = int(rng.integers(2, 9))
-        s = tuple(int(x) for x in rng.integers(0, q, n))
+    for q, s in (
+        (3, (0, 0, 1)),
+        (5, (0, 1, 3)),
+        (7, (6, 1, 6)),
+        (5, (1, 1)),
+        (4, (2, 1, 0)),
+        (5, (3, 3, 4)),
+        (3, (1, 2)),
+        (8, (5, 3, 3)),
+        (3, (0, 1)),
+        (5, (3, 4, 4)),
+    ):
         congs = ((q, s),)
         # the box |a_i| <= 9 holds every shell of one-norm <= 9
-        L = CongruenceLattice(n, congs)
-        assert (shell_table(L, 9) == _kernels.box_table(congs, n, 9)[:10]).all()
+        L = CongruenceLattice(len(s), congs)
+        assert shell_table(L, 9) == _kernels.box_table(congs, len(s), 9)[:10]
 
 
 # largest exponent drawn per rank, so the brute-force box (2E + 5)^n stays small
@@ -274,7 +309,7 @@ def box_cases(draw):
 @example(case=(((4, (1, 2)), (6, (1, 5))), 2, 14))  # exponent 12 above both orders
 def test_box_table_matches_brute_force(case):
     congs, n, radius = case
-    assert (_kernels.box_table(congs, n, radius) == brute_box(congs, n, radius)).all()
+    assert _kernels.box_table(congs, n, radius) == brute_box(congs, n, radius)
 
 
 def brute_free(q, s):
