@@ -19,8 +19,11 @@ series expansion is bounded before it starts.
 
 Each subcommand imports the modules it runs when it is called, so ``--help``
 and ``search`` never load the certification side (:mod:`lenspec.verify`,
-:mod:`lenspec.oracle`, :mod:`lenspec.weights`), and output rows are written
-as they are rendered.
+:mod:`lenspec.oracle`, :mod:`lenspec.weights`).  Every subcommand names its
+columns once and hands its rows, tuples in that order, to
+:func:`_emit_records`, the one writer of records; it writes each row as it
+is rendered, as json, csv or a table.  Apart from it only the help text
+reaches stdout.
 """
 
 from __future__ import annotations
@@ -77,13 +80,16 @@ def parse_space(text: str | None, gen_file: str | None):
     return lattice.label(), lattice
 
 
-def _emit_records(fmt: str, records, columns: list[str]) -> None:
-    """Write the records to stdout one row at a time.
+def _emit_records(fmt: str, columns: tuple[str, ...], rows, line=None) -> None:
+    """Write the rows of a subcommand to stdout, one row at a time.
 
-    ``records`` is a function returning a fresh iterator of record dicts; the
-    table format calls it twice, first for the column widths.  The output is
-    that of rendering the whole list at once: ``json.dumps(..., indent=2)``,
-    a csv ``DictWriter`` or space-padded columns.
+    Every subcommand writes its records through here.  ``rows`` is a function
+    returning a fresh iterator of tuples in the order of ``columns``.  json
+    writes what ``json.dumps(..., indent=2)`` writes for the list of
+    ``dict(zip(columns, row))``, csv a header of the column names and then one
+    line per row.  table writes ``line(row)`` per row when the command has a
+    line format of its own, and otherwise space-padded columns, calling
+    ``rows`` twice: first for the column widths.
     """
     write = sys.stdout.write
     if fmt == "json":
@@ -94,29 +100,26 @@ def _emit_records(fmt: str, records, columns: list[str]) -> None:
         # newline inside a string
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
         sep = "[\n  {\n    "
-        for rec in records():
-            write(sep + encode(rec)[1:-1] + "\n  }")
+        for row in rows():
+            write(sep + encode(dict(zip(columns, row)))[1:-1] + "\n  }")
             sep = ",\n  {\n    "
         write("[]\n" if sep.startswith("[") else "\n]\n")
-        return
-    if fmt == "csv":
+    elif fmt == "csv":
         import csv
 
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        for rec in records():
-            writer.writerow({c: rec.get(c, "") for c in columns})
-        return
-
-    def cells(rec):
-        return [str(rec.get(c, "")) for c in columns]
-
-    widths = list(map(len, columns))
-    for rec in records():
-        widths = list(map(max, widths, map(len, cells(rec))))
-    write("  ".join(map(str.ljust, columns, widths)) + "\n")
-    for rec in records():
-        write("  ".join(map(str.ljust, cells(rec), widths)) + "\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows())
+    elif line is not None:
+        for row in rows():
+            write(line(row) + "\n")
+    else:
+        widths = list(map(len, columns))
+        for row in rows():
+            widths = list(map(max, widths, map(len, map(str, row))))
+        write("  ".join(map(str.ljust, columns, widths)) + "\n")
+        for row in rows():
+            write("  ".join(map(str.ljust, map(str, row), widths)) + "\n")
 
 
 def cmd_spectrum(args) -> int:
@@ -130,18 +133,12 @@ def cmd_spectrum(args) -> int:
     internal = min(p, 2 * n - 1 - p)  # spectra on p- and (2n-1-p)-forms agree
     table = spectrum_table(lattice, internal, args.kmax)
 
-    def records():
+    def rows():
         for entry in table.entries:
-            yield {
-                "space": label,
-                "n": n,
-                "p": p,
-                "eigenvalue": entry.eigenvalue,
-                "multiplicity": str(entry.multiplicity),
-                "contributors": ";".join(f"{c.k}:{c.family}:{c.multiplicity}" for c in entry.contributors),
-            }
+            contributors = ";".join(f"{c.k}:{c.family}:{c.multiplicity}" for c in entry.contributors)
+            yield label, n, p, entry.eigenvalue, str(entry.multiplicity), contributors
 
-    _emit_records(args.format, records, ["space", "n", "p", "eigenvalue", "multiplicity", "contributors"])
+    _emit_records(args.format, ("space", "n", "p", "eigenvalue", "multiplicity", "contributors"), rows)
     return 0
 
 
@@ -160,20 +157,15 @@ def cmd_genfun(args) -> int:
     named.append(("theta", theta_rational(lattice)))
     named.extend((f"theta^({ell})", theta_ell_rational(lattice, ell)) for ell in range(n + 1))
 
-    def records():
+    def rows():
         for name, series in named:
-            yield {
-                "space": label,
-                "name": name,
-                "rational": series.to_text(),
-                "series": " ".join(str(c) for c in series.expand(args.order)),
-            }
+            yield label, name, series.to_text(), " ".join(map(str, series.expand(args.order)))
 
-    if args.format == "table":
-        for rec in records():
-            sys.stdout.write(f"{rec['name']} = {rec['rational']}\n  series[0..{args.order}] = {rec['series']}\n")
-    else:
-        _emit_records(args.format, records, ["space", "name", "rational", "series"])
+    def line(row):
+        _, name, rational, series = row
+        return f"{name} = {rational}\n  series[0..{args.order}] = {series}"
+
+    _emit_records(args.format, ("space", "name", "rational", "series"), rows, line)
     return 0
 
 
@@ -206,7 +198,7 @@ def cmd_isospectral(args) -> int:
         series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (lat1, lat2))
     else:
         series1, series2 = moments1, moment_series(lat2, p0)
-    records = []
+    rows = []
     cumulative = True
     for p in range(p0 + 1):
         cumulative = cumulative and series1[p] == series2[p]
@@ -217,16 +209,8 @@ def cmd_isospectral(args) -> int:
                 detail = f"first difference at z^{diff[0]}: {diff[1]} vs {diff[2]}"
             else:
                 detail = "differs below p"
-        records.append(
-            {
-                "space": label1,
-                "space2": label2,
-                "p": p,
-                "isospectral_upto_p": cumulative,
-                "detail": detail,
-            }
-        )
-    _emit_records(args.format, lambda: records, ["space", "space2", "p", "isospectral_upto_p", "detail"])
+        rows.append((label1, label2, p, cumulative, detail))
+    _emit_records(args.format, ("space", "space2", "p", "isospectral_upto_p", "detail"), lambda: rows)
     return 0
 
 
@@ -234,19 +218,11 @@ def cmd_search(args) -> int:
     from .isospec import search
 
     families = search(args.q, args.n, args.p0, mode=args.mode)
-    records = []
-    for i, fam in enumerate(families):
-        records.append(
-            {
-                "family": i,
-                "q": fam.q,
-                "n": fam.n,
-                "p0": fam.p0,
-                "members": " ".join(key.label() for key in fam.members),
-                "fingerprint": fam.fingerprint,
-            }
-        )
-    _emit_records(args.format, lambda: records, ["family", "q", "n", "p0", "members", "fingerprint"])
+    rows = [
+        (i, fam.q, fam.n, fam.p0, " ".join(key.label() for key in fam.members), fam.fingerprint)
+        for i, fam in enumerate(families)
+    ]
+    _emit_records(args.format, ("family", "q", "n", "p0", "members", "fingerprint"), lambda: rows)
     return 0
 
 
@@ -254,15 +230,10 @@ def cmd_verify(args) -> int:
     from .verify import run_checks
 
     results = run_checks(max_n=args.n, kmax=args.kmax)
-    if args.format == "json":
-        import json
-
-        records = [{"check": r.name, "ok": r.ok, "detail": r.detail} for r in results]
-        sys.stdout.write(json.dumps(records, indent=2) + "\n")
-    else:
-        for r in results:
-            status = "ok" if r.ok else "FAIL"
-            sys.stdout.write(f"{status:4s} {r.name}: {r.detail}\n")
+    _emit_records(
+        args.format, ("check", "ok", "detail"), lambda: results,
+        lambda r: f"{'ok' if r.ok else 'FAIL':4s} {r.name}: {r.detail}",
+    )
     return 0 if all(r.ok for r in results) else 1
 
 

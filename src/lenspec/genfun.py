@@ -96,8 +96,6 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
         sign = -1 if j % 2 == 0 else 1
         for t in range((p - j) // 2 + 1):
             c_t = binom(n - p + j + 2 * t, t)
-            if c_t == 0:
-                continue
             for beta in range(p - j - 2 * t + 1):
                 c_b = (
                     (1 << (p - j - 2 * t - beta))
@@ -108,8 +106,6 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
                     continue
                 for alpha in range(beta + 1):
                     c = sign * c_t * c_b * binom(beta, alpha)
-                    if c == 0:
-                        continue
                     for i in range(j):
                         e = p - 2 * (j + t + alpha - i)
                         coeffs[e] = coeffs.get(e, 0) + c
@@ -143,13 +139,15 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     Sums theta^(ell) times a_laurent(p+1, ell, n) on (1-z^2)^(n-1) (1-z^q)^n;
     the corrective monomial -+z^(-p-1) cancels exactly against them, so no
     negative exponent survives.  One that does signals an internal
-    inconsistency and raises NegativeOrderTerm.  The weight work and the box
-    count are checked before any weight is built (InvalidParameters).
+    inconsistency and raises NegativeOrderTerm.  The a_laurent and phi_m
+    weight work and the box count are checked before any weight is built
+    (InvalidParameters).
     """
     n, q = L.n, L.exponent
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     P = p + 1
+    check_laurent_work(n, (P,))
     check_weight_work(n, 1)
     phis = L.phi_polynomials()
     weights = phi_weights(q, [a_laurent(P, ell, n) for ell in range(n + 1)])

@@ -4,7 +4,7 @@ other at a configurable scale.  Used by the ``verify`` CLI subcommand."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameters, LenspecError
 from .genfun import a_laurent, f_rational, f_rational_p0_direct, theta_ell_rational, theta_rational
@@ -21,25 +21,30 @@ from .spectrum import spectrum_table
 MAX_VERIFY_WORK = 15 * 10**6
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check of the battery, a row of the ``verify`` output."""
+
     name: str
     ok: bool
     detail: str
 
 
-def _sample_lattices(max_n: int, qmax: int) -> list[CongruenceLattice]:
-    samples = [lattice_from_lens(1, (0, 0)), lattice_from_lens(4, (1, 1)), lattice_from_lens(4, (1, 2))]
-    if qmax >= 7:
-        samples.append(lattice_from_lens(7, (1, 2)))
-    if qmax >= 8:
-        samples.append(lattice_from_lens(8, (1, 3)))
+def _sample_lattices(max_n: int) -> list[CongruenceLattice]:
+    samples = [
+        lattice_from_lens(1, (0, 0)),
+        lattice_from_lens(4, (1, 1)),
+        lattice_from_lens(4, (1, 2)),
+        lattice_from_lens(7, (1, 2)),
+        lattice_from_lens(8, (1, 3)),
+    ]
     if max_n >= 3:
-        samples.append(lattice_from_lens(1, (0, 0, 0)))
-        samples.append(lattice_from_lens(min(qmax, 11), (1, 2, 3)))
-        samples.append(lattice_from_lens(4, (1, 2, 2)))
-        # a genuinely non-cyclic group
-        samples.append(CongruenceLattice(3, [(2, (1, 1, 0)), (2, (0, 1, 1))]))
+        samples += [
+            lattice_from_lens(1, (0, 0, 0)),
+            lattice_from_lens(11, (1, 2, 3)),
+            lattice_from_lens(4, (1, 2, 2)),
+            # a genuinely non-cyclic group
+            CongruenceLattice(3, [(2, (1, 1, 0)), (2, (0, 1, 1))]),
+        ]
     return samples
 
 
@@ -115,7 +120,7 @@ def check_verify_work(max_n: int, kmax: int) -> None:
                     )
 
 
-def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> list[CheckResult]:
+def run_checks(max_n: int = 3, kmax: int = 6) -> list[CheckResult]:
     """Run every cross-route identity at the given scale; raises
     InvalidParameters before any check runs when :func:`check_verify_work`
     refuses it."""
@@ -125,7 +130,7 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
         raise InvalidParameters("kmax must be >= 0")
     check_verify_work(max_n, kmax)
     results = []
-    rng = random.Random(seed)
+    rng = random.Random(0)
 
     def record(name, fn):
         try:
@@ -211,7 +216,7 @@ def run_checks(max_n: int = 3, kmax: int = 6, qmax: int = 11, seed: int = 0) -> 
 
     record("dimension-sums", dimension_sums)
 
-    lattices = _sample_lattices(max_n, qmax)
+    lattices = _sample_lattices(max_n)
 
     def theta_vs_shells():
         for L in lattices:

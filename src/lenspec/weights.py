@@ -184,8 +184,6 @@ def _class_multiplicity(n: int, k: int, p: int, norm: int, zeros: int) -> int:
         sign = -1 if j % 2 == 0 else 1
         for t in range((p - j) // 2 + 1):
             c_t = binom(n - p + j + 2 * t, t)
-            if c_t == 0:
-                continue
             for beta in range(p - j - 2 * t + 1):
                 c_b = (
                     (1 << (p - j - 2 * t - beta))
@@ -196,8 +194,6 @@ def _class_multiplicity(n: int, k: int, p: int, norm: int, zeros: int) -> int:
                     continue
                 for alpha in range(beta + 1):
                     c_a = binom(beta, alpha)
-                    if c_a == 0:
-                        continue
                     tail = 0
                     for i in range(j):
                         tail += binom(r - i - p + alpha + t + j + n - 2, n - 2)

@@ -85,7 +85,9 @@ def test_bad_gen_file(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err
 
 
-def test_bad_parameters_exit_code(capsys):
+def test_bad_parameters_exit_code(tmp_path, capsys):
+    comments = tmp_path / "comments.txt"
+    comments.write_text("# no generator here\n\n   # nor here\n")
     for argv in (
         ("spectrum", "--space", "L(4;2,2)"),
         ("isospectral", "--space", "L(7;1,2)", "--space2", "L(7;1,3)", "--p0", "-1"),
@@ -126,6 +128,11 @@ def test_bad_parameters_exit_code(capsys):
         ("search", "--q", "5", "--n", "3", "--bogus", "1"),
         ("search", "--q"),
         ("isospectral", "--s", "L(7;1,2)", "--space2", "L(7;1,3)"),
+        # a stray positional token, a negative series order, a generator
+        # file with no generator
+        ("search", "--q", "5", "--n", "3", "stray"),
+        ("genfun", "--space", "L(5;1,2)", "--order", "-1"),
+        ("spectrum", "--gen-file", str(comments)),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1, argv
@@ -329,10 +336,27 @@ def test_space_and_gen_file_conflict(capsys):
 
 
 def test_verify_small(capsys):
+    import csv
+    import io
+
     code, out, _ = run_cli(capsys, "verify", "--n", "2", "--kmax", "3")
     assert code == 0
     assert "multiplicity-closed-form" in out
     assert "FAIL" not in out
+    # the defaults (--n 3 --kmax 6) add the rank-3 samples, the non-cyclic
+    # group among them; csv is real CSV, not the table
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "verify", "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            records = json.loads(out)
+        else:
+            header, *rows = csv.reader(io.StringIO(out))
+            assert header == ["check", "ok", "detail"]
+            records = [dict(zip(header, row)) for row in rows]
+        assert len(records) == 11 and [list(r) for r in records] == [["check", "ok", "detail"]] * 11
+        assert all(r["ok"] in (True, "True") for r in records)
+        assert any(r["check"] == "theta-rational" and r["detail"] == "9 lattices to order 3q" for r in records)
 
 
 # runs one CLI call in a fresh interpreter and reports, on stderr's last

@@ -13,6 +13,7 @@ from lenspec import (
     invariant_dimension,
     lattice_from_lens,
     moment_series,
+    p_isospectral,
     theta_ell_rational,
     theta_rational,
 )
@@ -240,6 +241,18 @@ def test_weight_work_rejected_before_any_count(monkeypatch):
         moment_series(L, 43)
     with pytest.raises(InvalidParameters):
         f_rational(lattice_from_lens(2, (1,) * 158), 0)
+
+
+def test_f_rational_bounds_its_own_laurent_work(monkeypatch):
+    # rank 60 admits a_laurent(P, ell, 60) up to P = 30; F^59 needs P = 60 and
+    # the p = 59 test compares F^58 and F^59, so both are refused before the
+    # box count, without any CLI pre-check
+    monkeypatch.setattr(_kernels, "box_table", _fail_if_called)
+    L = lattice_from_lens(2, (1,) * 60)
+    with pytest.raises(InvalidParameters):
+        f_rational(L, 59)
+    with pytest.raises(InvalidParameters):
+        p_isospectral(L, lattice_from_lens(2, (1,) * 59 + (3,)), 59)
 
 
 def test_box_count_bound_checked_before_any_weight(monkeypatch):
