@@ -15,7 +15,16 @@ argument-parsing library is loaded.
 Identical invocations produce byte-identical output.  Invalid input,
 bad usage included, exits 2 and an internal inconsistency exits 3, each with
 a single ``error:`` line on stderr and nothing on stdout; the work of every
-series expansion is bounded before it starts.
+series expansion is bounded before it starts.  A reader that closes stdout
+early (``lenspec ... | head -1``) ends the call with status 141, the shell's
+status for SIGPIPE, and nothing on stderr.
+
+``main()`` with no argument is the process entry: the console script,
+``python -m lenspec.cli``.  The process ends right after it returns, so it
+freezes every live object (:func:`gc.freeze`), and the interpreter's
+shutdown skips its collection passes over them; streams are still flushed
+and ``atexit`` handlers still run.  ``main(argv)`` is an in-process call and
+never freezes.
 
 Each subcommand imports the modules it runs when it is called, so ``--help``
 and ``search`` never load the certification side (:mod:`lenspec.verify`,
@@ -28,6 +37,8 @@ reaches stdout.
 
 from __future__ import annotations
 
+import gc
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -379,9 +390,26 @@ def parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
+    """Run one call with the arguments ``argv`` and return its exit status.
+
+    ``main()``, with ``argv`` None, reads ``sys.argv[1:]`` and is the process
+    entry: the process ends once it returns, so it then freezes every live
+    object, and the interpreter's shutdown skips the collector passes over
+    them.  At the entry a closed stdout is also pointed at ``os.devnull``, so
+    that the final flush raises nothing.  ``main(argv)``, for tests and
+    library callers, does neither.
+    """
+    entry = argv is None
     try:
-        handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
-        return handler(args)
+        handler, args = parse_args(sys.argv[1:] if entry else list(argv))
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout shows here rather than at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head -1` does: not a user error
+        if entry:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
@@ -391,6 +419,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if entry:
+            gc.freeze()
 
 
 if __name__ == "__main__":

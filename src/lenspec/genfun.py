@@ -6,8 +6,9 @@ come from the finite box-count polynomials phi_m.  Every series here is
 sum_m phi_m W_m on a denominator known in advance; :func:`phi_weights` turns
 the weights w_ell of sum_ell w_ell theta^(ell) into the W_m on (1 - z^q)^n.
 F^p takes a_laurent(p+1, ell, n) plus a corrective polynomial over
-(1-z^2)^(n-1) (1-z^q)^n, moment h takes ell^h and theta takes 1.  No result
-is cached per lattice.
+(1-z^2)^(n-1) (1-z^q)^n, moment h takes ell^h and theta takes 1.  The W_m
+of F^p and of the moments are cached per (q, n, order); no result is cached
+per lattice.
 """
 
 from __future__ import annotations
@@ -72,6 +73,22 @@ def check_weight_work(n: int, sets: int) -> None:
         raise InvalidParameters(
             f"{sets} sets of phi_m weights of rank {n} need more than {MAX_WEIGHT_WORK} steps"
         )
+
+
+@lru_cache(maxsize=64)
+def _weight_set(q: int, n: int, kind: str, order: int) -> tuple[LaurentPolynomial, ...]:
+    """The phi_m weights of the moment series of order h = ``order`` (``kind``
+    "moment", w_ell = ell^h with 0^0 = 1) or of F^p, p = ``order`` (``kind``
+    "F", w_ell = a_laurent(p + 1, ell, n)), in the exponent q.
+
+    They depend on (q, n, order) alone, so the members of a search and its
+    character sums share each set; the cache holds polynomials, no lattice.
+    """
+    if kind == "moment":
+        weights = [ell**order for ell in range(n + 1)]
+    else:
+        weights = [a_laurent(order + 1, ell, n) for ell in range(n + 1)]
+    return tuple(phi_weights(q, weights))
 
 
 def _phi_sum(phis, weights) -> LaurentPolynomial:
@@ -150,7 +167,7 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     check_laurent_work(n, (P,))
     check_weight_work(n, 1)
     phis = L.phi_polynomials()
-    weights = phi_weights(q, [a_laurent(P, ell, n) for ell in range(n + 1)])
+    weights = _weight_set(q, n, "F", p)
     sign = -1 if P % 2 else 1
     corrective = (one_minus_z(q, n) * one_minus_z(2, n - 1) * sign).shift(-P)
     series = RationalSeries(_phi_sum(phis, weights) + corrective, ((q, n), (2, n - 1)))
@@ -174,7 +191,7 @@ def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
     check_weight_work(n, p0 + 1)
     phis = L.phi_polynomials()
     return [
-        RationalSeries(_phi_sum(phis, phi_weights(q, [ell**h for ell in range(n + 1)])), ((q, n),))
+        RationalSeries(_phi_sum(phis, _weight_set(q, n, "moment", h)), ((q, n),))
         for h in range(p0 + 1)
     ]
 

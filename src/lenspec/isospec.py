@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 from ._kernels import _STEP_WORDS, BOX_WORK_LIMIT
 from .errors import DimensionMismatch, InternalError, InvalidParameters
-from .genfun import check_weight_work, f_rational, moment_series, phi_weights, theta_ell_rational
+from .genfun import _weight_set, check_weight_work, f_rational, moment_series, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 
 # bound on the entries of the candidate keys isometry_classes checks,
@@ -135,6 +135,13 @@ def _reaching_units(q: int, x: int) -> set[int]:
     return {t for start in (r, q1 - r) for t in range(start, q // 2 + 1, q1) if t > 1 and math.gcd(t, q) == 1}
 
 
+def _check_q_n(q: int, n: int) -> None:
+    if q < 1:
+        raise InvalidParameters("q must be >= 1")
+    if n < 2:
+        raise InvalidParameters("rank n must be >= 2")
+
+
 def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     """All isometry classes of lens parameters with modulus q and rank n, sorted.
 
@@ -155,10 +162,7 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     built, when the candidates hold more than :data:`MAX_CLASS_WORK` entries:
     n * C(values + n - 1, n), or n * C(values + n - 2, n - 1) for manifolds.
     """
-    if q < 1:
-        raise InvalidParameters("q must be >= 1")
-    if n < 2:
-        raise InvalidParameters("rank n must be >= 2")
+    _check_q_n(q, n)
     if mode not in ("manifolds", "orbifolds"):
         raise InvalidParameters(f"mode must be 'manifolds' or 'orbifolds', got {mode!r}")
     # a manifold key (q >= 2) is (1,) + a sorted (n - 1)-tuple of units
@@ -261,12 +265,12 @@ class _CharacterSums:
     by Ikeda's finite Fourier form (1/q) sum_t prod_j (w + H(t s_j)) with
     H(u) = sum_{r=1}^{q-1} omega^(u r) (z^r + z^(q-r)), omega a primitive
     q-th root of unity mod P; H(-u) = H(u), so t and q - t pair up.  The
-    moment numerator of order h is sum_m phi_m(z) W_m(z), W_m the weights of
-    :func:`lenspec.genfun.moment_series`, taken from
-    :func:`lenspec.genfun.phi_weights` with w_l = l^h; this route and the box
-    count differ only in how phi_m is obtained.  ``table`` holds w + H(u) at
-    z packed as one int per u, and ``weights`` the W_m(z); both are built
-    once, and :func:`_phi_sums` walks the classes over them.  Raises
+    moment numerator of order h is sum_m phi_m(z) W_m(z), W_m the weights
+    (w_l = l^h) that :func:`lenspec.genfun.moment_series` uses, the same
+    cached set per (q, n, h); this route and the box count differ only in
+    how phi_m is obtained.  ``table`` holds w + H(u) at z packed as one int
+    per u, and ``weights`` the W_m(z); both are built once, and
+    :func:`_phi_sums` walks the classes over them.  Raises
     InvalidParameters, before either is built, when the weights exceed
     :data:`lenspec.genfun.MAX_WEIGHT_WORK` or the sums over ``classes``
     classes exceed :data:`lenspec._kernels.BOX_WORK_LIMIT`.
@@ -310,8 +314,7 @@ class _CharacterSums:
         table += table[(q + 1) // 2 - 1 : 0 : -1]  # H(q - u) = H(u)
         self.q, self.n, self.P, self.width, self.z, self.table = q, n, P, width, z, table
         self.q_inverse = pow(q, -1, P)
-        moment_weights = [phi_weights(q, [l**h for l in range(n + 1)]) for h in range(p0 + 1)]
-        self.weights = [[_at(w, z, P) for w in row] for row in moment_weights]
+        self.weights = [[_at(w, z, P) for w in _weight_set(q, n, "moment", h)] for h in range(p0 + 1)]
 
     def moment_values(self, phi: list[int]) -> tuple[int, ...]:
         """The moment numerators of orders 0..p0 mod P of the class whose
@@ -385,6 +388,7 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     weights and the character sums are each bounded before they start
     (InvalidParameters).
     """
+    _check_q_n(q, n)  # before p0, whose range depends on n
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     keys = isometry_classes(q, n, mode)

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -111,6 +112,8 @@ def test_bad_parameters_exit_code(tmp_path, capsys):
         # class lists over more than 10^6 candidate entries, rejected before they start
         ("search", "--q", "100000", "--n", "3"),
         ("search", "--q", "1000", "--n", "6"),
+        # a rank below 2 is reported as such, not as a p0 range
+        ("search", "--q", "5", "--n", "0"),
         # rank-driven work: box plans, phi_m weights and character sums, each
         # rejected before it starts
         ("spectrum", "--space", f"L(5;{','.join(['1'] * 400)})", "--kmax", "1"),
@@ -359,6 +362,15 @@ def test_verify_small(capsys):
         assert any(r["check"] == "theta-rational" and r["detail"] == "9 lattices to order 3q" for r in records)
 
 
+# the environment of a fresh interpreter that imports lenspec from this tree
+_SRC = os.path.dirname(os.path.dirname(lenspec.cli.__file__))
+_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+
+
+def _python_c(code, argv):
+    return [sys.executable, "-c", code, *argv]
+
+
 # runs one CLI call in a fresh interpreter and reports, on stderr's last
 # line, its exit status, whether numpy was imported by then and which of the
 # watched modules the import of lenspec.cli and the call loaded
@@ -400,12 +412,56 @@ _LOADED = {
     ],
 )
 def test_numpy_only_on_the_certification_route(argv, numpy_imported):
-    src = os.path.dirname(os.path.dirname(lenspec.cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    res = subprocess.run(_python_c(_IMPORT_PROBE, argv), capture_output=True, text=True, env=_ENV, timeout=120)
     assert res.stdout
     assert res.stderr.splitlines()[-1] == (
         f"exit 0, numpy imported: {numpy_imported}, loaded: {_LOADED[argv[0]]}"
     )
+
+
+# the process entry, as the console script and `python -m lenspec.cli` call it
+_ENTRY = "import sys; from lenspec.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("search", "--q", "11", "--n", "3"), ("search", "--q", "5", "--n", "0")]
+)
+def test_process_entry_matches_in_process_call(capsys, argv):
+    # main() as the process entry freezes the heap before exit; stdout, the
+    # exit status and stderr are those of main(argv)
+    code, out, err = run_cli(capsys, *argv)
+    res = subprocess.run(_python_c(_ENTRY, argv), capture_output=True, text=True, env=_ENV, timeout=120)
+    assert (res.returncode, res.stdout, res.stderr) == (code, out, err)
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert out and err == ""
+
+
+def test_in_process_call_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "search", "--q", "11", "--n", "3")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_freezes_the_heap(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["lenspec", "--help"])
+    before = gc.get_freeze_count()
+    try:
+        assert main() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == lenspec.cli.help_text()
+
+
+def test_closed_stdout_exits_141_silently():
+    # about 350 kB of rows, far more than a pipe holds, so the call is still
+    # writing when the reader closes its end: the reader's choice, not a user
+    # error, so exit 141 (the shell's status for SIGPIPE) and no error line
+    argv = ("spectrum", "--space", "L(11;1,2)", "--p", "1", "--kmax", "3000")
+    with subprocess.Popen(_python_c(_ENTRY, argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV) as proc:
+        assert proc.stdout.readline().startswith(b"space")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lenspec import _kernels, isospec
+from lenspec import _kernels, genfun, isospec
 from lenspec import (
     CongruenceLattice,
     canonical_key,
@@ -22,6 +22,7 @@ from lenspec import (
     theta_rational,
 )
 from lenspec.errors import DimensionMismatch, InternalError, InvalidParameters
+from lenspec.genfun import phi_weights
 from lenspec.isospec import fingerprint_digest
 
 
@@ -215,6 +216,25 @@ def test_search_validation():
         search(5, 2, 3)
     with pytest.raises(InvalidParameters):
         isometry_classes(5, 2, "everything")
+    # the rank is checked before p0, whose range it sets
+    with pytest.raises(InvalidParameters, match="rank n must be >= 2"):
+        search(5, 0, 0)
+
+
+def test_search_builds_each_weight_set_once(monkeypatch):
+    # search(49, 3, 2) needs six sets of phi_m weights: the moments of order
+    # 0..2, shared by the character sums and the members' fingerprints, and
+    # F^0..F^2, shared by the members' family checks
+    calls = []
+
+    def counted(q, weights):
+        calls.append((q, repr(weights)))
+        return phi_weights(q, weights)
+
+    monkeypatch.setattr(genfun, "phi_weights", counted)
+    genfun._weight_set.cache_clear()
+    assert search(49, 3, 2)
+    assert len(calls) == len(set(calls)) == 6
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
