@@ -19,11 +19,12 @@ from .errors import InvalidParameters, NegativeOrderTerm
 from .lattice import CongruenceLattice
 from .polyseries import LaurentPolynomial, RationalSeries, binom, check_expand_work, one_minus_z
 
-# bound on the innermost loop steps of the a_laurent weights one call may
-# compute, counted by check_laurent_work: it admits genfun up to rank 25 and
-# spectrum --p n-1 up to rank 30, whose slowest calls take about 2 s on a
-# 2-core Xeon VM
-MAX_LAURENT_WORK = 10**7
+# bound on the steps, one per term, of the a_laurent weights one call may
+# compute, counted by check_laurent_work: it admits genfun and isospectral
+# --method direct up to rank 31, spectrum --p n-1 up to rank 45 and one F^p
+# up to rank 54; the slowest, isospectral --method direct at rank 31, takes
+# about 2 s on a 2-core Xeon VM, most of it in its series, not the weights
+MAX_LAURENT_WORK = 8 * 10**5
 # bound on the steps of the phi_m weights one series builder may compute,
 # (n + 1)^3 per set of weights, counted by check_weight_work: it admits the
 # moment series of every order below n up to rank 43, which for the two
@@ -100,7 +101,20 @@ def _phi_sum(phis, weights) -> LaurentPolynomial:
 def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
     """Universal Laurent weight attached to the zero-entry count ``ell``.
 
-    Depends only on (p, ell, n); every exponent lies in [-p, p-2].
+    Depends only on (p, ell, n); every exponent lies in [-p, p-2].  It is one
+    coefficient of a product,
+
+        a_laurent(p, ell, n) = (-1)^(p+1) z^(p-2) [y^(p-1)]
+            ((1 - y)(1 - y/z^2))^(n-ell-1) (1 - 2y + y^2/z^2)^ell.
+
+    That is the paper's sum over (j, t, beta, alpha, i): its alpha-sum is
+    (1 + z^-2)^beta, its beta-sum a coefficient of
+    (1 + (1 + z^-2) x)^(n-ell) (1 + 2x)^ell and its i-sum geometric;
+    regrouped by m = p - j - 2t, they collapse to the coefficient above.
+    With k = n - ell - 1 and i = p - 1 - c - 2d, the coefficient is the sum
+    of 2^c C(ell, d) C(ell - d, c) C(k, i - b) C(k, b) z^(p-2-2(b+d)) over
+    0 <= b <= i, as (-1)^(p+1) cancels the signs of the powers of y;
+    for ell = n, C(-1, a) = (-1)^a.
     """
     if n < 2:
         raise InvalidParameters("rank n must be >= 2")
@@ -108,45 +122,35 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
         raise InvalidParameters(f"p must lie in 1..{n}")
     if not 0 <= ell <= n:
         raise InvalidParameters(f"ell must lie in 0..{n}")
+    k = n - ell - 1
+    row = [binom(k, a) if k >= 0 else (-1) ** a for a in range(p)]
     coeffs: dict[int, int] = {}
-    for j in range(1, p + 1):
-        sign = -1 if j % 2 == 0 else 1
-        for t in range((p - j) // 2 + 1):
-            c_t = binom(n - p + j + 2 * t, t)
-            for beta in range(p - j - 2 * t + 1):
-                c_b = (
-                    (1 << (p - j - 2 * t - beta))
-                    * binom(n - ell, beta)
-                    * binom(ell, p - j - 2 * t - beta)
-                )
-                if c_b == 0:
-                    continue
-                for alpha in range(beta + 1):
-                    c = sign * c_t * c_b * binom(beta, alpha)
-                    for i in range(j):
-                        e = p - 2 * (j + t + alpha - i)
-                        coeffs[e] = coeffs.get(e, 0) + c
+    for d in range(min(ell, (p - 1) // 2) + 1):
+        for c in range(min(ell - d, p - 1 - 2 * d) + 1):
+            i = p - 1 - c - 2 * d
+            w = binom(ell, d) * binom(ell - d, c) << c
+            for b in range(i + 1):
+                e = p - 2 - 2 * (b + d)
+                coeffs[e] = coeffs.get(e, 0) + w * row[i - b] * row[b]
     return LaurentPolynomial(coeffs)
 
 
 def check_laurent_work(n: int, ps) -> None:
     """Reject computing a_laurent(P, ell, n) for every P in ``ps`` and every
-    ell = 0..n when their innermost loop steps, at most
-    sum_j j sum_t (m_t + 1)(m_t + 2) / 2 with m_t = P - j - 2t per weight,
-    exceed :data:`MAX_LAURENT_WORK`.
+    ell = 0..n when their terms exceed :data:`MAX_LAURENT_WORK`.
 
-    The count stops at the bound, so the check itself stays small at any n.
+    A weight sums at most S(P) = sum_{d <= (P-1)/2} (P-2d)(P-2d+1)/2
+    = (P+1)(P+3)(2P+1) // 24 terms, the count of (d, c, b) when ell >= P - 1,
+    so the work is (n + 1) sum_P S(P).  The sum stops at the bound, so the
+    check itself stays small at any n.
     """
     work = 0
     for P in ps:
-        for j in range(1, P + 1):
-            for t in range((P - j) // 2 + 1):
-                m = P - j - 2 * t
-                work += (n + 1) * j * (m + 1) * (m + 2) // 2
-            if work > MAX_LAURENT_WORK:
-                raise InvalidParameters(
-                    f"the F^p weights of rank {n} need more than {MAX_LAURENT_WORK} steps"
-                )
+        work += (n + 1) * ((P + 1) * (P + 3) * (2 * P + 1) // 24)
+        if work > MAX_LAURENT_WORK:
+            raise InvalidParameters(
+                f"the F^p weights of rank {n} need more than {MAX_LAURENT_WORK} steps"
+            )
 
 
 def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:

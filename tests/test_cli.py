@@ -104,9 +104,9 @@ def test_bad_parameters_exit_code(tmp_path, capsys):
         ("verify", "--n", "1000"),
         # box count over 10^10 fundamental-domain points, rejected before it starts
         ("genfun", "--space", "L(100003;1,2,3)", "--order", "2"),
-        # F^p weights of rank 60 (about 2.6 * 10^9 a_laurent steps) and 40, rejected before any is built
+        # F^p weights of rank 60 (about 1.9 * 10^7 a_laurent terms), 50 and 40, rejected before any is built
         ("genfun", "--space", f"L(2;{','.join(['1'] * 60)})", "--order", "2"),
-        ("spectrum", "--space", f"L(2;{','.join(['1'] * 40)})", "--p", "39", "--kmax", "2"),
+        ("spectrum", "--space", f"L(2;{','.join(['1'] * 50)})", "--p", "49", "--kmax", "2"),
         ("isospectral", "--space", f"L(3;{','.join(['1'] * 40)})", "--space2", f"L(3;{','.join(['1'] * 39)},2)",
          "--method", "direct"),
         # class lists over more than 10^6 candidate entries, rejected before they start

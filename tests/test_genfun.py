@@ -19,9 +19,9 @@ from lenspec import (
 )
 from lenspec.errors import InvalidParameters
 from lenspec import _kernels, genfun
-from lenspec.genfun import check_weight_work, phi_weights
+from lenspec.genfun import check_laurent_work, check_weight_work, phi_weights
 from lenspec.polyseries import binom
-from lenspec.weights import shell_table
+from lenspec.weights import _class_multiplicity, shell_table
 from support import brute_box, small_lattices
 
 
@@ -122,6 +122,78 @@ def test_a_laurent_validation():
         a_laurent(0, 0, 2)
     with pytest.raises(InvalidParameters):
         a_laurent(3, 0, 2)
+
+
+def _reference_a_laurent(p, ell, n):
+    # the paper's five nested sums over (j, t, beta, alpha, i), which a_laurent
+    # collapses to one coefficient of a product
+    coeffs = {}
+    for j in range(1, p + 1):
+        sign = -1 if j % 2 == 0 else 1
+        for t in range((p - j) // 2 + 1):
+            c_t = binom(n - p + j + 2 * t, t)
+            for beta in range(p - j - 2 * t + 1):
+                c_b = (1 << (p - j - 2 * t - beta)) * binom(n - ell, beta) * binom(ell, p - j - 2 * t - beta)
+                if c_b == 0:
+                    continue
+                for alpha in range(beta + 1):
+                    c = sign * c_t * c_b * binom(beta, alpha)
+                    for i in range(j):
+                        e = p - 2 * (j + t + alpha - i)
+                        coeffs[e] = coeffs.get(e, 0) + c
+    return LaurentPolynomial(coeffs)
+
+
+def test_a_laurent_matches_the_nested_sums():
+    for n in range(2, 19):
+        for p in range(1, n + 1):
+            for ell in range(n + 1):
+                assert a_laurent(p, ell, n) == _reference_a_laurent(p, ell, n), (p, ell, n)
+    for n in (30, 40):
+        for ell in range(n + 1):
+            assert a_laurent(n, ell, n) == _reference_a_laurent(n, ell, n), (n, ell)
+
+
+def test_a_laurent_expands_to_the_class_multiplicities():
+    # z^norm a_laurent(p, ell, n) / (1-z^2)^(n-1) generates, over k, the
+    # multiplicity in family (k, p) of a weight with that norm and ell zero
+    # entries, which weights computes by its own nested sum
+    for n in range(2, 9):
+        for p in range(1, n + 1):
+            for ell in range(n):
+                for norm in range(n - ell, n - ell + 6):
+                    series = RationalSeries(a_laurent(p, ell, n).shift(norm), ((2, n - 1),))
+                    expected = [_class_multiplicity(n, k, p, norm, ell) for k in range(26)]
+                    assert series.expand(25) == expected, (n, p, ell, norm)
+
+
+def _nested_sum_steps(P):
+    # innermost steps of _reference_a_laurent(P, ell, n) for one ell, at most
+    return sum(
+        j * (P - j - 2 * t + 1) * (P - j - 2 * t + 2) // 2 for j in range(1, P + 1) for t in range((P - j) // 2 + 1)
+    )
+
+
+def test_laurent_work_admits_what_the_nested_sum_bound_admitted():
+    # the F^p weights were bounded at 10^7 innermost steps of the nested sums;
+    # every P range a caller checks and that bound admitted is still admitted:
+    # spectrum_table, isospectral --method direct (genfun's range at
+    # p0 = n - 1) and one f_rational
+    steps = [0] + [_nested_sum_steps(P) for P in range(1, 158)]
+    for n in range(2, 158):
+        shapes = [range(max(p, 1), p + 2) for p in range(n)]
+        shapes += [range(1, p0 + 2) for p0 in range(n)]
+        shapes += [(P,) for P in range(1, n + 1)]
+        for ps in shapes:
+            if (n + 1) * sum(steps[P] for P in ps) <= 10**7:
+                check_laurent_work(n, ps)
+    # genfun and isospectral --method direct up to rank 31, spectrum --p n-1
+    # up to rank 45 and one F^p up to rank 54
+    for n, ps in ((31, range(1, 32)), (45, (44, 45)), (54, (54,))):
+        check_laurent_work(n, ps)
+    for n, ps in ((32, range(1, 33)), (46, (45, 46)), (55, (55,))):
+        with pytest.raises(InvalidParameters):
+            check_laurent_work(n, ps)
 
 
 def test_f0_sphere_series():
@@ -244,7 +316,7 @@ def test_weight_work_rejected_before_any_count(monkeypatch):
 
 
 def test_f_rational_bounds_its_own_laurent_work(monkeypatch):
-    # rank 60 admits a_laurent(P, ell, 60) up to P = 30; F^59 needs P = 60 and
+    # rank 60 admits a_laurent(P, ell, 60) up to P = 52; F^59 needs P = 60 and
     # the p = 59 test compares F^58 and F^59, so both are refused before the
     # box count, without any CLI pre-check
     monkeypatch.setattr(_kernels, "box_table", _fail_if_called)
