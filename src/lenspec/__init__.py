@@ -10,8 +10,6 @@ The public names below are resolved on first access (PEP 562), so
 loads only the modules it runs; ``from lenspec import *`` loads them all.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # public name -> submodule defining it
@@ -41,7 +39,9 @@ def __getattr__(name):
         module = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
 

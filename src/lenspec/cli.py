@@ -20,33 +20,53 @@ early (``lenspec ... | head -1``) ends the call with status 141, the shell's
 status for SIGPIPE, and nothing on stderr.
 
 ``main()`` with no argument is the process entry: the console script,
-``python -m lenspec.cli``.  The process ends right after it returns, so it
-freezes every live object (:func:`gc.freeze`), and the interpreter's
-shutdown skips its collection passes over them; streams are still flushed
-and ``atexit`` handlers still run.  ``main(argv)`` is an in-process call and
-never freezes.
+``python -m lenspec.cli``.  It does not return: it runs the ``atexit``
+handlers, flushes stdout and stderr and ends the process with
+:func:`os._exit`, which skips the rest of the interpreter's shutdown (its
+module teardown and collection passes).  ``main(argv)`` is an in-process
+call and returns the exit status.
 
 Each subcommand imports the modules it runs when it is called, so ``--help``
 and ``search`` never load the certification side (:mod:`lenspec.verify`,
-:mod:`lenspec.oracle`, :mod:`lenspec.weights`).  Every subcommand names its
-columns once and hands its rows, tuples in that order, to
-:func:`_emit_records`, the one writer of records; it writes each row as it
-is rendered, as json, csv or a table.  Apart from it only the help text
-reaches stdout.
+:mod:`lenspec.oracle`, :mod:`lenspec.weights`).  No module of the
+production path loads :mod:`re` or :mod:`typing`: the lens shorthand is read
+with str methods and its records are :func:`collections.namedtuple` types
+or plain classes.  Every subcommand names its columns once and hands its
+rows, tuples in that order, to :func:`_emit_records`, the one writer of
+records.  Apart from it only the help text reaches stdout.
 """
 
 from __future__ import annotations
 
-import gc
 import os
-import re
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
 from .errors import DimensionMismatch, InternalError, LenspecError
 
-_LENS_RE = re.compile(r"^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$")
+
+def _lens_parameters(text: str) -> tuple[int, tuple[int, ...]]:
+    r"""(q, (s1, ..., sn)) of the lens shorthand ``L(q;s1,...,sn)``.
+
+    Whitespace (``str.isspace``) may surround the whole and every part, q is
+    decimal digits (``str.isdecimal``) and each s_j is what ``int`` reads
+    from a field of digits, ``-`` and whitespace.  Anything else raises
+    ValueError.  This accepts and reads exactly what the pattern
+    ``^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$`` followed by ``int`` does,
+    without loading :mod:`re`.
+    """
+    body = text.strip()
+    if not (body.startswith("L(") and body.endswith(")")):
+        raise ValueError(text)
+    digits, semicolon, fields = body[2:-1].partition(";")
+    # the pattern drops the whitespace after ";" before int reads the first
+    # field; int itself would refuse some of it (\x1c-\x1f)
+    digits, fields = digits.strip(), fields.lstrip()
+    if not (semicolon and fields and digits.isdecimal()) or not all(
+        c in "-," or c.isdecimal() or c.isspace() for c in fields
+    ):
+        raise ValueError(text)
+    return int(digits), tuple(int(x) for x in fields.split(","))
 
 
 def parse_space(text: str | None, gen_file: str | None):
@@ -56,14 +76,10 @@ def parse_space(text: str | None, gen_file: str | None):
     if (text is None) == (gen_file is None):
         raise LenspecError("exactly one of --space or --gen-file is required")
     if text is not None:
-        m = _LENS_RE.match(text)
-        if not m:
-            raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)")
         try:
-            q = int(m.group(1))
-            s = tuple(int(x) for x in m.group(2).split(","))
+            q, s = _lens_parameters(text)
         except ValueError:
-            raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)")
+            raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)") from None
         return f"L({q};{','.join(str(x % max(q, 1)) for x in s)})", lattice_from_lens(q, s)
     generators = []
     n = None
@@ -92,15 +108,16 @@ def parse_space(text: str | None, gen_file: str | None):
 
 
 def _emit_records(fmt: str, columns: tuple[str, ...], rows, line=None) -> None:
-    """Write the rows of a subcommand to stdout, one row at a time.
+    """Write the rows of a subcommand to stdout.
 
-    Every subcommand writes its records through here.  ``rows`` is a function
-    returning a fresh iterator of tuples in the order of ``columns``.  json
-    writes what ``json.dumps(..., indent=2)`` writes for the list of
+    Every subcommand writes its records through here.  ``rows`` is an
+    iterable of tuples in the order of ``columns``, read once.  json writes
+    what ``json.dumps(..., indent=2)`` writes for the list of
     ``dict(zip(columns, row))``, csv a header of the column names and then one
-    line per row.  table writes ``line(row)`` per row when the command has a
-    line format of its own, and otherwise space-padded columns, calling
-    ``rows`` twice: first for the column widths.
+    line per row; both write each row as it is rendered.  table writes
+    ``line(row)`` per row when the command has a line format of its own, and
+    otherwise space-padded columns, whose widths need every cell first: each
+    row's cells are rendered once and kept until they are written.
     """
     write = sys.stdout.write
     if fmt == "json":
@@ -111,7 +128,7 @@ def _emit_records(fmt: str, columns: tuple[str, ...], rows, line=None) -> None:
         # newline inside a string
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
         sep = "[\n  {\n    "
-        for row in rows():
+        for row in rows:
             write(sep + encode(dict(zip(columns, row)))[1:-1] + "\n  }")
             sep = ",\n  {\n    "
         write("[]\n" if sep.startswith("[") else "\n]\n")
@@ -120,17 +137,24 @@ def _emit_records(fmt: str, columns: tuple[str, ...], rows, line=None) -> None:
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(rows())
+        writer.writerows(rows)
     elif line is not None:
-        for row in rows():
+        for row in rows:
             write(line(row) + "\n")
     else:
-        widths = list(map(len, columns))
-        for row in rows():
-            widths = list(map(max, widths, map(len, map(str, row))))
+        from itertools import islice
+
+        # a rendered row is kept as one string, its cells joined by NUL, which
+        # no cell holds (cells are numbers, labels, digests and fixed
+        # phrases), since a tuple of cell strings takes about 3.5 times the
+        # memory; the widths grow a chunk of rows at a time
+        widths, kept, rows = list(map(len, columns)), [], iter(rows)
+        while chunk := [tuple(map(str, row)) for row in islice(rows, 1024)]:
+            widths = list(map(max, widths, *[map(len, cells) for cells in chunk]))
+            kept += map("\0".join, chunk)
         write("  ".join(map(str.ljust, columns, widths)) + "\n")
-        for row in rows():
-            write("  ".join(map(str.ljust, map(str, row), widths)) + "\n")
+        for cells in kept:
+            write("  ".join(map(str.ljust, cells.split("\0"), widths)) + "\n")
 
 
 def cmd_spectrum(args) -> int:
@@ -144,11 +168,11 @@ def cmd_spectrum(args) -> int:
     internal = min(p, 2 * n - 1 - p)  # spectra on p- and (2n-1-p)-forms agree
     table = spectrum_table(lattice, internal, args.kmax)
 
-    def rows():
-        for entry in table.entries:
-            contributors = ";".join(f"{c.k}:{c.family}:{c.multiplicity}" for c in entry.contributors)
-            yield label, n, p, entry.eigenvalue, str(entry.multiplicity), contributors
-
+    rows = (
+        (label, n, p, entry.eigenvalue, str(entry.multiplicity),
+         ";".join(f"{c.k}:{c.family}:{c.multiplicity}" for c in entry.contributors))
+        for entry in table.entries
+    )
     _emit_records(args.format, ("space", "n", "p", "eigenvalue", "multiplicity", "contributors"), rows)
     return 0
 
@@ -168,9 +192,10 @@ def cmd_genfun(args) -> int:
     named.append(("theta", theta_rational(lattice)))
     named.extend((f"theta^({ell})", theta_ell_rational(lattice, ell)) for ell in range(n + 1))
 
-    def rows():
-        for name, series in named:
-            yield label, name, series.to_text(), " ".join(map(str, series.expand(args.order)))
+    rows = (
+        (label, name, series.to_text(), " ".join(map(str, series.expand(args.order))))
+        for name, series in named
+    )
 
     def line(row):
         _, name, rational, series = row
@@ -221,7 +246,7 @@ def cmd_isospectral(args) -> int:
             else:
                 detail = "differs below p"
         rows.append((label1, label2, p, cumulative, detail))
-    _emit_records(args.format, ("space", "space2", "p", "isospectral_upto_p", "detail"), lambda: rows)
+    _emit_records(args.format, ("space", "space2", "p", "isospectral_upto_p", "detail"), rows)
     return 0
 
 
@@ -233,7 +258,7 @@ def cmd_search(args) -> int:
         (i, fam.q, fam.n, fam.p0, " ".join(key.label() for key in fam.members), fam.fingerprint)
         for i, fam in enumerate(families)
     ]
-    _emit_records(args.format, ("family", "q", "n", "p0", "members", "fingerprint"), lambda: rows)
+    _emit_records(args.format, ("family", "q", "n", "p0", "members", "fingerprint"), rows)
     return 0
 
 
@@ -242,29 +267,29 @@ def cmd_verify(args) -> int:
 
     results = run_checks(max_n=args.n, kmax=args.kmax)
     _emit_records(
-        args.format, ("check", "ok", "detail"), lambda: results,
+        args.format, ("check", "ok", "detail"), results,
         lambda r: f"{'ok' if r.ok else 'FAIL':4s} {r.name}: {r.detail}",
     )
     return 0 if all(r.ok for r in results) else 1
 
 
-class Option(NamedTuple):
+class Option:
     """One ``--name value`` option of a subcommand."""
 
-    name: str
-    type: type = str
-    default: object = None
-    choices: tuple[str, ...] = ()
-    required: bool = False
-    help: str = ""
+    __slots__ = ("name", "type", "default", "choices", "required", "help")
+
+    def __init__(self, name, type=str, default=None, choices=(), required=False, help=""):
+        self.name, self.type, self.default = name, type, default
+        self.choices, self.required, self.help = choices, required, help
 
 
-class Command(NamedTuple):
+class Command:
     """A subcommand: the function that runs it, its help line, its options."""
 
-    handler: Callable[[SimpleNamespace], int]
-    help: str
-    options: tuple[Option, ...]
+    __slots__ = ("handler", "help", "options")
+
+    def __init__(self, handler, help, options):
+        self.handler, self.help, self.options = handler, help, options
 
 
 _SPACE = (
@@ -389,26 +414,15 @@ def parse_args(argv: list[str]):
     return COMMANDS[command].handler, SimpleNamespace(**{k.replace("-", "_"): v for k, v in values.items()})
 
 
-def main(argv=None) -> int:
-    """Run one call with the arguments ``argv`` and return its exit status.
-
-    ``main()``, with ``argv`` None, reads ``sys.argv[1:]`` and is the process
-    entry: the process ends once it returns, so it then freezes every live
-    object, and the interpreter's shutdown skips the collector passes over
-    them.  At the entry a closed stdout is also pointed at ``os.devnull``, so
-    that the final flush raises nothing.  ``main(argv)``, for tests and
-    library callers, does neither.
-    """
-    entry = argv is None
+def _call(argv: list[str]) -> int:
+    """Run one call and return its exit status; report errors on stderr."""
     try:
-        handler, args = parse_args(sys.argv[1:] if entry else list(argv))
+        handler, args = parse_args(argv)
         code = handler(args)
         sys.stdout.flush()  # a closed stdout shows here rather than at exit
         return code
     except BrokenPipeError:
         # the reader closed stdout, as `| head -1` does: not a user error
-        if entry:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
@@ -419,10 +433,33 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if entry:
-            gc.freeze()
+
+
+def main(argv=None) -> int:
+    """Run one call with the arguments ``argv`` and return its exit status.
+
+    ``main(argv)``, for tests and library callers, returns.  ``main()``, with
+    ``argv`` None, reads ``sys.argv[1:]`` and is the process entry: it ends
+    the process itself.  As the interpreter's shutdown would, it runs the
+    ``atexit`` handlers and then flushes stdout (a reader that closed it
+    gives 141) and stderr; :func:`os._exit` then skips the rest of that
+    shutdown, the teardown of every module and live object.  An exception
+    other than the call's errors (a bug, or an interrupt) propagates, and
+    the interpreter reports it and shuts down as usual.
+    """
+    if argv is not None:
+        return _call(list(argv))
+    code = _call(sys.argv[1:])
+    import atexit
+
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -16,9 +16,10 @@ compare exact rational series, never truncations.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import combinations_with_replacement, islice
 from operator import mul
-from typing import Iterator, NamedTuple
 
 from ._kernels import _STEP_WORDS, BOX_WORK_LIMIT
 from .errors import DimensionMismatch, InternalError, InvalidParameters
@@ -33,12 +34,13 @@ from .lattice import CongruenceLattice, lattice_from_lens
 MAX_CLASS_WORK = 10**6
 
 
-class LensKey(NamedTuple):
-    """Canonical isometry key of lens parameters: equal keys <=> isometric."""
+class LensKey(namedtuple("LensKey", ("n", "q", "exponents"))):
+    """Canonical isometry key of lens parameters: equal keys <=> isometric.
 
-    n: int
-    q: int
-    exponents: tuple[int, ...]
+    ``exponents`` is the sorted tuple of the n folded exponents.
+    """
+
+    __slots__ = ()
 
     def label(self) -> str:
         return f"L({self.q};{','.join(str(x) for x in self.exponents)})"
@@ -113,14 +115,12 @@ def norm_star_isospectral(L1: CongruenceLattice, L2: CongruenceLattice) -> bool:
 # -- search ---------------------------------------------------------------------
 
 
-class IsospectralFamily(NamedTuple):
-    """A maximal set of >= 2 isometry classes sharing all spectra up to p0."""
+IsospectralFamily = namedtuple("IsospectralFamily", ("q", "n", "p0", "members", "fingerprint"))
+IsospectralFamily.__doc__ = """A maximal set of >= 2 isometry classes sharing all spectra up to p0.
 
-    q: int
-    n: int
-    p0: int
-    members: tuple[LensKey, ...]
-    fingerprint: str
+``members`` is the sorted tuple of their :class:`LensKey`, ``fingerprint``
+the digest of their moment numerators.
+"""
 
 
 def _reaching_units(q: int, x: int) -> set[int]:

@@ -15,8 +15,8 @@ directly to certify that route.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from . import _kernels
 from .errors import DimensionMismatch, InvalidParameters
@@ -61,9 +61,8 @@ def lattice_from_lens(q: int, s) -> "CongruenceLattice":
     return CongruenceLattice(len(s), [(q, s)])
 
 
-class _LatticeFields(NamedTuple):
-    n: int
-    congruences: tuple[tuple[int, tuple[int, ...]], ...]
+# n: int, congruences: tuple of (q, s) with s a tuple of n ints
+_LatticeFields = namedtuple("_LatticeFields", ("n", "congruences"))
 
 
 class CongruenceLattice(_LatticeFields):

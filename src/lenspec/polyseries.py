@@ -9,7 +9,7 @@ cross-multiplied polynomial identity, never by comparing truncations.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .errors import InvalidParameters, NegativeOrderTerm
 

@@ -9,7 +9,7 @@ exact spectrum-encoding series F^(p-1) and F^p of :mod:`lenspec.genfun`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvalidParameters
 from .genfun import check_f_expand_work, check_laurent_work, f_rational
@@ -32,32 +32,19 @@ def eigenvalue(k: int, p: int, n: int) -> int:
     return (k + p) * (k + 2 * n - 2 - p)
 
 
-class Contribution(NamedTuple):
-    """One (k, family) source feeding an eigenvalue, with its multiplicity."""
+Contribution = namedtuple("Contribution", ("k", "family", "multiplicity"))
+Contribution.__doc__ = "One (k, family) source feeding an eigenvalue, with its multiplicity."
 
-    k: int
-    family: int
-    multiplicity: int
+SpectrumEntry = namedtuple("SpectrumEntry", ("eigenvalue", "multiplicity", "contributors"))
+SpectrumEntry.__doc__ = "One eigenvalue, its multiplicity and the tuple of its Contribution records."
 
+SpectrumTable = namedtuple("SpectrumTable", ("n", "p", "k_max", "entries"))
+SpectrumTable.__doc__ = """Eigenvalue -> multiplicity table of the p-form spectrum.
 
-class SpectrumEntry(NamedTuple):
-    eigenvalue: int
-    multiplicity: int
-    contributors: tuple[Contribution, ...]
-
-
-class SpectrumTable(NamedTuple):
-    """Eigenvalue -> multiplicity table of the p-form spectrum.
-
-    Complete for all eigenvalues up to the k_max-th member of family p-1
-    (family p when p = 0); eigenvalues are strictly increasing and
-    multiplicities positive.
-    """
-
-    n: int
-    p: int
-    k_max: int
-    entries: tuple[SpectrumEntry, ...]
+Complete for all eigenvalues up to the k_max-th member of family p-1
+(family p when p = 0); ``entries`` is a tuple of SpectrumEntry, eigenvalues
+strictly increasing and multiplicities positive.
+"""
 
 
 def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:

@@ -1,16 +1,19 @@
-import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lenspec.cli
 import lenspec.genfun
 import lenspec.isospec
 import lenspec.spectrum
 from lenspec.cli import main
+from lenspec.errors import LenspecError
+from lenspec.lattice import lattice_from_lens
 from lenspec.polyseries import LaurentPolynomial, RationalSeries
 
 
@@ -70,6 +73,82 @@ def test_bad_space_string(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run_cli(capsys, "spectrum", "--space", "L(4;1,,1)")
     assert code == 2 and err.startswith("error:")
+
+
+# the lens shorthand as a regular expression read it, the reference for the
+# str-method parser
+_LENS_RE = re.compile(r"^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$")
+
+
+def _reference_parse_space(text):
+    m = _LENS_RE.match(text)
+    if not m:
+        raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)")
+    try:
+        q = int(m.group(1))
+        s = tuple(int(x) for x in m.group(2).split(","))
+    except ValueError:
+        raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)")
+    return f"L({q};{','.join(str(x % max(q, 1)) for x in s)})", lattice_from_lens(q, s)
+
+
+def _parse_lens_space(text):
+    return lenspec.cli.parse_space(text, None)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except LenspecError as exc:
+        return type(exc), str(exc)
+
+
+# Unicode whitespace (\x1c, \x85, no-break and ideographic spaces among it),
+# decimal digits of several scripts, and characters that are neither: the
+# superscript two is a digit but not a decimal one
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+_DIGITS = "0123456789\u0660\u0663\u0967\uff10\uff15\U0001d7ce"
+_OTHER = "L()l;,-+_x\xb2"
+
+
+def _mostly(usual, rare):
+    # three draws in four from ``usual``
+    return st.sampled_from((usual, usual, usual, rare)).flatmap(lambda strategy: strategy)
+
+
+def _lens_like():
+    # mostly well-formed shorthand with Unicode digits and whitespace, some
+    # fields and moduli spoiled by a sign, "_" or a missing digit, and
+    # arbitrary text from the same characters
+    ws = st.text(_WHITESPACE, max_size=2)
+    digits = st.text(_DIGITS, min_size=1, max_size=3)
+    spoiled = st.text(_DIGITS + _WHITESPACE + "+-_", max_size=4)
+    field = st.builds(lambda a, sign, x, b: a + sign + x + b, ws, st.sampled_from(["", "", "", "-"]), digits, ws)
+    fields = st.lists(_mostly(field, spoiled), min_size=1, max_size=4).map(",".join)
+    shorthand = st.builds(lambda a, q, b, f, c: f"{a}L({q}{b};{f}){c}", ws, _mostly(digits, spoiled), ws, fields, ws)
+    return _mostly(shorthand, st.text(_WHITESPACE + _DIGITS + _OTHER, max_size=14))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "L(5;1,2)", " L( 5 ; 1 , -2 ) ", "L(5;1,2)\n", "L(5;1,2)\n\n", "\u3000L(5;1,2)\x85",
+        "L(\uff15;1,\u0663)", "L(5;+1,2)", "L(5;1_0,2)", "L(1_0;1,2)", "L(+5;1,2)", "L(-5;1,2)",
+        "L(5;,1)", "L(5;1,,2)", "L(5;1,)", "L(5;)", "L(5; )", "L(5;1,2", "L(5;1,2))", "L((5;1,2)",
+        "L(5;;1)", "L(5;1;2)", "L(5;--1,2)", "L(5;1 2)", "L(5 5;1,2)", "L(5;\xb2,1)", "l(5;1,2)",
+        "L (5;1,2)", "L(5;1,2) x", "L()", "L(", "", "L(0;1,2)", "L(4;2,2)", "L(5;1)",
+        "L(5;\x1c1,2)", "L(5;1\x1c,2)", "L(5;1,\x1c2)", "L(\x1c5\x1c;1,2)", "L(5;\x1c)",
+        "L(" + "1" * 5000 + ";1,2)", "L(5;" + "1" * 5000 + ",1)",
+    ],
+)
+def test_lens_parser_matches_the_regular_expression(text):
+    assert _outcome(_parse_lens_space, text) == _outcome(_reference_parse_space, text)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_lens_like())
+def test_lens_parser_matches_the_regular_expression_everywhere(text):
+    assert _outcome(_parse_lens_space, text) == _outcome(_reference_parse_space, text)
 
 
 def test_bad_gen_file(tmp_path, capsys):
@@ -371,13 +450,14 @@ def _python_c(code, argv):
     return [sys.executable, "-c", code, *argv]
 
 
-# runs one CLI call in a fresh interpreter and reports, on stderr's last
-# line, its exit status, whether numpy was imported by then and which of the
-# watched modules the import of lenspec.cli and the call loaded
+# runs one CLI call in a fresh interpreter without site hooks (python -S),
+# which could load re or typing first and so hide them, and reports, on
+# stderr's last line, its exit status, whether numpy was imported by then and
+# which of the watched modules the import of lenspec.cli and the call loaded
 _IMPORT_PROBE = """
 import sys
-watched = ("argparse", "dataclasses", "numpy", "_hashlib", "lenspec.isospec", "lenspec.spectrum", "lenspec.weights",
-           "lenspec.oracle", "lenspec.verify")
+watched = ("argparse", "dataclasses", "re", "typing", "numpy", "_hashlib", "lenspec.isospec", "lenspec.spectrum",
+           "lenspec.weights", "lenspec.oracle", "lenspec.verify")
 before = set(sys.modules)
 from lenspec.cli import main
 code = main(sys.argv[1:])
@@ -386,16 +466,16 @@ sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}, loa
 """
 
 # the watched modules each subcommand loads: the certification side
-# (weights, oracle, verify) and dataclasses only behind verify, and numpy and
-# OpenSSL's _hashlib behind none (the fingerprint digests use the builtin
-# sha256)
+# (weights, oracle, verify) and dataclasses only behind verify, re and typing
+# behind no table-format call of the production path, and numpy and OpenSSL's
+# _hashlib behind none (the fingerprint digests use the builtin sha256)
 _LOADED = {
     "--help": "",
     "search": "lenspec.isospec",
     "spectrum": "lenspec.spectrum",
     "genfun": "",
     "isospectral": "lenspec.isospec",
-    "verify": "dataclasses lenspec.spectrum lenspec.weights lenspec.oracle lenspec.verify",
+    "verify": "dataclasses re typing lenspec.spectrum lenspec.weights lenspec.oracle lenspec.verify",
 }
 
 
@@ -412,25 +492,30 @@ _LOADED = {
     ],
 )
 def test_numpy_only_on_the_certification_route(argv, numpy_imported):
-    res = subprocess.run(_python_c(_IMPORT_PROBE, argv), capture_output=True, text=True, env=_ENV, timeout=120)
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=_ENV, timeout=120
+    )
     assert res.stdout
     assert res.stderr.splitlines()[-1] == (
         f"exit 0, numpy imported: {numpy_imported}, loaded: {_LOADED[argv[0]]}"
     )
 
 
-# the process entry, as the console script and `python -m lenspec.cli` call it
+# the process entry, as the console script and `python -m lenspec.cli` call it,
+# with stdout block-buffered as users have it (PYTHONUNBUFFERED would flush
+# every write and hide a missing final flush)
 _ENTRY = "import sys; from lenspec.cli import main; sys.exit(main())"
+_ENTRY_ENV = {k: v for k, v in _ENV.items() if k != "PYTHONUNBUFFERED"}
 
 
 @pytest.mark.parametrize(
     "argv", [("--help",), ("search", "--q", "11", "--n", "3"), ("search", "--q", "5", "--n", "0")]
 )
 def test_process_entry_matches_in_process_call(capsys, argv):
-    # main() as the process entry freezes the heap before exit; stdout, the
-    # exit status and stderr are those of main(argv)
+    # main() as the process entry ends the process itself; stdout, the exit
+    # status and stderr are those of main(argv)
     code, out, err = run_cli(capsys, *argv)
-    res = subprocess.run(_python_c(_ENTRY, argv), capture_output=True, text=True, env=_ENV, timeout=120)
+    res = subprocess.run(_python_c(_ENTRY, argv), capture_output=True, text=True, env=_ENTRY_ENV, timeout=120)
     assert (res.returncode, res.stdout, res.stderr) == (code, out, err)
     if code:
         assert err.startswith("error:") and err.count("\n") == 1
@@ -438,21 +523,53 @@ def test_process_entry_matches_in_process_call(capsys, argv):
         assert out and err == ""
 
 
-def test_in_process_call_freezes_nothing(capsys):
-    before = gc.get_freeze_count()
-    assert run_cli(capsys, "search", "--q", "11", "--n", "3")[0] == 0
-    assert gc.get_freeze_count() == before
+def test_in_process_call_returns(capsys, monkeypatch):
+    # main(argv) returns its status on every path and never ends the process
+    def refuse(code):
+        raise AssertionError(f"os._exit({code}) in an in-process call")
+
+    monkeypatch.setattr(os, "_exit", refuse)
+    assert main(["--help"]) == 0
+    assert main(["search", "--q", "5", "--n", "0"]) == 2
+    assert main(["search", "--q", "11", "--n", "3"]) == 0
+    assert capsys.readouterr().err == "error: rank n must be >= 2\n"
 
 
-def test_process_entry_freezes_the_heap(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "argv", ["lenspec", "--help"])
-    before = gc.get_freeze_count()
-    try:
-        assert main() == 0
-        assert gc.get_freeze_count() > before
-    finally:
-        gc.unfreeze()
-    assert capsys.readouterr().out == lenspec.cli.help_text()
+def test_process_entry_runs_atexit_handlers_and_flushes_after_them():
+    # handlers registered before main() run, and what they write still
+    # reaches both streams
+    code = (
+        "import atexit, sys; atexit.register(print, 'atexit ran'); "
+        "atexit.register(sys.stderr.write, 'atexit on stderr\\n'); " + _ENTRY
+    )
+    res = subprocess.run(_python_c(code, ("--help",)), capture_output=True, text=True, env=_ENTRY_ENV, timeout=120)
+    assert res.returncode == 0
+    assert res.stdout == lenspec.cli.help_text() + "atexit ran\n"
+    assert res.stderr == "atexit on stderr\n"
+
+
+def test_process_entry_writes_every_byte_to_a_file(capsys, tmp_path):
+    # about 350 kB of rows into a file: the entry's own flush writes the last
+    # partial buffer, so the file holds exactly what main(argv) writes
+    argv = ("spectrum", "--space", "L(11;1,2)", "--p", "1", "--kmax", "3000")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and len(out) > 300_000
+    path = tmp_path / "stdout"
+    with open(path, "wb") as fh:
+        res = subprocess.run(_python_c(_ENTRY, argv), stdout=fh, stderr=subprocess.PIPE, env=_ENTRY_ENV, timeout=120)
+    assert (res.returncode, res.stderr) == (0, b"")
+    assert path.read_bytes() == out.encode()
+
+
+def test_process_entry_error_writes_one_line_and_no_stdout(tmp_path):
+    path = tmp_path / "stdout"
+    with open(path, "wb") as fh:
+        res = subprocess.run(
+            _python_c(_ENTRY, ("spectrum", "--space", "L(5;1,2")), stdout=fh, stderr=subprocess.PIPE, env=_ENTRY_ENV,
+            timeout=120,
+        )
+    assert res.returncode == 2 and path.read_bytes() == b""
+    assert res.stderr == b"error: cannot parse space 'L(5;1,2'; expected L(q;s1,...,sn)\n"
 
 
 def test_closed_stdout_exits_141_silently():
@@ -460,8 +577,22 @@ def test_closed_stdout_exits_141_silently():
     # writing when the reader closes its end: the reader's choice, not a user
     # error, so exit 141 (the shell's status for SIGPIPE) and no error line
     argv = ("spectrum", "--space", "L(11;1,2)", "--p", "1", "--kmax", "3000")
-    with subprocess.Popen(_python_c(_ENTRY, argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV) as proc:
+    with subprocess.Popen(_python_c(_ENTRY, argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENTRY_ENV) as proc:
         assert proc.stdout.readline().startswith(b"space")
         proc.stdout.close()
         assert proc.wait(timeout=120) == 141
         assert proc.stderr.read() == b""
+
+
+def test_stdout_closed_before_the_first_write_exits_141_silently():
+    # no reader from the start: the small help text stays buffered until the
+    # entry's flushes, which meet the broken pipe and still give 141
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            _python_c(_ENTRY, ("--help",)), stdout=write_end, stderr=subprocess.PIPE, env=_ENTRY_ENV, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (141, b"")
