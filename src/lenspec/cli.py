@@ -205,16 +205,6 @@ def cmd_genfun(args) -> int:
     return 0
 
 
-def _first_series_difference(r1, r2):
-    diff = (r1 - r2).numerator
-    if diff.is_zero():
-        return None
-    at = max(diff.min_exp(), 0)
-    a = r1.expand(at)[at]
-    b = r2.expand(at)[at]
-    return at, a, b
-
-
 def cmd_isospectral(args) -> int:
     from .genfun import check_laurent_work, f_rational, moment_series
     from .isospec import fingerprint_digest, numerator_fingerprint
@@ -237,14 +227,14 @@ def cmd_isospectral(args) -> int:
     rows = []
     cumulative = True
     for p in range(p0 + 1):
-        cumulative = cumulative and series1[p] == series2[p]
-        detail = fingerprint_digest(fingerprint[: p + 1])
-        if not cumulative:
-            diff = _first_series_difference(series1[p], series2[p])
-            if diff is not None:
-                detail = f"first difference at z^{diff[0]}: {diff[1]} vs {diff[2]}"
-            else:
-                detail = "differs below p"
+        diff = series1[p].first_difference(series2[p])
+        cumulative = cumulative and diff is None
+        if cumulative:
+            detail = fingerprint_digest(fingerprint[: p + 1])
+        elif diff is None:
+            detail = "differs below p"
+        else:
+            detail = "first difference at z^{}: {} vs {}".format(*diff)
         rows.append((label1, label2, p, cumulative, detail))
     _emit_records(args.format, ("space", "space2", "p", "isospectral_upto_p", "detail"), rows)
     return 0

@@ -97,7 +97,6 @@ def _phi_sum(phis, weights) -> LaurentPolynomial:
     return sum((phi * w for phi, w in zip(phis, weights)), LaurentPolynomial.zero())
 
 
-@lru_cache(maxsize=None)
 def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
     """Universal Laurent weight attached to the zero-entry count ``ell``.
 
@@ -214,6 +213,5 @@ def check_f_expand_work(n: int, order: int) -> None:
 def f_rational_p0_direct(L: CongruenceLattice) -> RationalSeries:
     """Independent closed form of F^0 straight from the theta series:
     (theta / (1-z^2)^(n-1) - 1) / z."""
-    base = theta_rational(L).over_factor(2, L.n - 1)
-    shifted = (base + RationalSeries(LaurentPolynomial.term(-1, 0))) * LaurentPolynomial.term(1, -1)
-    return shifted
+    base = theta_rational(L).over_factor(2, L.n - 1) + RationalSeries(LaurentPolynomial.term(-1, 0))
+    return RationalSeries(base.numerator.shift(-1), base.denominator)

@@ -2,8 +2,11 @@
 
 Coefficients are plain Python integers everywhere, so arithmetic is exact at
 any size.  A :class:`RationalSeries` keeps its denominator in the factored
-form ``prod (1 - z^a)^b``; equality of two series is decided by a
-cross-multiplied polynomial identity, never by comparing truncations.
+form ``prod (1 - z^a)^b``.  It offers an expansion to a bounded order, a
+sum, and an exact comparison: equality, and the first power at which two
+series differ with their coefficients there, are decided by a
+cross-multiplied polynomial identity, never by comparing truncations, and
+those two coefficients are read without expanding the lower ones.
 """
 
 from __future__ import annotations
@@ -102,25 +105,6 @@ class LaurentPolynomial:
         res.coeffs = out
         return res
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPolynomial":
-        res = LaurentPolynomial.__new__(LaurentPolynomial)
-        res.coeffs = {e: -c for e, c in self.coeffs.items()}
-        return res
-
-    def __sub__(self, other) -> "LaurentPolynomial":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPolynomial":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
             if other == 0:
@@ -142,8 +126,6 @@ class LaurentPolynomial:
         res = LaurentPolynomial.__new__(LaurentPolynomial)
         res.coeffs = out
         return res
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -261,7 +243,7 @@ class RationalSeries:
                     arr[i] += arr[i - a]
         return arr
 
-    # -- exact comparisons and ring operations -------------------------------------
+    # -- exact comparisons and sums -------------------------------------------------
 
     def _merge(self, other: "RationalSeries"):
         d1 = dict(self.denominator)
@@ -281,6 +263,50 @@ class RationalSeries:
 
     __hash__ = None
 
+    def first_difference(self, other: "RationalSeries") -> tuple[int, int, int] | None:
+        """None when the series are equal, otherwise (k, a, b): their expansions
+        first differ at z^k, with coefficients a and b.  k is the lowest
+        exponent of N1 m1 - N2 m2, whose terms ``==`` compares: the common
+        denominator has constant term 1."""
+        m1, m2, _ = self._merge(other)
+        left, right = (self.numerator * m1).coeffs, (other.numerator * m2).coeffs
+        if left == right:
+            return None
+        k = min(e for e, _ in left.items() ^ right.items())
+        return k, self._coefficient(k), other._coefficient(k)
+
+    def _coefficient(self, k: int) -> int:
+        """Coefficient of z^k, read without expanding the lower ones: the factor
+        (1 - z^a0)^b0 of least a0 gives C(j + b0 - 1, b0 - 1) at z^(j a0), and
+        the sum runs over the multiples of every other factor up to z^k.  More
+        than :data:`MAX_EXPAND_WORK` of those raises InvalidParameters before
+        any is summed; a negative power raises NegativeOrderTerm as in expand."""
+        lo = self.numerator.min_exp()
+        if lo is not None and lo < 0:
+            raise NegativeOrderTerm(f"series has a nonzero coefficient at z^{lo}")
+        if not self.denominator:
+            return self.numerator.coeffs.get(k, 0)
+        (a0, b0), *others = self.denominator
+        count = math.prod(k // a + 1 for a, _ in others)
+        if count > MAX_EXPAND_WORK:
+            raise InvalidParameters(
+                f"series coefficient at z^{k} needs {count} terms, above the limit of {MAX_EXPAND_WORK}"
+            )
+        partial = {0: 1}  # the expansion of the other factors, up to z^k
+        for a, b in others:
+            step: dict[int, int] = {}
+            for s, c in partial.items():
+                for j in range((k - s) // a + 1):
+                    step[s + j * a] = step.get(s + j * a, 0) + c * math.comb(j + b - 1, b - 1)
+            partial = step
+        total = 0
+        for e, c in self.numerator.coeffs.items():
+            for s, w in partial.items():
+                j, rest = divmod(k - e - s, a0)
+                if j >= 0 and not rest:
+                    total += c * w * math.comb(j + b0 - 1, b0 - 1)
+        return total
+
     def __add__(self, other) -> "RationalSeries":
         if isinstance(other, (int, LaurentPolynomial)):
             other = RationalSeries(other)
@@ -288,31 +314,6 @@ class RationalSeries:
             return NotImplemented
         m1, m2, common = self._merge(other)
         return RationalSeries(self.numerator * m1 + other.numerator * m2, common)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries(-self.numerator, self.denominator)
-
-    def __sub__(self, other) -> "RationalSeries":
-        if isinstance(other, RationalSeries):
-            return self + (-other)
-        p = _as_poly(other)
-        if p is NotImplemented:
-            return NotImplemented
-        return self + (-p)
-
-    def __mul__(self, other) -> "RationalSeries":
-        if isinstance(other, (int, LaurentPolynomial)):
-            return RationalSeries(self.numerator * other, self.denominator)
-        if not isinstance(other, RationalSeries):
-            return NotImplemented
-        merged = dict(self.denominator)
-        for a, b in other.denominator:
-            merged[a] = merged.get(a, 0) + b
-        return RationalSeries(self.numerator * other.numerator, merged.items())
-
-    __rmul__ = __mul__
 
     # -- rendering ------------------------------------------------------------------
 

@@ -76,7 +76,7 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
 
     entries = []
     for eig in sorted(cells):
-        contribs = tuple(sorted(cells[eig], key=lambda c: (c.family, c.k)))
+        contribs = tuple(cells[eig])
         entries.append(
             SpectrumEntry(
                 eigenvalue=eig,

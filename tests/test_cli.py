@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lenspec.cli
 import lenspec.genfun
 import lenspec.isospec
+import lenspec.polyseries
 import lenspec.spectrum
 from lenspec.cli import main
 from lenspec.errors import LenspecError
@@ -364,13 +365,31 @@ def test_isospectral_reports_first_difference(capsys):
     assert "first difference at z^1" in rec["detail"]
 
 
+# (space, space2) -> the detail of every p, by range and by direct; the
+# verdicts of the two methods agree.  "differs below p" is range's at p=1 for
+# L(5;1,1) ~ L(5;1,2) and direct's at p=1 for L(4;0,1) ~ L(4;1,2)
+ISOSPECTRAL_DETAILS = {
+    ("L(11;1,2,3)", "L(11;1,2,4)"): (
+        ("ba29efc0fc54f04d", "first difference at z^3: 2 vs 4", "first difference at z^3: 2 vs 4"),
+        ("ba29efc0fc54f04d", "first difference at z^1: 6 vs 4", "first difference at z^0: 2 vs 0"),
+    ),
+    ("L(8;1,3)", "L(8;1,5)"): (
+        ("ac8be5402cfce98f", "0e70ce8c9dd6c07a"),
+        ("ac8be5402cfce98f", "0e70ce8c9dd6c07a"),
+    ),
+    ("L(5;1,1)", "L(5;1,2)"): (
+        ("first difference at z^2: 2 vs 0", "differs below p"),
+        ("first difference at z^1: 3 vs 1", "first difference at z^0: 4 vs 2"),
+    ),
+    ("L(4;0,1)", "L(4;1,2)"): (
+        ("first difference at z^1: 2 vs 0", "first difference at z^1: 2 vs 0"),
+        ("first difference at z^0: 2 vs 0", "differs below p"),
+    ),
+}
+
+
 def test_isospectral_methods_agree(capsys):
-    pairs = [
-        ("L(11;1,2,3)", "L(11;1,2,4)"),
-        ("L(8;1,3)", "L(8;1,5)"),
-        ("L(5;1,1)", "L(5;1,2)"),
-    ]
-    for s1, s2 in pairs:
+    for (s1, s2), details in ISOSPECTRAL_DETAILS.items():
         _, out1, _ = run_cli(
             capsys, "isospectral", "--space", s1, "--space2", s2, "--format", "json"
         )
@@ -381,6 +400,24 @@ def test_isospectral_methods_agree(capsys):
         verdicts1 = [r["isospectral_upto_p"] for r in json.loads(out1)]
         verdicts2 = [r["isospectral_upto_p"] for r in json.loads(out2)]
         assert verdicts1 == verdicts2
+        got = tuple(tuple(r["detail"] for r in json.loads(out)) for out in (out1, out2))
+        assert got == details, (s1, s2)
+
+
+@pytest.mark.parametrize(
+    "method, detail",
+    [("range", "first difference at z^1009: 2020 vs 0"), ("direct", "first difference at z^1008: 2020 vs 0")],
+)
+def test_isospectral_reports_a_difference_past_the_expansion_bound(capsys, monkeypatch, method, detail):
+    # expanding either series of p=0 to its first difference would take over
+    # 3000 coefficient writes; the two coefficients are read without it
+    monkeypatch.setattr(lenspec.polyseries, "MAX_EXPAND_WORK", 2000)
+    code, out, err = run_cli(
+        capsys, "isospectral", "--space", "L(1009;1,1)", "--space2", "L(1013;1,1)",
+        "--p0", "0", "--method", method, "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f'"L(1009;1,1)","L(1013;1,1)",0,False,{detail}'
 
 
 def test_search_q11(capsys):

@@ -241,10 +241,7 @@ def test_main_identity_all_p_families():
     for L, order in cases:
         n = L.n
         for p in range(1, n + 1):
-            acc = RationalSeries.zero()
-            for ell in range(n + 1):
-                acc = acc + theta_ell_rational(L, ell) * a_laurent(p, ell, n)
-            acc = acc.over_factor(2, n - 1)
+            acc = _merged_sum(L, lambda ell: a_laurent(p, ell, n)).over_factor(2, n - 1)
             sign = -1 if p % 2 else 1
             series = acc + RationalSeries(LaurentPolynomial.term(sign, -p))
             got = series.expand(order)
@@ -257,7 +254,8 @@ def _merged_sum(L, weight):
     # brings each pair of series to their least common denominator
     acc = RationalSeries.zero()
     for ell in range(L.n + 1):
-        acc = acc + theta_ell_rational(L, ell) * weight(ell)
+        theta = theta_ell_rational(L, ell)
+        acc = acc + RationalSeries(theta.numerator * weight(ell), theta.denominator)
     return acc
 
 
