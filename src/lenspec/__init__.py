@@ -23,8 +23,8 @@ _EXPORTS = {
         "spectrum": "eigenvalue spectrum_table SpectrumTable SpectrumEntry Contribution",
         "genfun": "theta_ell_rational theta_rational a_laurent f_rational f_rational_p0_direct moment_series",
         "isospec": (
-            "LensKey canonical_key isometry_classes p_isospectral isospectral_range"
-            " norm_star_isospectral search IsospectralFamily"
+            "LensKey canonical_key isometry_classes compare_spaces norm_star_isospectral search"
+            " IsospectralFamily"
         ),
         "oracle": "WeightTable freudenthal_weights weyl_dimension monomial_weight_count oracle_weight_multiplicity",
     }.items()

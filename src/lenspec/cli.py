@@ -42,7 +42,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import DimensionMismatch, InternalError, LenspecError
+from .errors import InternalError, LenspecError
 
 
 def _lens_parameters(text: str) -> tuple[int, tuple[int, ...]]:
@@ -206,36 +206,15 @@ def cmd_genfun(args) -> int:
 
 
 def cmd_isospectral(args) -> int:
-    from .genfun import check_laurent_work, f_rational, moment_series
-    from .isospec import fingerprint_digest, numerator_fingerprint
+    from .isospec import compare_spaces
 
     label1, lat1 = parse_space(args.space, args.gen_file)
     label2, lat2 = parse_space(args.space2, None)
-    if lat1.n != lat2.n:
-        raise DimensionMismatch(f"rank mismatch: {lat1.n} vs {lat2.n}")
-    p0 = args.p0 if args.p0 is not None else lat1.n - 1
-    if args.method == "direct" and p0 < lat1.n:  # moment_series rejects a larger p0
-        check_laurent_work(lat1.n, range(1, p0 + 2))
-    # isospectral up to p: the moment series (range) or F series (direct) of
-    # every order <= p agree
-    moments1 = moment_series(lat1, p0)  # rejects p0 outside 0..n-1
-    fingerprint = numerator_fingerprint(moments1)
-    if args.method == "direct":
-        series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (lat1, lat2))
-    else:
-        series1, series2 = moments1, moment_series(lat2, p0)
     rows = []
-    cumulative = True
-    for p in range(p0 + 1):
-        diff = series1[p].first_difference(series2[p])
-        cumulative = cumulative and diff is None
-        if cumulative:
-            detail = fingerprint_digest(fingerprint[: p + 1])
-        elif diff is None:
-            detail = "differs below p"
-        else:
-            detail = "first difference at z^{}: {} vs {}".format(*diff)
-        rows.append((label1, label2, p, cumulative, detail))
+    for p, (same, detail) in enumerate(compare_spaces(lat1, lat2, args.p0, args.method)):
+        if not same:
+            detail = "differs below p" if detail is None else "first difference at z^{}: {} vs {}".format(*detail)
+        rows.append((label1, label2, p, same, detail))
     _emit_records(args.format, ("space", "space2", "p", "isospectral_upto_p", "detail"), rows)
     return 0
 

@@ -9,8 +9,10 @@ than keying every parameter vector; its candidate count is bounded before it
 starts.  :func:`search` buckets the classes by character sums mod a prime at
 one point, which need no lattice and are taken in one walk over the sorted
 keys that shares the products of their common leading entries, and builds
-exact series only for classes that share a bucket.  The isospectrality tests
-compare exact rational series, never truncations.
+exact series only for classes that share a bucket.  :func:`compare_spaces`
+is the one comparison of two spaces: for every p up to p0 it says whether
+they are p'-isospectral for all p' <= p, and where their series first differ.
+Every test compares exact rational series, never truncations.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from operator import mul
 
 from ._kernels import _STEP_WORDS, BOX_WORK_LIMIT
 from .errors import DimensionMismatch, InternalError, InvalidParameters
-from .genfun import _weight_set, check_weight_work, f_rational, moment_series, theta_ell_rational
+from .genfun import _weight_set, check_laurent_work, check_weight_work, f_rational, moment_series, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 
 # bound on the entries of the candidate keys isometry_classes checks,
@@ -74,37 +76,49 @@ def canonical_key(q: int, s) -> LensKey:
     return LensKey(n=n, q=q, exponents=best)
 
 
-def _check_pair(L1: CongruenceLattice, L2: CongruenceLattice) -> None:
+def compare_spaces(
+    L1: CongruenceLattice, L2: CongruenceLattice, p0: int | None = None, method: str = "range"
+) -> list[tuple]:
+    """Up to which p the quotients are p-isospectral, and where they differ.
+
+    One pair (isospectral_upto_p, detail) per p = 0..p0 (default n - 1).
+    The quotients are p'-isospectral for every p' <= p exactly when the
+    series of every order <= p agree: the zero-count moment series
+    (``range``) or the encoding series F^0..F^p (``direct``).  While they
+    do, detail is the digest of the first space's moment numerators of
+    orders 0..p; afterwards it is the ``first_difference`` of the two series
+    of order p, None when those agree and the spaces differ below p.
+    Raises DimensionMismatch for spaces of different rank, and
+    InvalidParameters for p0 outside 0..n-1 or a ``direct`` comparison past
+    the Laurent weight bound, before any series is built.
+    """
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
-
-
-def p_isospectral(L1: CongruenceLattice, L2: CongruenceLattice, p: int) -> bool:
-    """Exact equality of the p-form spectra of the two quotients.
-
-    Decided by equality of the two encoding series F^(p-1) and F^p of each
-    space; F^(-1) is zero, so p = 0 compares F^0 alone.
-    """
-    _check_pair(L1, L2)
-    if not 0 <= p <= L1.n - 1:
-        raise InvalidParameters(f"p must lie in 0..{L1.n - 1}")
-    return all(f_rational(L1, j) == f_rational(L2, j) for j in range(max(p - 1, 0), p + 1))
-
-
-def isospectral_range(L1: CongruenceLattice, L2: CongruenceLattice, p0: int) -> bool:
-    """True iff the quotients are p-isospectral for every 0 <= p <= p0.
-
-    Equivalent to equality of the zero-count moment series of orders
-    0 .. p0, which is a finite exact test.
-    """
-    _check_pair(L1, L2)
-    return moment_series(L1, p0) == moment_series(L2, p0)
+    if method not in ("range", "direct"):
+        raise InvalidParameters(f"method must be 'range' or 'direct', got {method!r}")
+    if p0 is None:
+        p0 = L1.n - 1
+    if method == "direct" and p0 < L1.n:  # moment_series rejects a larger p0
+        check_laurent_work(L1.n, range(1, p0 + 2))
+    moments = moment_series(L1, p0)  # rejects p0 outside 0..n-1
+    if method == "direct":
+        series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (L1, L2))
+    else:
+        series1, series2 = moments, moment_series(L2, p0)
+    fingerprint = numerator_fingerprint(moments)
+    rows, same = [], True
+    for p, (a, b) in enumerate(zip(series1, series2)):
+        diff = a.first_difference(b)
+        same = same and diff is None
+        rows.append((same, fingerprint_digest(fingerprint[: p + 1]) if same else diff))
+    return rows
 
 
 def norm_star_isospectral(L1: CongruenceLattice, L2: CongruenceLattice) -> bool:
     """True iff every refined count series theta^(ell) agrees; equivalent to
     p-isospectrality for all p."""
-    _check_pair(L1, L2)
+    if L1.n != L2.n:
+        raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
     n = L1.n
     return all(
         theta_ell_rational(L1, ell) == theta_ell_rational(L2, ell)

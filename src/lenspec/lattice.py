@@ -9,7 +9,9 @@ generators.  All spectral data of the quotient depends on the lattice only
 through the counts of vectors with a given one-norm and a given number of zero
 entries.  Those counts follow from the finite box count kept here (see
 :mod:`lenspec.genfun`); :func:`lenspec.weights.shell_table` enumerates them
-directly to certify that route.
+directly to certify that route.  No production path tests a single vector
+for membership or decides whether the action is free, so the record offers
+neither; the tests keep brute-force references for both.
 """
 
 from __future__ import annotations
@@ -21,33 +23,6 @@ from functools import cached_property
 from . import _kernels
 from .errors import DimensionMismatch, InvalidParameters
 from .polyseries import LaurentPolynomial
-
-
-def _subgroup_order(rows, m: int) -> int:
-    """Order of the subgroup of Z_m^n spanned by ``rows``.
-
-    Echelon form over Z, entries mod m: Euclid's steps on column j leave one
-    pivot, whose entry spans the projection to column j of the rows zero
-    before j, an image of m / gcd(m, entry) elements; that multiple of the
-    pivot is zero in column j and joins the remaining rows.
-    """
-    order = 1
-    for j in range(len(rows[0]) if rows else 0):
-        pivot, rest = None, []
-        for r in rows:
-            if pivot is None and r[j]:
-                pivot = r
-                continue
-            while r[j]:
-                k = pivot[j] // r[j]
-                pivot, r = r, [(x - k * y) % m for x, y in zip(pivot, r)]
-            rest.append(r)
-        if pivot is not None:
-            step = m // math.gcd(m, pivot[j])
-            order *= step
-            rest.append([x * step % m for x in pivot])
-        rows = rest
-    return order
 
 
 def lattice_from_lens(q: int, s) -> "CongruenceLattice":
@@ -71,7 +46,7 @@ class CongruenceLattice(_LatticeFields):
     ``CongruenceLattice(n, congruences)`` takes generator pairs (q_i, s_i) and
     normalizes them: exponents are reduced mod the order, a common factor
     with the order is divided out, and generators of order 1 are dropped.
-    Membership is exact: a is in the lattice iff every congruence
+    A vector a lies in the lattice iff every congruence
     sum_j a_j s_{i,j} = 0 mod q_i holds.  The fields ``n`` and
     ``congruences`` are a named tuple's, read-only and hashed, so generator
     data that normalizes alike gives equal lattices; as a subclass without
@@ -106,30 +81,6 @@ class CongruenceLattice(_LatticeFields):
         """Least m with g^m = 1 for every group element: the lcm of the moduli.
         Membership is periodic with this period in every coordinate."""
         return math.lcm(*(q for q, _ in self.congruences))
-
-    def acts_freely(self) -> bool:
-        """True when no nontrivial element fixes a point of the sphere.
-
-        As rotation exponents mod the exponent E, the group is the subgroup
-        of Z_E^n its generators span, and it acts freely exactly when every
-        coordinate projection is injective: when the image E / gcd(E, column
-        j) of each coordinate j has as many elements as the group.
-        """
-        big = self.exponent
-        rows = [[x * (big // q) % big for x in s] for q, s in self.congruences]
-        order = _subgroup_order(rows, big)
-        return all(big // math.gcd(big, *column) == order for column in zip(*rows))
-
-    def member(self, a) -> bool:
-        # every congruence is tested directly; a Smith-normal-form reduction of
-        # stacked congruences would be the natural fast path if this ever
-        # dominates, but moduli and ranks stay desk-scale here
-        a = tuple(a)
-        if len(a) != self.n:
-            raise DimensionMismatch(f"vector has length {len(a)}, expected {self.n}")
-        return all(
-            sum(x * c for x, c in zip(a, s)) % q == 0 for q, s in self.congruences
-        )
 
     # -- counting ------------------------------------------------------------
 

@@ -4,9 +4,11 @@ Coefficients are plain Python integers everywhere, so arithmetic is exact at
 any size.  A :class:`RationalSeries` keeps its denominator in the factored
 form ``prod (1 - z^a)^b``.  It offers an expansion to a bounded order, a
 sum, and an exact comparison: equality, and the first power at which two
-series differ with their coefficients there, are decided by a
-cross-multiplied polynomial identity, never by comparing truncations, and
-those two coefficients are read without expanding the lower ones.
+series differ with their coefficients there, are decided by one
+cross-multiplication, never by comparing truncations: both numerators are
+brought over the common denominator, a numerator already over it with no
+product, and compared term by term.  The two coefficients are read without
+expanding the lower ones.
 """
 
 from __future__ import annotations
@@ -246,33 +248,36 @@ class RationalSeries:
     # -- exact comparisons and sums -------------------------------------------------
 
     def _merge(self, other: "RationalSeries"):
+        """The common denominator of the two series and each numerator over
+        it.  A numerator whose denominator already is the common one is
+        returned as it is, with no product."""
         d1 = dict(self.denominator)
         d2 = dict(other.denominator)
-        common = {a: max(d1.get(a, 0), d2.get(a, 0)) for a in set(d1) | set(d2)}
-        m1 = _cofactor(common, d1)
-        m2 = _cofactor(common, d2)
-        return m1, m2, tuple(sorted(common.items()))
+        common = {a: max(d1.get(a, 0), d2.get(a, 0)) for a in d1.keys() | d2.keys()}
+        return tuple(sorted(common.items())), _over(self.numerator, common, d1), _over(other.numerator, common, d2)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, LaurentPolynomial)):
             other = RationalSeries(other)
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        m1, m2, _ = self._merge(other)
-        return self.numerator * m1 == other.numerator * m2
+        _, left, right = self._merge(other)
+        return left.coeffs == right.coeffs
 
     __hash__ = None
 
     def first_difference(self, other: "RationalSeries") -> tuple[int, int, int] | None:
         """None when the series are equal, otherwise (k, a, b): their expansions
-        first differ at z^k, with coefficients a and b.  k is the lowest
-        exponent of N1 m1 - N2 m2, whose terms ``==`` compares: the common
-        denominator has constant term 1."""
-        m1, m2, _ = self._merge(other)
-        left, right = (self.numerator * m1).coeffs, (other.numerator * m2).coeffs
+        first differ at z^k, with coefficients a and b.  k is the least
+        exponent at which the numerators over the common denominator differ,
+        the ones ``==`` compares: that denominator has constant term 1."""
+        _, left, right = self._merge(other)
+        left, right = left.coeffs, right.coeffs
         if left == right:
             return None
-        k = min(e for e, _ in left.items() ^ right.items())
+        # no coefficient is stored as 0, so get gives None only where the
+        # other side's coefficient is nonzero
+        k = next(e for e in sorted(left.keys() | right.keys()) if left.get(e) != right.get(e))
         return k, self._coefficient(k), other._coefficient(k)
 
     def _coefficient(self, k: int) -> int:
@@ -301,6 +306,8 @@ class RationalSeries:
             partial = step
         total = 0
         for e, c in self.numerator.coeffs.items():
+            if e > k:
+                continue
             for s, w in partial.items():
                 j, rest = divmod(k - e - s, a0)
                 if j >= 0 and not rest:
@@ -312,8 +319,8 @@ class RationalSeries:
             other = RationalSeries(other)
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        m1, m2, common = self._merge(other)
-        return RationalSeries(self.numerator * m1 + other.numerator * m2, common)
+        common, left, right = self._merge(other)
+        return RationalSeries(left + right, common)
 
     # -- rendering ------------------------------------------------------------------
 
@@ -328,10 +335,11 @@ class RationalSeries:
         return f"RationalSeries({self.to_text()!r})"
 
 
-def _cofactor(common: dict[int, int], have: dict[int, int]) -> LaurentPolynomial:
-    out = LaurentPolynomial.one()
+def _over(numerator: LaurentPolynomial, common: dict[int, int], have: dict[int, int]) -> LaurentPolynomial:
+    # the numerator times the factors of ``common`` that ``have`` lacks: the
+    # numerator itself when it lacks none
     for a, b in common.items():
         missing = b - have.get(a, 0)
         if missing:
-            out = out * one_minus_z(a, missing)
-    return out
+            numerator = numerator * one_minus_z(a, missing)
+    return numerator

@@ -1,10 +1,62 @@
 """Brute-force references and hypothesis strategies shared by the tests."""
 
+import math
 from itertools import product
 
 from hypothesis import strategies as st
 
 from lenspec import CongruenceLattice
+from lenspec.errors import DimensionMismatch
+
+
+def member(L, a) -> bool:
+    """Whether the vector a lies in the lattice L: every congruence is tested
+    directly."""
+    a = tuple(a)
+    if len(a) != L.n:
+        raise DimensionMismatch(f"vector has length {len(a)}, expected {L.n}")
+    return all(sum(x * c for x, c in zip(a, s)) % q == 0 for q, s in L.congruences)
+
+
+def subgroup_order(rows, m: int) -> int:
+    """Order of the subgroup of Z_m^n spanned by ``rows``.
+
+    Echelon form over Z, entries mod m: Euclid's steps on column j leave one
+    pivot, whose entry spans the projection to column j of the rows zero
+    before j, an image of m / gcd(m, entry) elements; that multiple of the
+    pivot is zero in column j and joins the remaining rows.
+    """
+    order = 1
+    for j in range(len(rows[0]) if rows else 0):
+        pivot, rest = None, []
+        for r in rows:
+            if pivot is None and r[j]:
+                pivot = r
+                continue
+            while r[j]:
+                k = pivot[j] // r[j]
+                pivot, r = r, [(x - k * y) % m for x, y in zip(pivot, r)]
+            rest.append(r)
+        if pivot is not None:
+            step = m // math.gcd(m, pivot[j])
+            order *= step
+            rest.append([x * step % m for x in pivot])
+        rows = rest
+    return order
+
+
+def acts_freely(L) -> bool:
+    """True when no nontrivial element of L's group fixes a point of the sphere.
+
+    As rotation exponents mod the exponent E, the group is the subgroup of
+    Z_E^n its generators span, and it acts freely exactly when every
+    coordinate projection is injective: when the image E / gcd(E, column j)
+    of each coordinate j has as many elements as the group.
+    """
+    big = L.exponent
+    rows = [[x * (big // q) % big for x in s] for q, s in L.congruences]
+    order = subgroup_order(rows, big)
+    return all(big // math.gcd(big, *column) == order for column in zip(*rows))
 
 
 def brute_box(congruences, n, radius):

@@ -16,12 +16,11 @@ from lenspec import (
     f_rational,
     f_rational_p0_direct,
     invariant_dimension,
+    compare_spaces,
     isometry_classes,
-    isospectral_range,
     lattice_from_lens,
     norm_star_isospectral,
     oracle_weight_multiplicity,
-    p_isospectral,
     search,
     spectrum_table,
     theta_ell_rational,
@@ -169,11 +168,12 @@ def test_acceptance_07_characterization_equivalence():
     pairs_checked = 0
     for q, n, p0, pairs in _characterization_pairs():
         for L1, L2 in pairs:
-            by_moments = isospectral_range(L1, L2, p0)
-            by_series = all(p_isospectral(L1, L2, p) for p in range(p0 + 1))
+            # the verdict of every p <= p0, by the moment series and by F^p
+            by_moments = [same for same, _ in compare_spaces(L1, L2, p0)]
+            by_series = [same for same, _ in compare_spaces(L1, L2, p0, "direct")]
             assert by_moments == by_series, (q, n, p0, L1.label(), L2.label())
             if p0 == n - 1:
-                assert by_moments == norm_star_isospectral(L1, L2), (q, n, L1.label(), L2.label())
+                assert by_moments[-1] == norm_star_isospectral(L1, L2), (q, n, L1.label(), L2.label())
             pairs_checked += 1
     report(7, True, f"moment criterion <=> per-degree series equality on {pairs_checked} pairs")
 
@@ -207,7 +207,7 @@ def test_acceptance_08_existence_reproduction():
             lattices = [k.lattice() for k in fam.members]
             for L1, L2 in itertools.combinations(lattices, 2):
                 # two independent certificates must agree
-                assert all(p_isospectral(L1, L2, p) for p in range(p0 + 1))
+                assert all(same for same, _ in compare_spaces(L1, L2, p0, "direct"))
                 assert norm_star_isospectral(L1, L2) == (p0 == n - 1)
                 assert theta_rational(L1) == theta_rational(L2)
     labels = "; ".join(

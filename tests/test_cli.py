@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -402,6 +403,54 @@ def test_isospectral_methods_agree(capsys):
         assert verdicts1 == verdicts2
         got = tuple(tuple(r["detail"] for r in json.loads(out)) for out in (out1, out2))
         assert got == details, (s1, s2)
+
+
+# (space, space2, method) -> the stdout sha256 of table, json and csv.  The
+# benchmark pools compare only spaces of one q; these cover different q,
+# whose series are compared over a common denominator, and a q whose
+# numerators have about 10^4 terms
+ISOSPECTRAL_DIGESTS = {
+    ("L(1009;1,1)", "L(1013;1,1)", "range"): (
+        "1ec3425555f2446e5a9514942ccb1fc07ab34907f0992b743928e562acfe0d37",
+        "34ef6c8f8da288468b92dc1b70bd0c491a18f1ff0befb10241dfdaea7010e39c",
+        "49a97ed13bd3d5193db0885c12a3104b60393de8912c858cca9824e555117499",
+    ),
+    ("L(1009;1,1)", "L(1013;1,1)", "direct"): (
+        "c18ab0fbd1f6f3d053c53e19ccd2d5adb764f87f8e6cbe8a815760e9fc001596",
+        "d2a7ebc4f145447c9f82184566d3e473da898683867c7e336e336acea5d86bc1",
+        "82c6c99ede5818b4b5b7bea6d7b428d473644acc47ef0364551671b2713617e0",
+    ),
+    ("L(5;1,2)", "L(7;1,2)", "range"): (
+        "8e471f2957d445d15d0a3bb747ca8a0f09960fba4c0113e3db3a90225acae845",
+        "c1d5306a07738a0e4654076dca21336b91d778942c38a2dbc3e4a10edb00d5af",
+        "ec61f7a16235d1a62434b1b957eefe9d20a9080834caf5bd2f5c412c4caec636",
+    ),
+    ("L(5;1,2)", "L(7;1,2)", "direct"): (
+        "7cc357357476d011ed135bc4ddf0920846900c8657ff4aa8b6de0c74f2d0ea34",
+        "c7ae5434426bc3ae203321cd7fea6a851be22a3582ccdb7300c8dd3f8b048114",
+        "64581ed08c0d88f3cbdac41c643f03f2a6cb4876030bd7c145dad8308b6b3cb4",
+    ),
+    ("L(10007;1,2)", "L(10007;1,3)", "range"): (
+        "a3c3847b7295fd2c754ea0fc4732e90a04c78b5987d21a3508939297be039612",
+        "f8c5bd67884c3bc21b17272b72fa2489da523ced205e972c4f2d4bcf8aea2f99",
+        "488050610c1c5dedd7b27ed335285ee3b69f6682755b18fd96033d413dda383d",
+    ),
+    ("L(10007;1,2)", "L(10007;1,3)", "direct"): (
+        "2f0e879de0065719b12f98e70a63743924995ae005d168e771e769d3db9747e0",
+        "a9d18a9f1186b40a4601cb68eeb38b1421df1be1bbaae540bed61048430bb6be",
+        "2a433e1704a3d2ee86af4746263501286f114bde8d92ee7b15961828da4d2994",
+    ),
+}
+
+
+@pytest.mark.parametrize("s1, s2, method", sorted(ISOSPECTRAL_DIGESTS))
+def test_isospectral_stdout_matches_its_recorded_digest(capsys, s1, s2, method):
+    for fmt, recorded in zip(("table", "json", "csv"), ISOSPECTRAL_DIGESTS[s1, s2, method]):
+        code, out, err = run_cli(
+            capsys, "isospectral", "--space", s1, "--space2", s2, "--method", method, "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == recorded, fmt
 
 
 @pytest.mark.parametrize(

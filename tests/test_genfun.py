@@ -8,12 +8,12 @@ from lenspec import (
     RationalSeries,
     RepIndex,
     a_laurent,
+    compare_spaces,
     f_rational,
     f_rational_p0_direct,
     invariant_dimension,
     lattice_from_lens,
     moment_series,
-    p_isospectral,
     theta_ell_rational,
     theta_rational,
 )
@@ -314,15 +314,15 @@ def test_weight_work_rejected_before_any_count(monkeypatch):
 
 
 def test_f_rational_bounds_its_own_laurent_work(monkeypatch):
-    # rank 60 admits a_laurent(P, ell, 60) up to P = 52; F^59 needs P = 60 and
-    # the p = 59 test compares F^58 and F^59, so both are refused before the
-    # box count, without any CLI pre-check
+    # rank 60 admits a_laurent(P, ell, 60) up to P = 52; F^59 needs P = 60,
+    # and a direct comparison up to p = 59 compares F^0..F^59, so both are
+    # refused before the box count, without any CLI pre-check
     monkeypatch.setattr(_kernels, "box_table", _fail_if_called)
     L = lattice_from_lens(2, (1,) * 60)
     with pytest.raises(InvalidParameters):
         f_rational(L, 59)
     with pytest.raises(InvalidParameters):
-        p_isospectral(L, lattice_from_lens(2, (1,) * 59 + (3,)), 59)
+        compare_spaces(L, lattice_from_lens(2, (1,) * 59 + (3,)), 59, method="direct")
 
 
 def test_box_count_bound_checked_before_any_weight(monkeypatch):

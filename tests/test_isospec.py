@@ -11,19 +11,19 @@ from lenspec import _kernels, genfun, isospec
 from lenspec import (
     CongruenceLattice,
     canonical_key,
+    compare_spaces,
     isometry_classes,
-    isospectral_range,
     lattice_from_lens,
     moment_series,
     norm_star_isospectral,
-    p_isospectral,
     search,
     spectrum_table,
     theta_rational,
 )
 from lenspec.errors import DimensionMismatch, InternalError, InvalidParameters
 from lenspec.genfun import phi_weights
-from lenspec.isospec import fingerprint_digest
+from lenspec.isospec import fingerprint_digest, numerator_fingerprint
+from support import acts_freely
 
 
 def test_canonical_key_unit_multiplier():
@@ -50,26 +50,44 @@ def test_key_lattice_roundtrip():
     assert key.lattice().exponent == 7
 
 
+def _verdicts(L1, L2, p0=None, method="range"):
+    return [same for same, _ in compare_spaces(L1, L2, p0, method)]
+
+
 def test_self_isospectral():
     L = lattice_from_lens(8, (1, 3))
-    for p in range(L.n):
-        assert p_isospectral(L, L, p)
-    for p0 in range(L.n):
-        assert isospectral_range(L, L, p0)
+    for method in ("range", "direct"):
+        assert _verdicts(L, L, method=method) == [True] * L.n
     assert norm_star_isospectral(L, L)
 
 
 def test_sphere_vs_lens_differs():
     Z2 = lattice_from_lens(1, (0, 0))
     L = lattice_from_lens(2, (1, 1))
-    assert not p_isospectral(Z2, L, 0)
-    assert not isospectral_range(Z2, L, 0)
+    assert _verdicts(Z2, L, 0) == _verdicts(Z2, L, 0, "direct") == [False]
     assert theta_rational(Z2) != theta_rational(L)
 
 
 def test_rank_mismatch():
     with pytest.raises(DimensionMismatch):
-        p_isospectral(lattice_from_lens(1, (0, 0)), lattice_from_lens(1, (0, 0, 0)), 0)
+        compare_spaces(lattice_from_lens(1, (0, 0)), lattice_from_lens(1, (0, 0, 0)), 0)
+
+
+def test_compare_spaces_rows():
+    # a digest while the spaces agree, then the first difference of the
+    # series of order p, None when those agree but a lower order differs
+    L1, L2 = lattice_from_lens(5, (1, 1)), lattice_from_lens(5, (1, 2))
+    assert compare_spaces(L1, L2) == [(False, (2, 2, 0)), (False, None)]
+    assert compare_spaces(L1, L2, method="direct") == [(False, (1, 3, 1)), (False, (0, 4, 2))]
+    L1, L2 = lattice_from_lens(8, (1, 3)), lattice_from_lens(8, (1, 5))
+    fingerprint = numerator_fingerprint(moment_series(L1, 1))
+    digests = [fingerprint_digest(fingerprint[: p + 1]) for p in range(2)]
+    for method in ("range", "direct"):
+        assert compare_spaces(L1, L2, method=method) == [(True, digest) for digest in digests]
+    with pytest.raises(InvalidParameters):
+        compare_spaces(L1, L2, 2)
+    with pytest.raises(InvalidParameters):
+        compare_spaces(L1, L2, method="moments")
 
 
 def test_range_p0_zero_is_theta_equality():
@@ -79,7 +97,7 @@ def test_range_p0_zero_is_theta_equality():
         (lattice_from_lens(7, (1, 2)), lattice_from_lens(7, (1, 3))),
     ]
     for L1, L2 in pairs:
-        assert isospectral_range(L1, L2, 0) == (theta_rational(L1) == theta_rational(L2))
+        assert _verdicts(L1, L2, 0) == [theta_rational(L1) == theta_rational(L2)]
 
 
 def test_isometric_parameters_are_isospectral():
@@ -88,8 +106,7 @@ def test_isometric_parameters_are_isospectral():
     L2 = lattice_from_lens(7, (1, 4))
     assert canonical_key(7, (1, 2)) == canonical_key(7, (1, 4))
     assert norm_star_isospectral(L1, L2)
-    for p in range(2):
-        assert p_isospectral(L1, L2, p)
+    assert _verdicts(L1, L2, method="direct") == [True, True]
 
 
 def test_range_monotonicity():
@@ -97,9 +114,12 @@ def test_range_monotonicity():
     lattices = [k.lattice() for k in keys[:6]]
     for i in range(len(lattices)):
         for j in range(i + 1, len(lattices)):
-            for p0 in range(2, 0, -1):
-                if isospectral_range(lattices[i], lattices[j], p0):
-                    assert isospectral_range(lattices[i], lattices[j], p0 - 1)
+            # a smaller p0 gives the same first rows, and once the spaces
+            # differ they differ at every higher p
+            rows = compare_spaces(lattices[i], lattices[j], 2)
+            assert [compare_spaces(lattices[i], lattices[j], p0)[-1] for p0 in range(3)] == rows
+            verdicts = [same for same, _ in rows]
+            assert verdicts == sorted(verdicts, reverse=True)
 
 
 def test_isometry_classes_manifolds_small():
@@ -140,7 +160,7 @@ def test_isometry_classes_match_brute_force(n):
 @pytest.mark.parametrize("n", sorted(_BRUTE_Q_MAX))
 def test_manifold_classes_are_free_orbifold_classes(n):
     for q in range(1, _BRUTE_Q_MAX[n] + 1):
-        free = [k for k in isometry_classes(q, n, "orbifolds") if k.lattice().acts_freely()]
+        free = [k for k in isometry_classes(q, n, "orbifolds") if acts_freely(k.lattice())]
         assert isometry_classes(q, n, "manifolds") == free, (q, n)
 
 
@@ -183,7 +203,7 @@ def test_search_finds_classic_pair():
         lattices = [k.lattice() for k in fam.members]
         base = lattices[0]
         for other in lattices[1:]:
-            assert p_isospectral(base, other, 0)
+            assert _verdicts(base, other, 0, "direct") == [True]
             assert theta_rational(base) == theta_rational(other)
 
 

@@ -18,8 +18,8 @@ PUBLIC = {
     "eigenvalue", "spectrum_table", "SpectrumTable", "SpectrumEntry", "Contribution",
     "theta_ell_rational", "theta_rational", "a_laurent", "f_rational", "f_rational_p0_direct",
     "moment_series",
-    "LensKey", "canonical_key", "isometry_classes", "p_isospectral", "isospectral_range",
-    "norm_star_isospectral", "search", "IsospectralFamily",
+    "LensKey", "canonical_key", "isometry_classes", "compare_spaces", "norm_star_isospectral", "search",
+    "IsospectralFamily",
     "WeightTable", "freudenthal_weights", "weyl_dimension", "monomial_weight_count",
     "oracle_weight_multiplicity",
     "__version__",

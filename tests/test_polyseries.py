@@ -122,6 +122,30 @@ def test_equal_implies_expansions_agree():
         assert k == e and e1[:k] == e3[:k] and (e1[k], e3[k]) == (x, y)
 
 
+def _no_product(self, other):
+    raise AssertionError("a series on the common denominator was multiplied")
+
+
+def test_comparison_on_one_denominator_takes_no_product(monkeypatch):
+    # series on the same denominator are compared by their numerators as
+    # they are; the answers are those of the expansions
+    rng = random.Random(21)
+    cases = []
+    for _ in range(40):
+        den = tuple((rng.randint(1, 4), rng.randint(1, 2)) for _ in range(rng.randint(0, 2)))
+        n1 = poly({rng.randint(0, 12): rng.randint(-3, 3) for _ in range(4)})
+        n2 = n1 if rng.random() < 0.3 else n1 + LaurentPolynomial.term(rng.choice((-1, 1)), rng.randint(0, 12))
+        cases.append((RationalSeries(n1, den), RationalSeries(n2, den)))
+    monkeypatch.setattr(LaurentPolynomial, "__mul__", _no_product)
+    for r1, r2 in cases:
+        e1, e2 = r1.expand(30), r2.expand(30)
+        diff = r1.first_difference(r2)
+        assert (r1 == r2) == (diff is None) == (e1 == e2)
+        if diff is not None:
+            k, a, b = diff
+            assert e1[:k] == e2[:k] and (e1[k], e2[k]) == (a, b)
+
+
 def test_series_arithmetic_matches_expansion():
     rng = random.Random(13)
     for _ in range(30):
