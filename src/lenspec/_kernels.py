@@ -1,8 +1,9 @@
 """Box-count kernel for congruence lattices, in pure Python.
 
-The kernel tabulates the integer vectors of the box |a_i| <= radius by
-one-norm and number of zero entries, subject to a family of modular
-congruences; its table feeds the numerators of every generating function.
+The kernel counts the integer vectors of the open box |a_i| < E that satisfy
+a family of modular congruences, E the lcm of their moduli, by one-norm and
+number of zero entries: the coefficient lists of the box-count polynomials
+phi_0..phi_n, which feed the numerators of every generating function.
 
 It is a dynamic program over the first n - 1 coordinates keyed by the
 residues of the congruences.  The partial vectors reaching one residue are
@@ -16,8 +17,7 @@ coordinates keep plain lists of field offsets, so the time stays linear in
 a large exponent.
 
 The work, loop steps weighted by the 64-bit words each moves, is bounded
-before the first step (:func:`box_work`).  Every count is an exact Python
-int.
+before the first step (:func:`box_work`).  Every count is an exact Python int.
 """
 
 from __future__ import annotations
@@ -63,13 +63,12 @@ def _group_ops(congs):
     return gens, scale, add, neg
 
 
-def _plan(congruences, n: int, radius: int):
-    # normalized congruences, coordinate order, bits per packed count, work
+def _plan(congruences, n: int):
+    # normalized congruences, coordinate order, radius E - 1, field bits, work
     if n < 2:
         raise InvalidParameters("rank n must be >= 2")
-    if radius < 0:
-        raise InvalidParameters("radius must be >= 0")
     congs = [(q, tuple(x % q for x in s)) for q, s in congruences] or [(1, (0,) * n)]
+    radius = math.lcm(*(q for q, _ in congs)) - 1
     values = 2 * radius + 1
 
     def reach(gcds):
@@ -107,31 +106,30 @@ def _plan(congruences, n: int, radius: int):
         # of each middle one, per state and solution of the last
         steps = [values, *(states[j - 1] * values for j in range(1, n - 1)), states[-1] * solutions]
         work = sum(k * (w + step) for k, w in zip(steps, words))
-    return congs, order, field, work
+    return congs, order, radius, field, work
 
 
-def box_work(congruences, n: int, radius: int) -> int:
+def box_work(congruences, n: int) -> int:
     """Work of :func:`box_table` on the same arguments, in word steps: its
     loop steps, each weighted by the 64-bit words it shifts and adds plus an
-    overhead of :data:`_STEP_WORDS` per residue entry.  Needs no table, so
-    it can run before one."""
-    return _plan(congruences, n, radius)[3]
+    overhead of :data:`_STEP_WORDS` per residue entry, without a step."""
+    return _plan(congruences, n)[4]
 
 
-def box_table(congruences, n: int, radius: int) -> list[tuple[int, ...]]:
-    """Table of lattice vectors in the box |a_i| <= radius by (norm, zeros).
+def box_table(congruences, n: int) -> list[list[int]]:
+    """Coefficient lists of phi_0..phi_n for the open box |a_i| < E.
 
-    Row k, entry z counts the integer vectors a with sum_j a_j s_{i,j} = 0
-    mod q_i for every congruence (q_i, s_i), one-norm k and z zero entries;
-    rows run from norm 0 to n * radius.  Raises InvalidParameters, before the
-    first step, when the work exceeds :data:`BOX_WORK_LIMIT`.
+    Entry k of list l counts the integer vectors a with
+    sum_j a_j s_{i,j} = 0 mod q_i for every congruence (q_i, s_i), every
+    |a_j| < E (E the lcm of the q_i), one-norm k and l zero entries; every
+    list runs from norm 0 to n * (E - 1).  Raises InvalidParameters, before
+    the first step, when the work exceeds :data:`BOX_WORK_LIMIT`.
     """
-    congs, order, field, work = _plan(congruences, n, radius)
+    congs, order, radius, field, work = _plan(congruences, n)
     if work > BOX_WORK_LIMIT:
         raise InvalidParameters(
-            f"box count of radius {radius} in rank {n} over exponent"
-            f" {math.lcm(*(q for q, _ in congs))} takes {work} word steps,"
-            f" above the limit of {BOX_WORK_LIMIT}"
+            f"box count in rank {n} over exponent {radius + 1} takes {work}"
+            f" word steps, above the limit of {BOX_WORK_LIMIT}"
         )
     gens, scale, add, neg = _group_ops(congs)
     width = n + 1
@@ -150,35 +148,35 @@ def box_table(congruences, n: int, radius: int) -> list[tuple[int, ...]]:
     # keyed by the residue of -a * g: the value a of the last coordinate
     # cancels the residue r exactly when it is listed under r
     last = offsets(neg(gens[order[-1]]))
-    rows = n * radius + 1
+    size = (n * radius + 1) * width
     if n == 2:
-        counts = [0] * (rows * width)
+        counts = [0] * size
         for r, offs in first.items():
             for o in last.get(r, ()):
                 for p in offs:
                     counts[o + p] += 1
-        return list(zip(*[iter(counts)] * width))
-
-    dp = {r: sum(1 << (o * field) for o in offs) for r, offs in first.items()}
-    for j in order[1:-1]:
-        # negating a partial vector negates its residue and keeps its norm
-        # and zeros, so residues r and -r hold one polynomial: only the
-        # targets t <= -t are summed
-        nxt = {}
-        for c, offs in offsets(gens[j]).items():
-            for r, poly in dp.items():
-                t = add(r, c)
-                if t <= neg(t):
-                    acc = nxt.get(t, 0)
-                    for o in offs:
-                        acc += poly << (o * field)
-                    nxt[t] = acc
-        dp = {**nxt, **{neg(t): poly for t, poly in nxt.items()}}
-    total = 0
-    for r, poly in dp.items():
-        for o in last.get(r, ()):
-            total += poly << (o * field)
-    # field i is the i-th run of `field` binary digits from the low end
-    bits = format(total, "b").zfill(rows * width * field)
-    counts = [int(bits[i - field : i or None], 2) for i in range(0, -rows * width * field, -field)]
-    return list(zip(*[iter(counts)] * width))
+    else:
+        dp = {r: sum(1 << (o * field) for o in offs) for r, offs in first.items()}
+        for j in order[1:-1]:
+            # negating a partial vector negates its residue and keeps its norm
+            # and zeros, so residues r and -r hold one polynomial: only the
+            # targets t <= -t are summed
+            nxt = {}
+            for c, offs in offsets(gens[j]).items():
+                for r, poly in dp.items():
+                    t = add(r, c)
+                    if t <= neg(t):
+                        acc = nxt.get(t, 0)
+                        for o in offs:
+                            acc += poly << (o * field)
+                        nxt[t] = acc
+            dp = {**nxt, **{neg(t): poly for t, poly in nxt.items()}}
+        total = 0
+        for r, poly in dp.items():
+            for o in last.get(r, ()):
+                total += poly << (o * field)
+        # field i is the i-th run of `field` binary digits from the low end
+        bits = format(total, "b").zfill(size * field)
+        counts = [int(bits[i - field : i or None], 2) for i in range(0, -size * field, -field)]
+    # entry k * width + l counts the vectors of one-norm k and l zero entries
+    return [counts[zeros::width] for zeros in range(width)]

@@ -71,7 +71,7 @@ def _lens_parameters(text: str) -> tuple[int, tuple[int, ...]]:
 
 def parse_space(text: str | None, gen_file: str | None):
     """Resolve --space / --gen-file into (label, lattice)."""
-    from .lattice import CongruenceLattice, lattice_from_lens
+    from .lattice import CongruenceLattice, lattice_from_lens, lens_label
 
     if (text is None) == (gen_file is None):
         raise LenspecError("exactly one of --space or --gen-file is required")
@@ -80,7 +80,7 @@ def parse_space(text: str | None, gen_file: str | None):
             q, s = _lens_parameters(text)
         except ValueError:
             raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)") from None
-        return f"L({q};{','.join(str(x % max(q, 1)) for x in s)})", lattice_from_lens(q, s)
+        return lens_label(q, [x % max(q, 1) for x in s]), lattice_from_lens(q, s)
     generators = []
     n = None
     with open(gen_file, encoding="utf-8") as fh:

@@ -26,7 +26,7 @@ from operator import mul
 from ._kernels import _STEP_WORDS, BOX_WORK_LIMIT
 from .errors import DimensionMismatch, InternalError, InvalidParameters
 from .genfun import _weight_set, check_laurent_work, check_weight_work, f_rational, moment_series, theta_ell_rational
-from .lattice import CongruenceLattice, lattice_from_lens
+from .lattice import CongruenceLattice, lattice_from_lens, lens_label
 
 # bound on the entries of the candidate keys isometry_classes checks,
 # n * C(values + n - 1, n), or n * C(values + n - 2, n - 1) for manifolds,
@@ -45,7 +45,7 @@ class LensKey(namedtuple("LensKey", ("n", "q", "exponents"))):
     __slots__ = ()
 
     def label(self) -> str:
-        return f"L({self.q};{','.join(str(x) for x in self.exponents)})"
+        return lens_label(self.q, self.exponents)
 
     def lattice(self) -> CongruenceLattice:
         return lattice_from_lens(self.q, self.exponents)
@@ -86,30 +86,35 @@ def compare_spaces(
     series of every order <= p agree: the zero-count moment series
     (``range``) or the encoding series F^0..F^p (``direct``).  While they
     do, detail is the digest of the first space's moment numerators of
-    orders 0..p; afterwards it is the ``first_difference`` of the two series
-    of order p, None when those agree and the spaces differ below p.
-    Raises DimensionMismatch for spaces of different rank, and
-    InvalidParameters for p0 outside 0..n-1 or a ``direct`` comparison past
-    the Laurent weight bound, before any series is built.
+    orders 0..p, built only when the spaces agree at p = 0; afterwards it is
+    the ``first_difference`` of the two series of order p, None when those
+    agree and the spaces differ below p.  Raises DimensionMismatch for spaces
+    of different rank, and InvalidParameters for p0 outside 0..n-1, moment
+    weights past their bound or a ``direct`` comparison past the Laurent
+    weight bound, before any series is built.
     """
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
     if method not in ("range", "direct"):
         raise InvalidParameters(f"method must be 'range' or 'direct', got {method!r}")
+    n = L1.n
     if p0 is None:
-        p0 = L1.n - 1
-    if method == "direct" and p0 < L1.n:  # moment_series rejects a larger p0
-        check_laurent_work(L1.n, range(1, p0 + 2))
-    moments = moment_series(L1, p0)  # rejects p0 outside 0..n-1
+        p0 = n - 1
+    if not 0 <= p0 <= n - 1:
+        raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     if method == "direct":
+        # the F^p weights, and the moment weights of the digests
+        check_laurent_work(n, range(1, p0 + 2))
+        check_weight_work(n, p0 + 1)
         series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (L1, L2))
     else:
-        series1, series2 = moments, moment_series(L2, p0)
-    fingerprint = numerator_fingerprint(moments)
-    rows, same = [], True
+        series1, series2 = (moment_series(L, p0) for L in (L1, L2))
+    rows, same, fingerprint = [], True, None
     for p, (a, b) in enumerate(zip(series1, series2)):
         diff = a.first_difference(b)
         same = same and diff is None
+        if same and fingerprint is None:
+            fingerprint = numerator_fingerprint(series1 if method == "range" else moment_series(L1, p0))
         rows.append((same, fingerprint_digest(fingerprint[: p + 1]) if same else diff))
     return rows
 

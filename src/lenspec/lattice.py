@@ -4,14 +4,13 @@ A finite subgroup of the block-rotation torus in SO(2n) is given by generator
 pairs (q_i, s_i): the generator rotates coordinate plane j by 2*pi*s_{i,j}/q_i.
 Its congruence lattice is the set of integer vectors a with
 sum_j a_j s_{i,j} = 0 mod q_i for every generator, so one record,
-:class:`CongruenceLattice`, holds both; every other datum is derived from the
-generators.  All spectral data of the quotient depends on the lattice only
-through the counts of vectors with a given one-norm and a given number of zero
-entries.  Those counts follow from the finite box count kept here (see
-:mod:`lenspec.genfun`); :func:`lenspec.weights.shell_table` enumerates them
-directly to certify that route.  No production path tests a single vector
-for membership or decides whether the action is free, so the record offers
-neither; the tests keep brute-force references for both.
+:class:`CongruenceLattice`, holds both and derives every other datum.  All
+spectral data of the quotient depends on the lattice only through the box
+count kept here: phi_l counts the vectors of the open box |a_i| < E, E the
+exponent, with l zero entries by one-norm (see :mod:`lenspec.genfun`), and
+:func:`lenspec.weights.shell_table` certifies it by direct enumeration.  No
+production path tests a vector for membership or decides whether the action
+is free; the tests keep brute-force references for both.
 """
 
 from __future__ import annotations
@@ -34,6 +33,11 @@ def lattice_from_lens(q: int, s) -> "CongruenceLattice":
     if math.gcd(q, *s) != 1:
         raise InvalidParameters(f"gcd(q, s_1, ..., s_n) must be 1, got parameters ({q}; {s})")
     return CongruenceLattice(len(s), [(q, s)])
+
+
+def lens_label(q: int, s) -> str:
+    """The text L(q;s_1,...,s_n) of lens parameters."""
+    return f"L({q};{','.join(map(str, s))})"
 
 
 # n: int, congruences: tuple of (q, s) with s a tuple of n ints
@@ -86,8 +90,8 @@ class CongruenceLattice(_LatticeFields):
 
     @cached_property
     def _phi(self) -> tuple[LaurentPolynomial, ...]:
-        table = _kernels.box_table(self.congruences, self.n, self.exponent - 1)
-        return tuple(LaurentPolynomial(dict(enumerate(column))) for column in zip(*table))
+        phis = _kernels.box_table(self.congruences, self.n)
+        return tuple(LaurentPolynomial({k: c for k, c in enumerate(phi) if c}) for phi in phis)
 
     def phi_polynomials(self) -> tuple[LaurentPolynomial, ...]:
         """Box-count generating polynomials, one per zero-entry count.
@@ -108,9 +112,6 @@ class CongruenceLattice(_LatticeFields):
         if not self.congruences:
             return f"Z^{self.n}"
         if len(self.congruences) == 1:
-            q, s = self.congruences[0]
-            return f"L({q};{','.join(str(x) for x in s)})"
-        gens = "|".join(
-            f"{q}:{','.join(str(x) for x in s)}" for q, s in self.congruences
-        )
+            return lens_label(*self.congruences[0])
+        gens = "|".join(f"{q}:{','.join(map(str, s))}" for q, s in self.congruences)
         return f"G({gens})"

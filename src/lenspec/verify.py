@@ -90,7 +90,7 @@ def compositions_count(total: int, parts: int) -> int:
 
 
 def convolution_rhs(L: CongruenceLattice, a: int, r: int, ell: int) -> int:
-    """Shell count reconstructed from the box table by unfolding periodicity."""
+    """Shell count reconstructed from the box counts by unfolding periodicity."""
     n, q = L.n, L.exponent
     total = 0
     for s in range(n - ell + 1):

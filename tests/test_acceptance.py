@@ -11,6 +11,7 @@ import json
 import time
 from functools import cache
 
+from lenspec import _kernels, isospec
 from lenspec import (
     RepIndex,
     f_rational,
@@ -189,7 +190,21 @@ def _timed_search(*args):
     return families, min(times)
 
 
-def test_acceptance_08_existence_reproduction():
+def _search_work(monkeypatch, *args):
+    # the calls of the box count, the moment series and F^p in one search,
+    # and the word steps of its box counts: its work, alike on every machine
+    calls = {}
+    for module, name in ((_kernels, "box_table"), (isospec, "moment_series"), (isospec, "f_rational")):
+        log = calls[name] = []
+        monkeypatch.setattr(module, name, lambda *a, fn=getattr(module, name), log=log: log.append(a) or fn(*a))
+    search(*args)
+    monkeypatch.undo()
+    work = {name: len(log) for name, log in calls.items()}
+    work["box_work"] = sum(_kernels.box_work(*a) for a in calls["box_table"])
+    return work
+
+
+def test_acceptance_08_existence_reproduction(monkeypatch):
     # the paper-line pairs exactly: Ikeda's 0-isospectral pair at q = 11
     # (Ann. Sci. ENS 13, 1980), and the first n = 3 manifold pair that is
     # p-isospectral on every degree, at q = 49
@@ -210,6 +225,14 @@ def test_acceptance_08_existence_reproduction():
                 assert all(same for same, _ in compare_spaces(L1, L2, p0, "direct"))
                 assert norm_star_isospectral(L1, L2) == (p0 == n - 1)
                 assert theta_rational(L1) == theta_rational(L2)
+    # the CPU pin above moves with the machine; these counts do not
+    assert len(isometry_classes(49, 3, "manifolds")) == 85
+    assert _search_work(monkeypatch, 49, 3, 2, "manifolds") == {
+        "box_table": 2,
+        "box_work": 2790764,
+        "moment_series": 2,
+        "f_rational": 6,
+    }
     labels = "; ".join(
         f"q={q}: " + " ~ ".join(pair) + f" in {time}"
         for ((q, _, _), pairs), time in zip(expected.items(), times)

@@ -90,6 +90,29 @@ def test_compare_spaces_rows():
         compare_spaces(L1, L2, method="moments")
 
 
+def _refuse(*args):
+    raise AssertionError("called where no caller reads it")
+
+
+def test_direct_comparison_builds_no_digest_for_differing_spaces(monkeypatch):
+    # no row agrees, so no moment series is built for a digest
+    L1, L2 = lattice_from_lens(10007, (1, 2)), lattice_from_lens(10007, (1, 3))
+    monkeypatch.setattr(isospec, "moment_series", _refuse)
+    assert compare_spaces(L1, L2, method="direct") == [(False, (2, 2, 0)), (False, (1, 2, 0))]
+
+
+def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
+    monkeypatch.setattr(_kernels, "box_table", _refuse)
+    L1, L2 = lattice_from_lens(8, (1, 3)), lattice_from_lens(8, (1, 5))
+    with pytest.raises(InvalidParameters, match=r"^p0 must lie in 0\.\.1$"):
+        compare_spaces(L1, L2, 2, method="direct")
+    # the moment weights of the digests are bounded too, though only
+    # agreeing spaces build them: five sets of rank 100 are over the bound
+    L1, L2 = lattice_from_lens(3, (1,) * 100), lattice_from_lens(3, (1,) * 99 + (2,))
+    with pytest.raises(InvalidParameters, match="sets of phi_m weights"):
+        compare_spaces(L1, L2, 4, method="direct")
+
+
 def test_range_p0_zero_is_theta_equality():
     pairs = [
         (lattice_from_lens(5, (1, 1)), lattice_from_lens(5, (1, 2))),

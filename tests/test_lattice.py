@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from lenspec import (
     CongruenceLattice,
     LaurentPolynomial,
+    canonical_key,
     isometry_classes,
     lattice_from_lens,
     theta_rational,
 )
 from lenspec import _kernels, weights
-from lenspec.cli import main
+from lenspec.cli import main, parse_space
 from lenspec.errors import DimensionMismatch, InvalidParameters
 from lenspec.weights import shell_table
 from support import acts_freely, brute_box, member, subgroup_order
@@ -271,19 +272,20 @@ def test_box_table_matches_certification_route():
         (5, (3, 4, 4)),
     ):
         congs = ((q, s),)
-        # the box |a_i| <= 9 holds every shell of one-norm <= 9
+        # the box |a_i| < q holds every shell of one-norm < q
         L = CongruenceLattice(len(s), congs)
-        assert shell_table(L, 9) == _kernels.box_table(congs, len(s), 9)[:10]
+        phis = _kernels.box_table(congs, len(s))
+        assert shell_table(L, q - 1) == list(zip(*(phi[:q] for phi in phis)))
 
 
-# largest exponent drawn per rank, so the brute-force box (2E + 5)^n stays small
+# largest exponent drawn per rank, so the brute-force box (2E - 1)^n stays small
 _BOX_EXPONENT_CAP = {2: 12, 3: 8, 4: 4}
 
 
 @st.composite
 def box_cases(draw):
     """Raw congruences of one or two generators (exponents may be 0 or share
-    a factor with the order), rank n <= 4, radius 0, E - 1 or E + 2."""
+    a factor with the order) and rank n <= 4."""
     n = draw(st.integers(2, 4))
     cap = _BOX_EXPONENT_CAP[n]
     q = draw(st.integers(2, cap))
@@ -294,21 +296,21 @@ def box_cases(draw):
         (order, tuple(draw(st.lists(st.integers(0, order - 1), min_size=n, max_size=n))))
         for order in orders
     )
-    exponent = math.lcm(*orders)
-    radius = draw(st.sampled_from([0, exponent - 1, exponent + 2]))
-    return congs, n, radius
+    return congs, n
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=box_cases())
-@example(case=(((5, (1, 2, 0)),), 3, 4))  # s_n = 0
-@example(case=(((6, (2, 3, 0)),), 3, 8))  # no exponent is a unit mod q
-@example(case=(((4, (0, 0)),), 2, 3))  # trivial congruence
-@example(case=(((2, (1, 1, 1, 1)), (4, (1, 3, 1, 3))), 4, 6))  # Z2 x Z4 on S^7
-@example(case=(((4, (1, 2)), (6, (1, 5))), 2, 14))  # exponent 12 above both orders
+@example(case=(((5, (1, 2, 0)),), 3))  # s_n = 0
+@example(case=(((6, (2, 3, 0)),), 3))  # no exponent is a unit mod q
+@example(case=(((4, (0, 0)),), 2))  # trivial congruence
+@example(case=(((2, (1, 1, 1, 1)), (4, (1, 3, 1, 3))), 4))  # Z2 x Z4 on S^7
+@example(case=(((4, (1, 2)), (6, (1, 5))), 2))  # exponent 12 above both orders
 def test_box_table_matches_brute_force(case):
-    congs, n, radius = case
-    assert _kernels.box_table(congs, n, radius) == brute_box(congs, n, radius)
+    # phi_l is column l of the brute-force table of the box |a_i| < E
+    congs, n = case
+    rows = brute_box(congs, n, math.lcm(*(q for q, _ in congs)) - 1)
+    assert _kernels.box_table(congs, n) == [list(column) for column in zip(*rows)]
 
 
 def brute_free(q, s):
@@ -375,7 +377,7 @@ def test_freeness_matches_enumeration_for_several_generators(group):
 def test_box_work_bound_admits_the_required_inputs():
     # checked by the work alone, so none of these runs here
     def work(q, s):
-        return _kernels.box_work(((q, s),), len(s), q - 1)
+        return _kernels.box_work(((q, s),), len(s))
 
     assert work(100003, (1, 2)) <= _kernels.BOX_WORK_LIMIT
     for q, n in ((151, 3), (31, 4)):
@@ -396,17 +398,26 @@ def test_freeness_group_size_guard(capsys):
     assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
-def test_kernel_scale_guard():
-    congs = ((3, (1, 1, 1, 1, 1, 1, 1, 1)),)
-    L = CongruenceLattice(8, congs)
+def _fail_if_called(*args):
+    raise AssertionError("the box count started before its work was checked")
+
+
+def test_kernel_scale_guard(monkeypatch):
+    L = CongruenceLattice(8, ((3, (1, 1, 1, 1, 1, 1, 1, 1)),))
     with pytest.raises(InvalidParameters):
         shell_table(L, 10**8)
+    # an exponent that puts the box count over its work bound is refused
+    # before the kernel builds anything
+    monkeypatch.setattr(_kernels, "_group_ops", _fail_if_called)
     with pytest.raises(InvalidParameters):
-        _kernels.box_table(congs, 8, 10**8)
+        lattice_from_lens(3499, (1, 2, 3)).phi_polynomials()
 
 
 def test_labels():
     assert lattice_from_lens(4, (1, 3)).label() == "L(4;1,3)"
     assert lattice_from_lens(1, (0, 0)).label() == "Z^2"
+    # the key and the command line name the trivial group by its parameters
+    assert canonical_key(1, (0, 0)).label() == parse_space("L(1;0,0)", None)[0] == "L(1;0,0)"
+    assert parse_space("L(7;1,-2)", None)[0] == "L(7;1,5)"
     L = CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))])
     assert L.label() == "G(2:1,1|4:1,3)"
