@@ -16,24 +16,14 @@ the values that cancel it.  In rank 2 no polynomial is packed: both
 coordinates keep plain lists of field offsets, so the time stays linear in
 a large exponent.
 
-The work, loop steps weighted by the 64-bit words each moves, is bounded
-before the first step (:func:`box_work`).  Every count is an exact Python int.
+The work, loop steps weighted by the 64-bit words each moves, is admitted
+by :func:`lenspec.errors.admit` before the first step (:func:`box_work`);
+it is the unit every other stage counts its work in.  Every count is an exact Python int.
 """
-
-from __future__ import annotations
 
 import math
 
-from .errors import InvalidParameters
-
-# Largest work one box count may take: loop steps, each weighted by the
-# 64-bit words of the packed polynomial it shifts and adds.  At this bound
-# the slowest inputs take 1-2 s on a 2-core Xeon VM.
-BOX_WORK_LIMIT = 5 * 10**8
-# Words one loop step on int residues costs besides the words it moves: the
-# interpreter's overhead of a step takes about as long as shifting and adding
-# that many words.
-_STEP_WORDS = 190
+from .errors import _STEP_WORDS, InvalidParameters, admit
 
 
 def _group_ops(congs):
@@ -123,14 +113,10 @@ def box_table(congruences, n: int) -> list[list[int]]:
     sum_j a_j s_{i,j} = 0 mod q_i for every congruence (q_i, s_i), every
     |a_j| < E (E the lcm of the q_i), one-norm k and l zero entries; every
     list runs from norm 0 to n * (E - 1).  Raises InvalidParameters, before
-    the first step, when the work exceeds :data:`BOX_WORK_LIMIT`.
+    the first step, when :func:`lenspec.errors.admit` refuses the work.
     """
     congs, order, radius, field, work = _plan(congruences, n)
-    if work > BOX_WORK_LIMIT:
-        raise InvalidParameters(
-            f"box count in rank {n} over exponent {radius + 1} takes {work}"
-            f" word steps, above the limit of {BOX_WORK_LIMIT}"
-        )
+    admit(work, f"the box count in rank {n} over exponent {radius + 1}")
     gens, scale, add, neg = _group_ops(congs)
     width = n + 1
     xs = range(-radius, radius + 1)

@@ -15,7 +15,8 @@ argument-parsing library is loaded.
 Identical invocations produce byte-identical output.  Invalid input,
 bad usage included, exits 2 and an internal inconsistency exits 3, each with
 a single ``error:`` line on stderr and nothing on stdout; the work of every
-series expansion is bounded before it starts.  A reader that closes stdout
+stage is admitted against one limit before it starts
+(:func:`lenspec.errors.admit`).  A reader that closes stdout
 early (``lenspec ... | head -1``) ends the call with status 141, the shell's
 status for SIGPIPE, and nothing on stderr.
 
@@ -35,8 +36,6 @@ or plain classes.  Every subcommand names its columns once and hands its
 rows, tuples in that order, to :func:`_emit_records`, the one writer of
 records.  Apart from it only the help text reaches stdout.
 """
-
-from __future__ import annotations
 
 import os
 import sys
@@ -178,14 +177,22 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    from .genfun import check_f_expand_work, check_laurent_work, f_rational, theta_ell_rational, theta_rational
+    from .genfun import (
+        check_laurent_work, check_product_work, check_weight_work, f_rational, theta_ell_rational, theta_rational,
+    )
+    from .polyseries import check_expand_work
 
     if args.order < 0:
         raise LenspecError("--order must be >= 0")
     label, lattice = parse_space(args.space, args.gen_file)
     n = lattice.n
-    check_f_expand_work(n, args.order)
-    check_laurent_work(n, range(1, n + 1))
+    # its 2n + 2 series, none over more than the 2n - 1 factors of F^p, and
+    # the weights and products of F^0..F^(n-1)
+    check_expand_work(args.order, 2 * n - 1, 2 * n + 2)
+    ps = range(1, n + 1)
+    check_laurent_work(n, ps)
+    check_weight_work(n, lattice.exponent, ps)
+    check_product_work(n, lattice.exponent, ps)
     # every series is built before the first row is written, so an error
     # leaves stdout empty; each row is rendered only when written
     named = [(f"F^{p}", f_rational(lattice, p)) for p in range(n)]

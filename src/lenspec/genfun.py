@@ -9,27 +9,19 @@ F^p takes a_laurent(p+1, ell, n) plus a corrective polynomial over
 (1-z^2)^(n-1) (1-z^q)^n, moment h takes ell^h and theta takes 1.  The W_m
 of F^p and of the moments are cached per (q, n, order); no result is cached
 per lattice.
-"""
 
-from __future__ import annotations
+Each of the three costs of a series, the a_laurent weights, the phi_m
+weights and the products phi_m W_m, has its count of word steps here
+(:func:`check_laurent_work`, :func:`check_weight_work`,
+:func:`check_product_work`), admitted by :func:`lenspec.errors.admit` before
+any weight is built or any box is counted.
+"""
 
 from functools import lru_cache
 
-from .errors import InvalidParameters, NegativeOrderTerm
+from .errors import _STEP_WORDS, InvalidParameters, NegativeOrderTerm, admit
 from .lattice import CongruenceLattice
-from .polyseries import LaurentPolynomial, RationalSeries, binom, check_expand_work, one_minus_z
-
-# bound on the steps, one per term, of the a_laurent weights one call may
-# compute, counted by check_laurent_work: it admits genfun and isospectral
-# --method direct up to rank 31, spectrum --p n-1 up to rank 45 and one F^p
-# up to rank 54; the slowest, isospectral --method direct at rank 31, takes
-# about 2 s on a 2-core Xeon VM, most of it in its series, not the weights
-MAX_LAURENT_WORK = 8 * 10**5
-# bound on the steps of the phi_m weights one series builder may compute,
-# (n + 1)^3 per set of weights, counted by check_weight_work: it admits the
-# moment series of every order below n up to rank 43, which for the two
-# lattices of an isospectral call take about 2 s on a 2-core Xeon VM
-MAX_WEIGHT_WORK = 4 * 10**6
+from .polyseries import LaurentPolynomial, RationalSeries, binom, one_minus_z
 
 
 def theta_ell_rational(L: CongruenceLattice, ell: int) -> RationalSeries:
@@ -66,14 +58,22 @@ def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
     ]
 
 
-def check_weight_work(n: int, sets: int) -> None:
-    """Reject computing ``sets`` sets of rank-n weights with :func:`phi_weights`
-    when their steps exceed :data:`MAX_WEIGHT_WORK`: each W_m sums m + 1
-    shifted polynomials of up to m + 1 terms, (n + 1)^3 steps per set."""
-    if sets * (n + 1) ** 3 > MAX_WEIGHT_WORK:
-        raise InvalidParameters(
-            f"{sets} sets of phi_m weights of rank {n} need more than {MAX_WEIGHT_WORK} steps"
-        )
+def check_weight_work(n: int, exponent: int, ps) -> int:
+    """Admit computing, with :func:`phi_weights`, one set of rank-n weights in
+    the exponent E for every P in ``ps``, whose w_ell have up to P terms
+    (P = p + 1 for F^p, 1 for a moment series), and return their word steps.
+
+    The lifted weight (1 - z^E)^ell w_ell has at most P + ell min(P, E)
+    terms, and W_m shifts, scales and adds those of every ell <= m, three
+    steps a term; each step moves a coefficient of at most 4^n n^n.
+    """
+    words = -(-n * (4 * n).bit_length() // 64)
+    work = 0
+    for P in ps:
+        terms = P * (n + 1) * (n + 2) // 2 + min(P, exponent) * n * (n + 1) * (n + 2) // 6
+        work += 3 * terms * (_STEP_WORDS + words)
+        admit(work, f"the phi_m weights of rank {n}")
+    return work
 
 
 @lru_cache(maxsize=64)
@@ -134,22 +134,43 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs)
 
 
-def check_laurent_work(n: int, ps) -> None:
-    """Reject computing a_laurent(P, ell, n) for every P in ``ps`` and every
-    ell = 0..n when their terms exceed :data:`MAX_LAURENT_WORK`.
+def check_laurent_work(n: int, ps) -> int:
+    """Admit computing a_laurent(P, ell, n) for every P in ``ps`` and every
+    ell = 0..n, and return its word steps.
 
     A weight sums at most S(P) = sum_{d <= (P-1)/2} (P-2d)(P-2d+1)/2
     = (P+1)(P+3)(2P+1) // 24 terms, the count of (d, c, b) when ell >= P - 1,
-    so the work is (n + 1) sum_P S(P).  The sum stops at the bound, so the
+    one step each, so the steps are (n + 1) sum_P S(P); a step moves a
+    coefficient of at most 4^n.  The sum stops once past the limit, so the
     check itself stays small at any n.
     """
+    words = -(-2 * n // 64)
     work = 0
     for P in ps:
-        work += (n + 1) * ((P + 1) * (P + 3) * (2 * P + 1) // 24)
-        if work > MAX_LAURENT_WORK:
-            raise InvalidParameters(
-                f"the F^p weights of rank {n} need more than {MAX_LAURENT_WORK} steps"
-            )
+        work += (n + 1) * ((P + 1) * (P + 3) * (2 * P + 1) // 24) * (_STEP_WORDS + words)
+        admit(work, f"the F^p weights of rank {n}")
+    return work
+
+
+def check_product_work(n: int, exponent: int, ps) -> int:
+    """Admit the products phi_m W_m of the series whose weights w_ell have up
+    to P terms, for every P in ``ps``, on a lattice of rank n and exponent E
+    (P = p + 1 for F^p, 1 for a moment series), and return their word steps.
+
+    phi_m has degree at most (n - m)(E - 1), so at most (n - m)(E - 1) + 1
+    terms.  W_m sums the m + 1 shifts by multiples of E of polynomials whose
+    exponents lie in one set of at most P values, so it has at most
+    P + m min(P, E) terms.  Each pair of terms is one step, and it moves a
+    coefficient of phi_m, at most (2E)^(n-1), and one of W_m, at most
+    4^n n^n.  The sum stops once past the limit.
+    """
+    words = -(-((n - 1) * (2 * exponent).bit_length() + n * (4 * n).bit_length()) // 64)
+    work = 0
+    for P in ps:
+        pairs = sum(((n - m) * (exponent - 1) + 1) * (P + m * min(P, exponent)) for m in range(n + 1))
+        work += pairs * (_STEP_WORDS + words)
+        admit(work, f"the phi_m W_m products of rank {n} and exponent {exponent}")
+    return work
 
 
 def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
@@ -160,15 +181,16 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     the corrective monomial -+z^(-p-1) cancels exactly against them, so no
     negative exponent survives.  One that does signals an internal
     inconsistency and raises NegativeOrderTerm.  The a_laurent and phi_m
-    weight work and the box count are checked before any weight is built
-    (InvalidParameters).
+    weights, the products phi_m W_m and the box count are admitted before any
+    weight is built (InvalidParameters).
     """
     n, q = L.n, L.exponent
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     P = p + 1
     check_laurent_work(n, (P,))
-    check_weight_work(n, 1)
+    check_weight_work(n, q, (P,))
+    check_product_work(n, q, (P,))
     phis = L.phi_polynomials()
     weights = _weight_set(q, n, "F", p)
     sign = -1 if P % 2 else 1
@@ -186,28 +208,18 @@ def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
     """The moment series sum_ell ell^h * theta^(ell), with 0^0 = 1, for every
     order h = 0 .. p0, each on the denominator (1 - z^q)^n.  Raises
     InvalidParameters unless 0 <= p0 <= n - 1, and before any work when its
-    p0 + 1 sets of weights exceed :data:`MAX_WEIGHT_WORK`.
+    p0 + 1 sets of weights or their products are refused.
     """
     n, q = L.n, L.exponent
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    check_weight_work(n, p0 + 1)
+    check_weight_work(n, q, (1,) * (p0 + 1))
+    check_product_work(n, q, (1,) * (p0 + 1))
     phis = L.phi_polynomials()
     return [
         RationalSeries(_phi_sum(phis, _weight_set(q, n, "moment", h)), ((q, n),))
         for h in range(p0 + 1)
     ]
-
-
-def check_f_expand_work(n: int, order: int) -> None:
-    """Reject expanding a rank-n series F^p to ``order`` when the work exceeds
-    the bound of :func:`lenspec.polyseries.check_expand_work`.
-
-    Its denominator (1-z^2)^(n-1) (1-z^q)^n has 2n-1 factors, at least as many
-    as theta and every theta^(ell) of the same lattice, so the check covers
-    those expansions too.  Needs no series, so it can run before any is built.
-    """
-    check_expand_work(order, 2 * n - 1)
 
 
 def f_rational_p0_direct(L: CongruenceLattice) -> RationalSeries:

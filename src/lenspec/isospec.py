@@ -15,25 +15,20 @@ they are p'-isospectral for all p' <= p, and where their series first differ.
 Every test compares exact rational series, never truncations.
 """
 
-from __future__ import annotations
-
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import combinations_with_replacement, islice
 from operator import mul
 
-from ._kernels import _STEP_WORDS, BOX_WORK_LIMIT
-from .errors import DimensionMismatch, InternalError, InvalidParameters
-from .genfun import _weight_set, check_laurent_work, check_weight_work, f_rational, moment_series, theta_ell_rational
+from ._kernels import box_work
+from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InternalError, InvalidParameters, admit
+from .genfun import (
+    _weight_set, check_laurent_work, check_product_work, check_weight_work, f_rational, moment_series,
+    theta_ell_rational,
+)
 from .lattice import CongruenceLattice, lattice_from_lens, lens_label
-
-# bound on the entries of the candidate keys isometry_classes checks,
-# n * C(values + n - 1, n), or n * C(values + n - 2, n - 1) for manifolds,
-# whose keys start with 1; the largest search of the benchmark and of the
-# q-range gates (q = 151, n = 3, orbifolds) needs 228228, and q = 251, n = 3
-# (manifolds) 23625
-MAX_CLASS_WORK = 10**6
 
 
 class LensKey(namedtuple("LensKey", ("n", "q", "exponents"))):
@@ -89,9 +84,9 @@ def compare_spaces(
     orders 0..p, built only when the spaces agree at p = 0; afterwards it is
     the ``first_difference`` of the two series of order p, None when those
     agree and the spaces differ below p.  Raises DimensionMismatch for spaces
-    of different rank, and InvalidParameters for p0 outside 0..n-1, moment
-    weights past their bound or a ``direct`` comparison past the Laurent
-    weight bound, before any series is built.
+    of different rank, and InvalidParameters for p0 outside 0..n-1, and for
+    moment weights or, for ``direct``, the F^p weights and products of
+    either lattice that the work limit refuses, before any series is built.
     """
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
@@ -103,9 +98,12 @@ def compare_spaces(
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     if method == "direct":
-        # the F^p weights, and the moment weights of the digests
-        check_laurent_work(n, range(1, p0 + 2))
-        check_weight_work(n, p0 + 1)
+        # the F^p weights and those of the moment digests, and the F^p
+        # products of the lattice of larger exponent, before either box count
+        ps, exponent = range(1, p0 + 2), max(L1.exponent, L2.exponent)
+        check_laurent_work(n, ps)
+        check_weight_work(n, exponent, (*ps, *(1,) * (p0 + 1)))
+        check_product_work(n, exponent, ps)
         series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (L1, L2))
     else:
         series1, series2 = (moment_series(L, p0) for L in (L1, L2))
@@ -177,9 +175,12 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     lower only if it carries some entry x with gcd(x, q) = g to +-g; every
     other unit leaves that slot above g.  So only those units are tried
     (:func:`_reaching_units`, at most n of them for a manifold), not every
-    unit in [2, q // 2].  Raises InvalidParameters, before any candidate is
-    built, when the candidates hold more than :data:`MAX_CLASS_WORK` entries:
-    n * C(values + n - 1, n), or n * C(values + n - 2, n - 1) for manifolds.
+    unit in [2, q // 2].  The candidates hold n * C(values + n - 1, n)
+    entries, or n * C(values + n - 2, n - 1) for manifolds.  A manifold
+    candidate is folded by up to 2n units of n entries each, 2n + 1 steps of
+    one word an entry; an orbifold candidate is mostly dropped by the gcds of
+    its entries, 2 steps an entry.  That work is admitted before any
+    candidate is built (InvalidParameters).
     """
     _check_q_n(q, n)
     if mode not in ("manifolds", "orbifolds"):
@@ -188,13 +189,10 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     free = mode == "manifolds" and q >= 2
     k = n - 1 if free else n
     values = (x for x in range(q // 2 + 1) if mode == "orbifolds" or math.gcd(x, q) == 1)
-    # C(m + k - 1, k) >= m, so no more values are read than the bound can admit
-    values = list(islice(values, MAX_CLASS_WORK // n + 1))
-    if n * math.comb(len(values) + k - 1, k) > MAX_CLASS_WORK:
-        raise InvalidParameters(
-            f"listing the classes of q={q}, n={n} ({mode}) takes more than "
-            f"{MAX_CLASS_WORK} candidate entries"
-        )
+    step = (2 * n + 1 if free else 2) * (_STEP_WORDS + 1)
+    # C(m + k - 1, k) >= m, so no more values are read than the limit can admit
+    values = list(islice(values, WORK_LIMIT // (n * step) + 1))
+    admit(n * math.comb(len(values) + k - 1, k) * step, f"listing the classes of q={q}, n={n} ({mode})")
     gcds = {x: math.gcd(x, q) for x in values}
     reach = {x: _reaching_units(q, x) for x in values if x}
     candidates = combinations_with_replacement(values, k)
@@ -237,14 +235,12 @@ def _builtin_sha256():
     # the interpreter's builtin sha256 (_sha2 from Python 3.12, _sha256 before
     # it) loads in well under a millisecond; hashlib loads OpenSSL's _hashlib,
     # about ten times as long, and is only the fallback
-    for name in ("_sha2", "_sha256"):
-        try:
-            return __import__(name).sha256
-        except ImportError:
-            pass
-    from hashlib import sha256
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        from hashlib import sha256
 
-    return sha256
+        return sha256
 
 
 # -- character sums ---------------------------------------------------------------
@@ -290,13 +286,12 @@ class _CharacterSums:
     how phi_m is obtained.  ``table`` holds w + H(u) at z packed as one int
     per u, and ``weights`` the W_m(z); both are built once, and
     :func:`_phi_sums` walks the classes over them.  Raises
-    InvalidParameters, before either is built, when the weights exceed
-    :data:`lenspec.genfun.MAX_WEIGHT_WORK` or the sums over ``classes``
-    classes exceed :data:`lenspec._kernels.BOX_WORK_LIMIT`.
+    InvalidParameters, before either is built, when the work limit refuses
+    the weights or the sums over ``classes`` classes.
     """
 
     def __init__(self, q: int, n: int, p0: int, classes: int):
-        check_weight_work(n, p0 + 1)
+        check_weight_work(n, q, (1,) * (p0 + 1))
         # field width of the packed polynomials in w: a product of n factors
         # w + H, summed over at most q values of t, fits in it
         width = 62 * n + q.bit_length() + 1
@@ -305,12 +300,7 @@ class _CharacterSums:
         # unit of the box counts these sums stand in for; shared prefixes only
         # save some of these products
         words = sum(-(-j * width // 64) * -(-width // 64) + _STEP_WORDS for j in range(1, n))
-        work = classes * (q // 2 + 1) * words
-        if work > BOX_WORK_LIMIT:
-            raise InvalidParameters(
-                f"the character sums of {classes} classes of q={q}, n={n} take {work}"
-                f" word steps, above the limit of {BOX_WORK_LIMIT}"
-            )
+        admit(classes * (q // 2 + 1) * words, f"the character sums of {classes} classes of q={q}, n={n}")
         P = (1 << 60) // q * q + 1
         while P < 1 << 60 or not _is_prime(P):
             P += q
@@ -403,14 +393,18 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     equality of F^p for every p <= p0.  The result rests on both exact
     criteria, not on the values.  The box count of one class (a bucket
     member, else the first class) checks the character sums through the same
-    walk; a disagreement raises InternalError.  The class listing, the
-    weights and the character sums are each bounded before they start
-    (InvalidParameters).
+    walk; a disagreement raises InternalError.  The class listing is
+    admitted before it starts, and the probe box count, the weights and the
+    character sums together before any of them starts (InvalidParameters).
     """
     _check_q_n(q, n)  # before p0, whose range depends on n
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     keys = isometry_classes(q, n, mode)
+    # a box count depends on its class only through the gcds of q and the
+    # exponents, so no class, the probe included, takes more than this
+    patterns = {tuple(sorted(math.gcd(q, x) for x in key.exponents)) for key in keys}
+    admit(max(box_work(((q, s),), n) for s in patterns), f"the probe box count of q={q}, n={n}")
     sums = _CharacterSums(q, n, p0, len(keys))
     buckets: dict[tuple, list[LensKey]] = {}
     for key, phi in zip(keys, _phi_sums(sums, [key.exponents for key in keys])):

@@ -13,8 +13,6 @@ production path tests a vector for membership or decides whether the action
 is free; the tests keep brute-force references for both.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property
@@ -90,8 +88,14 @@ class CongruenceLattice(_LatticeFields):
 
     @cached_property
     def _phi(self) -> tuple[LaurentPolynomial, ...]:
-        phis = _kernels.box_table(self.congruences, self.n)
-        return tuple(LaurentPolynomial({k: c for k, c in enumerate(phi) if c}) for phi in phis)
+        phis = []
+        for counts in _kernels.box_table(self.congruences, self.n):
+            # the dict holds no zero coefficient, so it is the polynomial's
+            # own, not a copy that LaurentPolynomial() would filter again
+            phi = LaurentPolynomial.__new__(LaurentPolynomial)
+            phi.coeffs = {k: c for k, c in enumerate(counts) if c}
+            phis.append(phi)
+        return tuple(phis)
 
     def phi_polynomials(self) -> tuple[LaurentPolynomial, ...]:
         """Box-count generating polynomials, one per zero-entry count.

@@ -13,8 +13,6 @@ e_i - e_j and e_i + e_j for i < j, the Weyl vector is (n-1, n-2, ..., 0),
 and a weight is dominant when a_1 >= ... >= a_{n-1} >= |a_n|.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product

@@ -11,16 +11,10 @@ product, and compared term by term.  The two coefficients are read without
 expanding the lower ones.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Iterator, Mapping
 
-from .errors import InvalidParameters, NegativeOrderTerm
-
-# Largest number of coefficient writes one expansion may take: order + 1
-# coefficients, each written once and updated once per denominator factor.
-MAX_EXPAND_WORK = 200_000
+from .errors import _STEP_WORDS, InvalidParameters, NegativeOrderTerm, admit
 
 
 def binom(b: int, a: int) -> int:
@@ -30,15 +24,15 @@ def binom(b: int, a: int) -> int:
     return math.comb(b, a)
 
 
-def check_expand_work(order: int, factors: int) -> None:
-    """Reject an expansion to ``order`` over ``factors`` denominator factors
-    (counted with multiplicity) whose work exceeds :data:`MAX_EXPAND_WORK`."""
-    work = (order + 1) * (factors + 1)
-    if work > MAX_EXPAND_WORK:
-        raise InvalidParameters(
-            f"series expansion to order {order} needs {work} coefficient writes,"
-            f" above the limit of {MAX_EXPAND_WORK}"
-        )
+def check_expand_work(order: int, factors: int, series: int = 1) -> int:
+    """Admit expanding ``series`` series to ``order`` over at most ``factors``
+    denominator factors (counted with multiplicity): each of the order + 1
+    coefficients of a series is written once and updated once per factor, one
+    step each, and a step moves a coefficient of the denominator's expansion,
+    at most (order + 1)^factors."""
+    words = -(-factors * (order + 1).bit_length() // 64)
+    steps = series * (order + 1) * (factors + 1)
+    return admit(steps * (_STEP_WORDS + words), f"expanding {series} series to order {order}")
 
 
 class LaurentPolynomial:
@@ -225,7 +219,7 @@ class RationalSeries:
         series.  Every factor (1 - z^a) has constant term 1, so that happens
         exactly when the numerator has a nonzero coefficient at a negative
         exponent.  Raises InvalidParameters, before allocating anything, when
-        the work exceeds :data:`MAX_EXPAND_WORK`.
+        :func:`check_expand_work` refuses the work.
         """
         if order < 0:
             raise InvalidParameters("expansion order must be >= 0")
@@ -283,20 +277,23 @@ class RationalSeries:
     def _coefficient(self, k: int) -> int:
         """Coefficient of z^k, read without expanding the lower ones: the factor
         (1 - z^a0)^b0 of least a0 gives C(j + b0 - 1, b0 - 1) at z^(j a0), and
-        the sum runs over the multiples of every other factor up to z^k.  More
-        than :data:`MAX_EXPAND_WORK` of those raises InvalidParameters before
-        any is summed; a negative power raises NegativeOrderTerm as in expand."""
+        the sum runs over the multiples of every other factor up to z^k, for
+        every term of the numerator up to z^k.  That work is admitted before
+        any of it is summed (InvalidParameters); a negative power raises
+        NegativeOrderTerm as in expand."""
         lo = self.numerator.min_exp()
         if lo is not None and lo < 0:
             raise NegativeOrderTerm(f"series has a nonzero coefficient at z^{lo}")
         if not self.denominator:
             return self.numerator.coeffs.get(k, 0)
         (a0, b0), *others = self.denominator
+        # the partial expansion's count of terms, each built in one step and
+        # paired with every numerator term up to z^k in two, a division and a
+        # binomial; a step moves a numerator coefficient and a binomial
         count = math.prod(k // a + 1 for a, _ in others)
-        if count > MAX_EXPAND_WORK:
-            raise InvalidParameters(
-                f"series coefficient at z^{k} needs {count} terms, above the limit of {MAX_EXPAND_WORK}"
-            )
+        terms = [c for e, c in self.numerator.coeffs.items() if e <= k]
+        words = 1 + -(-max((c.bit_length() for c in terms), default=0) // 64)
+        admit(count * (2 * len(terms) + 1) * (_STEP_WORDS + words), f"the series coefficient at z^{k}")
         partial = {0: 1}  # the expansion of the other factors, up to z^k
         for a, b in others:
             step: dict[int, int] = {}

@@ -7,13 +7,15 @@ and the contributing (k, family) pairs.  Multiplicities are read off the
 exact spectrum-encoding series F^(p-1) and F^p of :mod:`lenspec.genfun`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
-from .errors import InvalidParameters
-from .genfun import check_f_expand_work, check_laurent_work, f_rational
+from .errors import _STEP_WORDS, InvalidParameters, admit
+from .genfun import check_laurent_work, check_product_work, check_weight_work, f_rational
 from .lattice import CongruenceLattice
+
+# steps of the table entry of one coefficient of F^p: its contribution, its
+# eigenvalue, its share of the sort and of the entry that holds it
+_ENTRY_STEPS = 16
 
 
 def eigenvalue(k: int, p: int, n: int) -> int:
@@ -52,17 +54,21 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
 
     Coefficient k-1 of F^j is the multiplicity of the k-th eigenvalue of
     family j, for j = p-1 and j = p; family -1 is empty.  For p = 0 the zero
-    eigenvalue of the constants is added with multiplicity 1.  The expansion
-    work and the work of the F^p weights are checked before any series is
-    built.
+    eigenvalue of the constants is added with multiplicity 1.  The table
+    (each of the k_max coefficients of both series expanded over its 2n - 1
+    factors, then entered), the F^p weights and their products are admitted
+    before any series is built.
     """
     n = L.n
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     if k_max < 1:
         raise InvalidParameters("k_max must be >= 1")
-    check_f_expand_work(n, k_max - 1)
-    check_laurent_work(n, range(max(p, 1), p + 2))
+    admit(2 * k_max * (2 * n + _ENTRY_STEPS) * _STEP_WORDS, f"the spectrum table of rank {n} to k = {k_max}")
+    ps = range(max(p, 1), p + 2)
+    check_laurent_work(n, ps)
+    check_weight_work(n, L.exponent, ps)
+    check_product_work(n, L.exponent, ps)
 
     cells: dict[int, list[Contribution]] = {}
     if p == 0:

@@ -1,24 +1,16 @@
 """Self-check battery wiring the independent computation routes against each
 other at a configurable scale.  Used by the ``verify`` CLI subcommand."""
 
-from __future__ import annotations
-
 import random
 from typing import NamedTuple
 
-from .errors import InvalidParameters, LenspecError
+from .errors import _STEP_WORDS, InvalidParameters, LenspecError, admit
 from .genfun import a_laurent, f_rational, f_rational_p0_direct, theta_ell_rational, theta_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 from .oracle import _dominant_below, oracle_weight_multiplicity, weyl_dimension
 from .polyseries import LaurentPolynomial, RationalSeries, binom
 from .weights import RepIndex, _class_multiplicity, invariant_dimension, shell_table
 from .spectrum import spectrum_table
-
-
-# bound on the Freudenthal steps of the multiplicity-closed-form check, the
-# part of the battery that grows fastest; --n 9 at the default kmax needs
-# about 1.2 * 10^7
-MAX_VERIFY_WORK = 15 * 10**6
 
 
 class CheckResult(NamedTuple):
@@ -103,21 +95,20 @@ def convolution_rhs(L: CongruenceLattice, a: int, r: int, ell: int) -> int:
     return total
 
 
-def check_verify_work(max_n: int, kmax: int) -> None:
-    """Raise InvalidParameters when the Freudenthal tables of the battery take
-    more than :data:`MAX_VERIFY_WORK` steps: the table of rank m and highest
+def check_verify_work(max_n: int, kmax: int) -> int:
+    """Admit the Freudenthal tables of the battery, the part that grows
+    fastest, and return their word steps: the table of rank m and highest
     weight of one-norm N = k + p scans the dominant weights of one-norm <= N,
-    each along m (m - 1) root strings of length <= N.  Counting stops at the
-    bound, so a refusal is quick."""
+    each along m (m - 1) root strings of length <= N, one step per root
+    string entry moving a one-word multiplicity.  Counting stops once past
+    the limit, so a refusal is quick."""
     work = 0
     for m in range(2, max_n + 1):
         for p in range(1, m + 1):
             for N in range(p, p + kmax + 1):
-                work += m * (m - 1) * N * sum(1 for _ in _dominant_below(m, N))
-                if work > MAX_VERIFY_WORK:
-                    raise InvalidParameters(
-                        f"verify at n={max_n}, kmax={kmax} takes more than {MAX_VERIFY_WORK} Freudenthal steps"
-                    )
+                work += m * (m - 1) * N * sum(1 for _ in _dominant_below(m, N)) * (_STEP_WORDS + 1)
+                admit(work, f"verify at n={max_n}, kmax={kmax}")
+    return work
 
 
 def run_checks(max_n: int = 3, kmax: int = 6) -> list[CheckResult]:

@@ -15,8 +15,6 @@ tests, and its shell enumeration shares no code with the box count behind
 those series.
 """
 
-from __future__ import annotations
-
 import math
 from collections import OrderedDict
 from dataclasses import dataclass

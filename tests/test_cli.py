@@ -185,9 +185,10 @@ def test_bad_parameters_exit_code(tmp_path, capsys):
         ("verify", "--n", "1000"),
         # box count over 10^10 fundamental-domain points, rejected before it starts
         ("genfun", "--space", "L(100003;1,2,3)", "--order", "2"),
-        # F^p weights of rank 60 (about 1.9 * 10^7 a_laurent terms), 50 and 40, rejected before any is built
+        # F^p weights of rank 60 (about 1.9 * 10^7 a_laurent terms) and 70, and
+        # F^p products of rank 40, rejected before any is built
         ("genfun", "--space", f"L(2;{','.join(['1'] * 60)})", "--order", "2"),
-        ("spectrum", "--space", f"L(2;{','.join(['1'] * 50)})", "--p", "49", "--kmax", "2"),
+        ("spectrum", "--space", f"L(2;{','.join(['1'] * 70)})", "--p", "69", "--kmax", "2"),
         ("isospectral", "--space", f"L(3;{','.join(['1'] * 40)})", "--space2", f"L(3;{','.join(['1'] * 39)},2)",
          "--method", "direct"),
         # class lists over more than 10^6 candidate entries, rejected before they start
@@ -285,6 +286,59 @@ def test_expansion_work_rejected_before_any_series(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
     assert out == ""
+
+
+def _ones(q, n, last=1):
+    return f"L({q};{','.join(['1'] * (n - 1) + [str(last)])})"
+
+
+# per stage, a call whose work of that stage is just over the one limit, every
+# earlier stage of the call admitted, and what would run once it is admitted
+_JUST_OVER = {
+    "box count": (("spectrum", "--space", "L(437;1,2,3)", "--kmax", "2"), ("lenspec._kernels._group_ops",)),
+    "class listing": (
+        ("search", "--q", "272", "--n", "3", "--mode", "orbifolds"),
+        ("lenspec.isospec.combinations_with_replacement",),
+    ),
+    "probe box count": (
+        ("search", "--q", "439", "--n", "3"), ("lenspec.isospec._is_prime", "lenspec._kernels._group_ops"),
+    ),
+    "character sums": (("search", "--q", "2", "--n", "152"), ("lenspec.isospec._is_prime",)),
+    "phi_m weights": (
+        ("isospectral", "--space", _ones(2, 47), "--space2", _ones(2, 47, 3)),
+        ("lenspec.genfun.phi_weights", "lenspec._kernels._group_ops"),
+    ),
+    "direct weights": (
+        ("isospectral", "--space", _ones(7, 31), "--space2", _ones(7, 31, 2), "--method", "direct"),
+        ("lenspec.genfun.a_laurent", "lenspec._kernels._group_ops"),
+    ),
+    "F^p weights": (
+        ("spectrum", "--space", _ones(2, 62), "--p", "61", "--kmax", "1"), ("lenspec.genfun.a_laurent",),
+    ),
+    "phi_m W_m products": (
+        ("genfun", "--space", "L(218159;1,2)", "--order", "2"),
+        ("lenspec.genfun._phi_sum", "lenspec._kernels._group_ops"),
+    ),
+    "expansion": (
+        ("genfun", "--space", "L(5;1,2)", "--order", "109075"),
+        ("lenspec.polyseries.RationalSeries.expand", "lenspec._kernels._group_ops"),
+    ),
+    "spectrum table": (
+        ("spectrum", "--space", "L(11;1,2)", "--p", "1", "--kmax", "65790"), ("lenspec.spectrum.f_rational",),
+    ),
+    "verify": (("verify", "--n", "8"), ("lenspec.verify.random",)),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_JUST_OVER))
+def test_each_stage_is_refused_just_over_the_limit(capsys, monkeypatch, stage):
+    argv, targets = _JUST_OVER[stage]
+    for target in targets:
+        monkeypatch.setattr(target, _fail_if_called)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "word steps, above the limit of 500000000" in err
 
 
 def test_internal_inconsistency_is_not_a_user_error(capsys, monkeypatch):
@@ -459,8 +513,9 @@ def test_isospectral_stdout_matches_its_recorded_digest(capsys, s1, s2, method):
 )
 def test_isospectral_reports_a_difference_past_the_expansion_bound(capsys, monkeypatch, method, detail):
     # expanding either series of p=0 to its first difference would take over
-    # 3000 coefficient writes; the two coefficients are read without it
-    monkeypatch.setattr(lenspec.polyseries, "MAX_EXPAND_WORK", 2000)
+    # 3000 coefficient writes; the two coefficients are read without any
+    # expansion, so refusing every expansion changes nothing
+    monkeypatch.setattr(lenspec.polyseries.RationalSeries, "expand", _fail_if_called)
     code, out, err = run_cli(
         capsys, "isospectral", "--space", "L(1009;1,1)", "--space2", "L(1013;1,1)",
         "--p0", "0", "--method", method, "--format", "csv",
@@ -542,8 +597,8 @@ def _python_c(code, argv):
 # which of the watched modules the import of lenspec.cli and the call loaded
 _IMPORT_PROBE = """
 import sys
-watched = ("argparse", "dataclasses", "re", "typing", "numpy", "_hashlib", "lenspec.isospec", "lenspec.spectrum",
-           "lenspec.weights", "lenspec.oracle", "lenspec.verify")
+watched = ("__future__", "argparse", "dataclasses", "re", "typing", "numpy", "_hashlib", "lenspec.isospec",
+           "lenspec.spectrum", "lenspec.weights", "lenspec.oracle", "lenspec.verify")
 before = set(sys.modules)
 from lenspec.cli import main
 code = main(sys.argv[1:])
@@ -553,8 +608,9 @@ sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}, loa
 
 # the watched modules each subcommand loads: the certification side
 # (weights, oracle, verify) and dataclasses only behind verify, re and typing
-# behind no table-format call of the production path, and numpy and OpenSSL's
-# _hashlib behind none (the fingerprint digests use the builtin sha256)
+# behind no table-format call of the production path, and numpy, OpenSSL's
+# _hashlib (the fingerprint digests use the builtin sha256) and __future__
+# (no module postpones its annotations) behind none
 _LOADED = {
     "--help": "",
     "search": "lenspec.isospec",

@@ -187,11 +187,11 @@ def test_laurent_work_admits_what_the_nested_sum_bound_admitted():
         for ps in shapes:
             if (n + 1) * sum(steps[P] for P in ps) <= 10**7:
                 check_laurent_work(n, ps)
-    # genfun and isospectral --method direct up to rank 31, spectrum --p n-1
-    # up to rank 45 and one F^p up to rank 54
-    for n, ps in ((31, range(1, 32)), (45, (44, 45)), (54, (54,))):
+    # the F^p weights of genfun and isospectral --method direct up to rank 39,
+    # of spectrum --p n-1 up to rank 61 and of one F^p up to rank 73
+    for n, ps in ((39, range(1, 40)), (61, (60, 61)), (73, (73,))):
         check_laurent_work(n, ps)
-    for n, ps in ((32, range(1, 33)), (46, (45, 46)), (55, (55,))):
+    for n, ps in ((40, range(1, 41)), (62, (61, 62)), (74, (74,))):
         with pytest.raises(InvalidParameters):
             check_laurent_work(n, ps)
 
@@ -297,30 +297,31 @@ def _fail_if_called(*args, **kwargs):
 
 
 def test_weight_work_rejected_before_any_count(monkeypatch):
-    # p0 + 1 sets of (n + 1)^3 steps: the moment series of every order below
-    # n is admitted up to rank 43, one set up to rank 157
-    check_weight_work(43, 43)
-    check_weight_work(157, 1)
-    for n, sets in ((44, 44), (158, 1)):
+    # p0 + 1 sets of scalar weights, about (n + 1)^3 / 2 steps each: in the
+    # exponent 2 the moment series of every order below n is admitted up to
+    # rank 46, one set up to rank 164
+    check_weight_work(46, 2, (1,) * 46)
+    check_weight_work(164, 2, (1,))
+    for n, ps in ((47, (1,) * 47), (165, (1,))):
         with pytest.raises(InvalidParameters):
-            check_weight_work(n, sets)
+            check_weight_work(n, 2, ps)
     monkeypatch.setattr(genfun, "phi_weights", _fail_if_called)
     monkeypatch.setattr(_kernels, "box_table", _fail_if_called)
-    L = lattice_from_lens(2, (1,) * 44)
+    L = lattice_from_lens(2, (1,) * 47)
     with pytest.raises(InvalidParameters):
-        moment_series(L, 43)
+        moment_series(L, 46)
     with pytest.raises(InvalidParameters):
-        f_rational(lattice_from_lens(2, (1,) * 158), 0)
+        f_rational(lattice_from_lens(2, (1,) * 165), 0)
 
 
 def test_f_rational_bounds_its_own_laurent_work(monkeypatch):
-    # rank 60 admits a_laurent(P, ell, 60) up to P = 52; F^59 needs P = 60,
-    # and a direct comparison up to p = 59 compares F^0..F^59, so both are
-    # refused before the box count, without any CLI pre-check
+    # rank 74 admits a_laurent(P, ell, 74) up to P = 73; F^73 needs P = 74,
+    # and a direct comparison up to p = 59 at rank 60 builds F^0..F^59, so
+    # both are refused before the box count, without any CLI pre-check
     monkeypatch.setattr(_kernels, "box_table", _fail_if_called)
+    with pytest.raises(InvalidParameters, match="F\\^p weights of rank 74"):
+        f_rational(lattice_from_lens(2, (1,) * 74), 73)
     L = lattice_from_lens(2, (1,) * 60)
-    with pytest.raises(InvalidParameters):
-        f_rational(L, 59)
     with pytest.raises(InvalidParameters):
         compare_spaces(L, lattice_from_lens(2, (1,) * 59 + (3,)), 59, method="direct")
 

@@ -106,11 +106,21 @@ def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
     L1, L2 = lattice_from_lens(8, (1, 3)), lattice_from_lens(8, (1, 5))
     with pytest.raises(InvalidParameters, match=r"^p0 must lie in 0\.\.1$"):
         compare_spaces(L1, L2, 2, method="direct")
-    # the moment weights of the digests are bounded too, though only
-    # agreeing spaces build them: five sets of rank 100 are over the bound
+    # the weights, those of the moment digests included, though only
+    # agreeing spaces build them: ten sets of rank 100 are over the limit
     L1, L2 = lattice_from_lens(3, (1,) * 100), lattice_from_lens(3, (1,) * 99 + (2,))
-    with pytest.raises(InvalidParameters, match="sets of phi_m weights"):
+    with pytest.raises(InvalidParameters, match="phi_m weights of rank 100"):
         compare_spaces(L1, L2, 4, method="direct")
+
+
+def test_search_admits_its_probe_box_count_before_any_character_sum(monkeypatch):
+    # every manifold class of q = 441, n = 3 has the gcd pattern (1, 1, 1),
+    # whose box count is over the limit: refused after the listing, before
+    # the sums or any box count start
+    for target in (isospec, "_CharacterSums"), (isospec, "_phi_sums"), (_kernels, "box_table"):
+        monkeypatch.setattr(*target, _refuse)
+    with pytest.raises(InvalidParameters, match="probe box count of q=441, n=3"):
+        search(441, 3, 0)
 
 
 def test_range_p0_zero_is_theta_equality():

@@ -16,7 +16,7 @@ from lenspec import (
 )
 from lenspec import _kernels, weights
 from lenspec.cli import main, parse_space
-from lenspec.errors import DimensionMismatch, InvalidParameters
+from lenspec.errors import WORK_LIMIT, DimensionMismatch, InvalidParameters
 from lenspec.weights import shell_table
 from support import acts_freely, brute_box, member, subgroup_order
 
@@ -379,12 +379,12 @@ def test_box_work_bound_admits_the_required_inputs():
     def work(q, s):
         return _kernels.box_work(((q, s),), len(s))
 
-    assert work(100003, (1, 2)) <= _kernels.BOX_WORK_LIMIT
+    assert work(100003, (1, 2)) <= WORK_LIMIT
     for q, n in ((151, 3), (31, 4)):
         for key in isometry_classes(q, n, "orbifolds"):
-            assert work(q, key.exponents) <= _kernels.BOX_WORK_LIMIT, key
+            assert work(q, key.exponents) <= WORK_LIMIT, key
     for q, s in ((3499, (1, 2, 3)), (100003, (1, 2, 3)), (331000, (1, 3))):
-        assert work(q, s) > _kernels.BOX_WORK_LIMIT
+        assert work(q, s) > WORK_LIMIT
 
 
 def test_freeness_group_size_guard(capsys):

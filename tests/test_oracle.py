@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+import lenspec.cli
 import lenspec.verify
 from lenspec import (
     freudenthal_weights,
@@ -10,7 +11,8 @@ from lenspec import (
     oracle_weight_multiplicity,
     weyl_dimension,
 )
-from lenspec.errors import InvalidParameters, NotDominant
+from lenspec import errors
+from lenspec.errors import _STEP_WORDS, InvalidParameters, NotDominant
 from lenspec.oracle import _dominant_below, dominant_representative
 from lenspec.verify import check_verify_work
 
@@ -136,25 +138,30 @@ def test_combined_table_at_top_degree_full_sign_symmetry():
 
 @pytest.mark.parametrize("n, kmax", [(2, 0), (2, 5), (3, 6), (4, 3), (5, 2)])
 def test_verify_work_is_the_freudenthal_table_steps(monkeypatch, n, kmax):
-    # the count, exactly at its bound and one step above, against the
-    # dominant weights the Freudenthal tables scan times their root strings
+    # the count, exactly at the limit and one word step above, against the
+    # dominant weights the Freudenthal tables scan times their root strings,
+    # each step moving one word
     steps = sum(
         sum(1 for _ in _dominant_below(m, k + p)) * m * (m - 1) * (k + p)
         for m in range(2, n + 1)
         for p in range(1, m + 1)
         for k in range(kmax + 1)
     )
-    monkeypatch.setattr(lenspec.verify, "MAX_VERIFY_WORK", steps)
-    check_verify_work(n, kmax)
-    monkeypatch.setattr(lenspec.verify, "MAX_VERIFY_WORK", steps - 1)
+    work = steps * (_STEP_WORDS + 1)
+    monkeypatch.setattr(errors, "WORK_LIMIT", work)
+    assert check_verify_work(n, kmax) == work
+    monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
     with pytest.raises(InvalidParameters):
         check_verify_work(n, kmax)
+    # the CLI refuses it before the first check runs
+    monkeypatch.setattr(lenspec.verify, "random", None)
+    assert lenspec.cli.main(["verify", "--n", str(n), "--kmax", str(kmax)]) == 2
 
 
 def test_verify_work_bound_admits_the_documented_scales():
-    for n, kmax in ((3, 6), (2, 3), (9, 6), (3, 33), (12, 2)):
+    for n, kmax in ((3, 6), (2, 3), (7, 6), (3, 22), (9, 2)):
         check_verify_work(n, kmax)
-    for n, kmax in ((3, 34), (10, 6), (3, 1000), (1000, 6), (10**12, 10**12)):
+    for n, kmax in ((3, 23), (8, 6), (10, 2), (3, 1000), (1000, 6), (10**12, 10**12)):
         start = time.perf_counter()
         with pytest.raises(InvalidParameters):
             check_verify_work(n, kmax)

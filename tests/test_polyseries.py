@@ -1,11 +1,12 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from lenspec import LaurentPolynomial, RationalSeries, binom
-from lenspec import polyseries
-from lenspec.errors import InvalidParameters, NegativeOrderTerm
+from lenspec import errors, polyseries
+from lenspec.errors import _STEP_WORDS, InvalidParameters, NegativeOrderTerm
 from lenspec.polyseries import one_minus_z
 
 
@@ -158,6 +159,10 @@ def test_series_arithmetic_matches_expansion():
         assert s == [a + b for a, b in zip(e1, e2)]
 
 
+def _fail_if_called(*args):
+    raise AssertionError("a term was summed before its work was admitted")
+
+
 def test_first_difference_bounds_its_sum_and_refuses_negative_powers(monkeypatch):
     # z^50 / (1-z)(1-z^2)(1-z^3) against 0: the factors of z^2 and z^3 are
     # summed over 26 * 17 = 442 pairs of multiples, z^1 in closed form
@@ -168,9 +173,18 @@ def test_first_difference_bounds_its_sum_and_refuses_negative_powers(monkeypatch
     assert r2.first_difference(RationalSeries(LaurentPolynomial.term(1, 9), r.denominator)) == (
         50, r2.expand(50)[50], r2.expand(50)[50] - 3,
     )
-    monkeypatch.setattr(polyseries, "MAX_EXPAND_WORK", 441)
-    with pytest.raises(InvalidParameters, match="442 terms"):
+    # 442 partial terms, each built in one step and paired with the one
+    # numerator term in two, moving a one-word coefficient and a binomial:
+    # admitted exactly at that work, refused one word step below it before
+    # any term is summed
+    work = 442 * 3 * (_STEP_WORDS + 2)
+    monkeypatch.setattr(errors, "WORK_LIMIT", work)
+    assert r.first_difference(RationalSeries.zero()) == (50, 1, 0)
+    monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
+    monkeypatch.setattr(polyseries, "math", SimpleNamespace(prod=math.prod, comb=_fail_if_called))
+    with pytest.raises(InvalidParameters, match=f"at least {work} word steps"):
         r.first_difference(RationalSeries.zero())
+    monkeypatch.undo()
     with pytest.raises(NegativeOrderTerm):
         RationalSeries(poly({-1: 1}), ((1, 2),)).first_difference(RationalSeries.zero())
 
