@@ -177,9 +177,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_genfun(args) -> int:
-    from .genfun import (
-        check_laurent_work, check_product_work, check_weight_work, f_rational, theta_ell_rational, theta_rational,
-    )
+    from .genfun import check_series_work, f_rational, theta_ell_rational, theta_rational
     from .polyseries import check_expand_work
 
     if args.order < 0:
@@ -189,10 +187,7 @@ def cmd_genfun(args) -> int:
     # its 2n + 2 series, none over more than the 2n - 1 factors of F^p, and
     # the weights and products of F^0..F^(n-1)
     check_expand_work(args.order, 2 * n - 1, 2 * n + 2)
-    ps = range(1, n + 1)
-    check_laurent_work(n, ps)
-    check_weight_work(n, lattice.exponent, ps)
-    check_product_work(n, lattice.exponent, ps)
+    check_series_work(n, lattice.exponent, range(n))
     # every series is built before the first row is written, so an error
     # leaves stdout empty; each row is rendered only when written
     named = [(f"F^{p}", f_rational(lattice, p)) for p in range(n)]

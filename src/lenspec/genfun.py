@@ -10,14 +10,16 @@ F^p takes a_laurent(p+1, ell, n) plus a corrective polynomial over
 of F^p and of the moments are cached per (q, n, order); no result is cached
 per lattice.
 
-Each of the three costs of a series, the a_laurent weights, the phi_m
-weights and the products phi_m W_m, has its count of word steps here
-(:func:`check_laurent_work`, :func:`check_weight_work`,
-:func:`check_product_work`), admitted by :func:`lenspec.errors.admit` before
-any weight is built or any box is counted.
+A batch of series has one count of word steps, :func:`check_series_work`:
+given the orders of its F^p and the number of its moment series, it admits
+their a_laurent weights, phi_m weights and products phi_m W_m through
+:func:`lenspec.errors.admit`, each stage on its own, before any weight is
+built or any box is counted.  Every caller that builds series makes one
+such call for its whole batch.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import _STEP_WORDS, InvalidParameters, NegativeOrderTerm, admit
 from .lattice import CongruenceLattice
@@ -56,24 +58,6 @@ def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
         sum((lifted[ell].shift((m - ell) * q) * (binom(m, ell) << (m - ell)) for ell in range(m + 1)), zero)
         for m in range(len(lifted))
     ]
-
-
-def check_weight_work(n: int, exponent: int, ps) -> int:
-    """Admit computing, with :func:`phi_weights`, one set of rank-n weights in
-    the exponent E for every P in ``ps``, whose w_ell have up to P terms
-    (P = p + 1 for F^p, 1 for a moment series), and return their word steps.
-
-    The lifted weight (1 - z^E)^ell w_ell has at most P + ell min(P, E)
-    terms, and W_m shifts, scales and adds those of every ell <= m, three
-    steps a term; each step moves a coefficient of at most 4^n n^n.
-    """
-    words = -(-n * (4 * n).bit_length() // 64)
-    work = 0
-    for P in ps:
-        terms = P * (n + 1) * (n + 2) // 2 + min(P, exponent) * n * (n + 1) * (n + 2) // 6
-        work += 3 * terms * (_STEP_WORDS + words)
-        admit(work, f"the phi_m weights of rank {n}")
-    return work
 
 
 @lru_cache(maxsize=64)
@@ -134,43 +118,57 @@ def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs)
 
 
-def check_laurent_work(n: int, ps) -> int:
-    """Admit computing a_laurent(P, ell, n) for every P in ``ps`` and every
-    ell = 0..n, and return its word steps.
+def check_series_work(n: int, exponent: int, fs=(), moments: int = 0) -> int:
+    """Admit building F^p for every order p in ``fs`` and ``moments`` moment
+    series on a lattice of rank n and exponent E, and return their word steps.
 
-    A weight sums at most S(P) = sum_{d <= (P-1)/2} (P-2d)(P-2d+1)/2
-    = (P+1)(P+3)(2P+1) // 24 terms, the count of (d, c, b) when ell >= P - 1,
-    one step each, so the steps are (n + 1) sum_P S(P); a step moves a
-    coefficient of at most 4^n.  The sum stops once past the limit, so the
-    check itself stays small at any n.
+    Their weights w_ell have up to P terms, P = p + 1 for F^p and 1 for a
+    moment series.  Three stages are admitted, each on its own and in order:
+
+    - the a_laurent weights of F^p: one weight sums at most
+      S(P) = (P+1)(P+3)(2P+1) // 24 terms, the count of (d, c, b) when
+      ell >= P - 1, one step each for ell = 0..n; a step moves a
+      coefficient of at most 4^n;
+    - the phi_m weights (:func:`phi_weights`): the lifted weight
+      (1 - z^E)^ell w_ell has at most P + ell min(P, E) terms, and W_m
+      shifts, scales and adds those of every ell <= m, three steps a term;
+      a step moves a coefficient of at most 4^n n^n;
+    - the products phi_m W_m: phi_m has degree at most (n - m)(E - 1), and
+      W_m sums m + 1 shifts by multiples of E of polynomials whose exponents
+      lie in one set of at most P values, so at most P + m min(P, E) terms.
+      Each pair of terms is one step; it moves a coefficient of phi_m, at
+      most (2E)^(n-1), and one of W_m.
+
+    Each count stops once past the limit, so the check stays small at any n.
     """
-    words = -(-2 * n // 64)
-    work = 0
-    for P in ps:
-        work += (n + 1) * ((P + 1) * (P + 3) * (2 * P + 1) // 24) * (_STEP_WORDS + words)
-        admit(work, f"the F^p weights of rank {n}")
-    return work
+    ps = [p + 1 for p in fs]
+    batch = ps + [1] * moments
+    E, bits = exponent, (4 * n).bit_length()
+    # per stage, the word steps of one step: its overhead and the words it moves
+    laurent = _STEP_WORDS + -(-2 * n // 64)
+    weight = _STEP_WORDS + -(-n * bits // 64)
+    product = _STEP_WORDS + -(-((n - 1) * (2 * E).bit_length() + n * bits) // 64)
+    return (
+        _admit_sum(
+            ((n + 1) * ((P + 1) * (P + 3) * (2 * P + 1) // 24) * laurent for P in ps), f"the F^p weights of rank {n}"
+        )
+        + _admit_sum(
+            (3 * (P * (n + 1) * (n + 2) // 2 + min(P, E) * n * (n + 1) * (n + 2) // 6) * weight for P in batch),
+            f"the phi_m weights of rank {n}",
+        )
+        + _admit_sum(
+            (sum(((n - m) * (E - 1) + 1) * (P + m * min(P, E)) for m in range(n + 1)) * product for P in batch),
+            f"the phi_m W_m products of rank {n} and exponent {E}",
+        )
+    )
 
 
-def check_product_work(n: int, exponent: int, ps) -> int:
-    """Admit the products phi_m W_m of the series whose weights w_ell have up
-    to P terms, for every P in ``ps``, on a lattice of rank n and exponent E
-    (P = p + 1 for F^p, 1 for a moment series), and return their word steps.
-
-    phi_m has degree at most (n - m)(E - 1), so at most (n - m)(E - 1) + 1
-    terms.  W_m sums the m + 1 shifts by multiples of E of polynomials whose
-    exponents lie in one set of at most P values, so it has at most
-    P + m min(P, E) terms.  Each pair of terms is one step, and it moves a
-    coefficient of phi_m, at most (2E)^(n-1), and one of W_m, at most
-    4^n n^n.  The sum stops once past the limit.
-    """
-    words = -(-((n - 1) * (2 * exponent).bit_length() + n * (4 * n).bit_length()) // 64)
-    work = 0
-    for P in ps:
-        pairs = sum(((n - m) * (exponent - 1) + 1) * (P + m * min(P, exponent)) for m in range(n + 1))
-        work += pairs * (_STEP_WORDS + words)
-        admit(work, f"the phi_m W_m products of rank {n} and exponent {exponent}")
-    return work
+def _admit_sum(works, what: str) -> int:
+    # admit the running sum of ``works`` after each term
+    total = 0
+    for total in accumulate(works):
+        admit(total, what)
+    return total
 
 
 def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
@@ -187,10 +185,8 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     n, q = L.n, L.exponent
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
+    check_series_work(n, q, (p,))
     P = p + 1
-    check_laurent_work(n, (P,))
-    check_weight_work(n, q, (P,))
-    check_product_work(n, q, (P,))
     phis = L.phi_polynomials()
     weights = _weight_set(q, n, "F", p)
     sign = -1 if P % 2 else 1
@@ -213,8 +209,7 @@ def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
     n, q = L.n, L.exponent
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    check_weight_work(n, q, (1,) * (p0 + 1))
-    check_product_work(n, q, (1,) * (p0 + 1))
+    check_series_work(n, q, moments=p0 + 1)
     phis = L.phi_polynomials()
     return [
         RationalSeries(_phi_sum(phis, _weight_set(q, n, "moment", h)), ((q, n),))

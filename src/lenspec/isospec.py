@@ -24,10 +24,7 @@ from operator import mul
 
 from ._kernels import box_work
 from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InternalError, InvalidParameters, admit
-from .genfun import (
-    _weight_set, check_laurent_work, check_product_work, check_weight_work, f_rational, moment_series,
-    theta_ell_rational,
-)
+from .genfun import _weight_set, check_series_work, f_rational, moment_series, theta_ell_rational
 from .lattice import CongruenceLattice, lattice_from_lens, lens_label
 
 
@@ -84,9 +81,10 @@ def compare_spaces(
     orders 0..p, built only when the spaces agree at p = 0; afterwards it is
     the ``first_difference`` of the two series of order p, None when those
     agree and the spaces differ below p.  Raises DimensionMismatch for spaces
-    of different rank, and InvalidParameters for p0 outside 0..n-1, and for
-    moment weights or, for ``direct``, the F^p weights and products of
-    either lattice that the work limit refuses, before any series is built.
+    of different rank, and InvalidParameters for p0 outside 0..n-1, and
+    before either box count when :func:`lenspec.genfun.check_series_work`
+    refuses the series of the call: for ``direct``, F^0..F^p0 and the p0 + 1
+    moment series of the digests as one batch, in the larger exponent.
     """
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
@@ -98,12 +96,9 @@ def compare_spaces(
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     if method == "direct":
-        # the F^p weights and those of the moment digests, and the F^p
-        # products of the lattice of larger exponent, before either box count
-        ps, exponent = range(1, p0 + 2), max(L1.exponent, L2.exponent)
-        check_laurent_work(n, ps)
-        check_weight_work(n, exponent, (*ps, *(1,) * (p0 + 1)))
-        check_product_work(n, exponent, ps)
+        # F^0..F^p0 and the moment digests, in the larger exponent, before
+        # either box count
+        check_series_work(n, max(L1.exponent, L2.exponent), range(p0 + 1), p0 + 1)
         series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (L1, L2))
     else:
         series1, series2 = (moment_series(L, p0) for L in (L1, L2))
@@ -287,11 +282,13 @@ class _CharacterSums:
     per u, and ``weights`` the W_m(z); both are built once, and
     :func:`_phi_sums` walks the classes over them.  Raises
     InvalidParameters, before either is built, when the work limit refuses
-    the weights or the sums over ``classes`` classes.
+    the p0 + 1 moment series (:func:`lenspec.genfun.check_series_work`, the
+    one count every series batch takes) or the sums over ``classes``
+    classes.
     """
 
     def __init__(self, q: int, n: int, p0: int, classes: int):
-        check_weight_work(n, q, (1,) * (p0 + 1))
+        check_series_work(n, q, moments=p0 + 1)
         # field width of the packed polynomials in w: a product of n factors
         # w + H, summed over at most q values of t, fits in it
         width = 62 * n + q.bit_length() + 1
@@ -393,18 +390,24 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     equality of F^p for every p <= p0.  The result rests on both exact
     criteria, not on the values.  The box count of one class (a bucket
     member, else the first class) checks the character sums through the same
-    walk; a disagreement raises InternalError.  The class listing is
-    admitted before it starts, and the probe box count, the weights and the
-    character sums together before any of them starts (InvalidParameters).
+    walk; a disagreement raises InternalError.  The box count of
+    (q; 1, ..., 1), a class in both modes, is admitted before the class
+    listing, the listing before it starts, and the largest box count over
+    the listed classes, the moment series and the character sums together
+    before any of them starts (InvalidParameters).
     """
     _check_q_n(q, n)  # before p0, whose range depends on n
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    keys = isometry_classes(q, n, mode)
     # a box count depends on its class only through the gcds of q and the
-    # exponents, so no class, the probe included, takes more than this
+    # exponents, so no class, the probe included, takes more than the largest
+    # over their patterns; (1, ..., 1), the pattern of (q; 1, ..., 1), is
+    # listed in both modes, and the others are known only once listed
+    what = f"the probe box count of q={q}, n={n}"
+    admit(box_work(((q, (1,) * n),), n), what)
+    keys = isometry_classes(q, n, mode)
     patterns = {tuple(sorted(math.gcd(q, x) for x in key.exponents)) for key in keys}
-    admit(max(box_work(((q, s),), n) for s in patterns), f"the probe box count of q={q}, n={n}")
+    admit(max(box_work(((q, s),), n) for s in patterns), what)
     sums = _CharacterSums(q, n, p0, len(keys))
     buckets: dict[tuple, list[LensKey]] = {}
     for key, phi in zip(keys, _phi_sums(sums, [key.exponents for key in keys])):

@@ -10,7 +10,7 @@ exact spectrum-encoding series F^(p-1) and F^p of :mod:`lenspec.genfun`.
 from collections import namedtuple
 
 from .errors import _STEP_WORDS, InvalidParameters, admit
-from .genfun import check_laurent_work, check_product_work, check_weight_work, f_rational
+from .genfun import check_series_work, f_rational
 from .lattice import CongruenceLattice
 
 # steps of the table entry of one coefficient of F^p: its contribution, its
@@ -65,15 +65,13 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
     if k_max < 1:
         raise InvalidParameters("k_max must be >= 1")
     admit(2 * k_max * (2 * n + _ENTRY_STEPS) * _STEP_WORDS, f"the spectrum table of rank {n} to k = {k_max}")
-    ps = range(max(p, 1), p + 2)
-    check_laurent_work(n, ps)
-    check_weight_work(n, L.exponent, ps)
-    check_product_work(n, L.exponent, ps)
+    families = range(max(p - 1, 0), p + 1)
+    check_series_work(n, L.exponent, families)
 
     cells: dict[int, list[Contribution]] = {}
     if p == 0:
         cells[0] = [Contribution(k=0, family=0, multiplicity=1)]
-    for family in range(max(p - 1, 0), p + 1):
+    for family in families:
         for k, mult in enumerate(f_rational(L, family).expand(k_max - 1), 1):
             if mult:
                 cells.setdefault(eigenvalue(k, family, n), []).append(

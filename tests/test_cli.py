@@ -312,6 +312,10 @@ _JUST_OVER = {
         ("isospectral", "--space", _ones(7, 31), "--space2", _ones(7, 31, 2), "--method", "direct"),
         ("lenspec.genfun.a_laurent", "lenspec._kernels._group_ops"),
     ),
+    "direct products": (
+        ("isospectral", "--space", _ones(7, 24), "--space2", _ones(7, 24, 2), "--method", "direct"),
+        ("lenspec.genfun.a_laurent", "lenspec._kernels._group_ops"),
+    ),
     "F^p weights": (
         ("spectrum", "--space", _ones(2, 62), "--p", "61", "--kmax", "1"), ("lenspec.genfun.a_laurent",),
     ),
@@ -339,6 +343,65 @@ def test_each_stage_is_refused_just_over_the_limit(capsys, monkeypatch, stage):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "word steps, above the limit of 500000000" in err
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reach(*args, **kwargs):
+    raise _Reached
+
+
+# per row of the README's table of largest admitted inputs, that input and the
+# first function that runs once every stage before it is admitted
+_JUST_UNDER = {
+    "spectrum table": (
+        ("spectrum", "--space", "L(11;1,2)", "--p", "1", "--kmax", "65789"), "lenspec.spectrum.f_rational",
+    ),
+    "spectrum table, n = 3": (
+        ("spectrum", "--space", "L(11;1,2,3)", "--p", "1", "--kmax", "59808"), "lenspec.spectrum.f_rational",
+    ),
+    "spectrum --p n-1": (
+        ("spectrum", "--space", _ones(2, 61), "--p", "60", "--kmax", "2"), "lenspec.spectrum.f_rational",
+    ),
+    "genfun order": (("genfun", "--space", "L(5;1,2)", "--order", "109074"), "lenspec.genfun.f_rational"),
+    "genfun exponent": (("genfun", "--space", "L(218149;1,2)", "--order", "2"), "lenspec.genfun.f_rational"),
+    "genfun rank": (("genfun", "--space", _ones(2, 34), "--order", "2"), "lenspec.genfun.f_rational"),
+    "direct, q = 3": (
+        ("isospectral", "--space", _ones(3, 30), "--space2", _ones(3, 30, 2), "--method", "direct"),
+        "lenspec.isospec.f_rational",
+    ),
+    "direct, q = 7": (
+        ("isospectral", "--space", _ones(7, 23), "--space2", _ones(7, 23, 2), "--method", "direct"),
+        "lenspec.isospec.f_rational",
+    ),
+    "range, q = 2": (
+        ("isospectral", "--space", _ones(2, 46), "--space2", _ones(2, 46, 3)),
+        "lenspec.lattice.CongruenceLattice.phi_polynomials",
+    ),
+    "search n = 3 manifolds": (("search", "--q", "432", "--n", "3"), "lenspec.isospec._is_prime"),
+    "search n = 3 orbifolds": (
+        ("search", "--q", "271", "--n", "3", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+    ),
+    "search n = 4 orbifolds": (
+        ("search", "--q", "101", "--n", "4", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+    ),
+    "search n = 5 orbifolds": (
+        ("search", "--q", "57", "--n", "5", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+    ),
+    "verify --n 7": (("verify", "--n", "7"), "lenspec.verify.random.Random"),
+    "verify --kmax 22": (("verify", "--n", "3", "--kmax", "22"), "lenspec.verify.random.Random"),
+    "verify --n 9 --kmax 2": (("verify", "--n", "9", "--kmax", "2"), "lenspec.verify.random.Random"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_JUST_UNDER))
+def test_each_row_is_admitted_at_its_largest_input(capsys, monkeypatch, row):
+    argv, target = _JUST_UNDER[row]
+    monkeypatch.setattr(target, _reach)
+    with pytest.raises(_Reached):
+        main(list(argv))
 
 
 def test_internal_inconsistency_is_not_a_user_error(capsys, monkeypatch):

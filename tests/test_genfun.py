@@ -19,7 +19,7 @@ from lenspec import (
 )
 from lenspec.errors import InvalidParameters
 from lenspec import _kernels, genfun
-from lenspec.genfun import check_laurent_work, check_weight_work, phi_weights
+from lenspec.genfun import check_series_work, phi_weights
 from lenspec.polyseries import binom
 from lenspec.weights import _class_multiplicity, shell_table
 from support import brute_box, small_lattices
@@ -174,26 +174,34 @@ def _nested_sum_steps(P):
     )
 
 
+def _refusal(n, exponent, fs=(), moments=0):
+    # the refusal of check_series_work, or None when it admits the batch
+    try:
+        check_series_work(n, exponent, fs, moments)
+    except InvalidParameters as exc:
+        return str(exc)
+    return None
+
+
 def test_laurent_work_admits_what_the_nested_sum_bound_admitted():
     # the F^p weights were bounded at 10^7 innermost steps of the nested sums;
-    # every P range a caller checks and that bound admitted is still admitted:
-    # spectrum_table, isospectral --method direct (genfun's range at
-    # p0 = n - 1) and one f_rational
+    # no batch of F^p a caller builds and that bound admitted is refused by
+    # the F^p weights: spectrum_table, isospectral --method direct (genfun's
+    # range at p0 = n - 1) and one f_rational
     steps = [0] + [_nested_sum_steps(P) for P in range(1, 158)]
     for n in range(2, 158):
-        shapes = [range(max(p, 1), p + 2) for p in range(n)]
-        shapes += [range(1, p0 + 2) for p0 in range(n)]
-        shapes += [(P,) for P in range(1, n + 1)]
-        for ps in shapes:
-            if (n + 1) * sum(steps[P] for P in ps) <= 10**7:
-                check_laurent_work(n, ps)
+        shapes = [range(max(p - 1, 0), p + 1) for p in range(n)]
+        shapes += [range(p0 + 1) for p0 in range(n)]
+        shapes += [(p,) for p in range(n)]
+        for fs in shapes:
+            if (n + 1) * sum(steps[p + 1] for p in fs) <= 10**7:
+                assert "the F^p weights" not in (_refusal(n, 2, fs) or "")
     # the F^p weights of genfun and isospectral --method direct up to rank 39,
     # of spectrum --p n-1 up to rank 61 and of one F^p up to rank 73
-    for n, ps in ((39, range(1, 40)), (61, (60, 61)), (73, (73,))):
-        check_laurent_work(n, ps)
-    for n, ps in ((40, range(1, 41)), (62, (61, 62)), (74, (74,))):
-        with pytest.raises(InvalidParameters):
-            check_laurent_work(n, ps)
+    for n, fs in ((39, range(39)), (61, (59, 60)), (73, (72,))):
+        assert "the F^p weights" not in (_refusal(n, 2, fs) or "")
+    for n, fs in ((40, range(40)), (62, (60, 61)), (74, (73,))):
+        assert _refusal(n, 2, fs).startswith(f"the F^p weights of rank {n}:")
 
 
 def test_f0_sphere_series():
@@ -300,11 +308,10 @@ def test_weight_work_rejected_before_any_count(monkeypatch):
     # p0 + 1 sets of scalar weights, about (n + 1)^3 / 2 steps each: in the
     # exponent 2 the moment series of every order below n is admitted up to
     # rank 46, one set up to rank 164
-    check_weight_work(46, 2, (1,) * 46)
-    check_weight_work(164, 2, (1,))
-    for n, ps in ((47, (1,) * 47), (165, (1,))):
-        with pytest.raises(InvalidParameters):
-            check_weight_work(n, 2, ps)
+    assert check_series_work(46, 2, moments=46) > 0
+    assert check_series_work(164, 2, moments=1) > 0
+    for n, moments in ((47, 47), (165, 1)):
+        assert _refusal(n, 2, moments=moments).startswith(f"the phi_m weights of rank {n}:")
     monkeypatch.setattr(genfun, "phi_weights", _fail_if_called)
     monkeypatch.setattr(_kernels, "box_table", _fail_if_called)
     L = lattice_from_lens(2, (1,) * 47)

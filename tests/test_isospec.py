@@ -114,10 +114,11 @@ def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
 
 
 def test_search_admits_its_probe_box_count_before_any_character_sum(monkeypatch):
-    # every manifold class of q = 441, n = 3 has the gcd pattern (1, 1, 1),
-    # whose box count is over the limit: refused after the listing, before
-    # the sums or any box count start
-    for target in (isospec, "_CharacterSums"), (isospec, "_phi_sums"), (_kernels, "box_table"):
+    # the box count of (441; 1, 1, 1), a class in both modes, is over the
+    # limit: refused before the listing, the sums or any box count start
+    for target in (
+        (isospec, "isometry_classes"), (isospec, "_CharacterSums"), (isospec, "_phi_sums"), (_kernels, "box_table")
+    ):
         monkeypatch.setattr(*target, _refuse)
     with pytest.raises(InvalidParameters, match="probe box count of q=441, n=3"):
         search(441, 3, 0)
