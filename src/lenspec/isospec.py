@@ -4,12 +4,14 @@ Two lens parameter vectors give isometric quotients exactly when one is
 carried to the other by a unit multiplier mod q together with coordinate
 permutations and sign flips; :func:`canonical_key` minimizes over that whole
 action, so key equality decides isometry.  :func:`isometry_classes` lists the
-keys themselves, the sorted sign-folded tuples that no unit lowers, rather
-than keying every parameter vector; its candidate count is bounded before it
-starts.  :func:`search` buckets the classes by character sums mod a prime at
-one point, which need no lattice and are taken in one walk over the sorted
-keys that shares the products of their common leading entries, and builds
-exact series only for classes that share a bucket.  :func:`compare_spaces`
+keys themselves, the sorted sign-folded tuples that no unit lowers, head by
+head in both modes: the zero entries, then the least gcd of an entry with q,
+then entries whose gcd with q is no smaller.  It keys no parameter vector,
+and its candidate count is bounded before it starts.  :func:`search` buckets
+the classes by character sums mod a prime at one point, which need no
+lattice and are taken in one walk over the sorted keys that shares the
+products of their common leading entries, and builds exact series only for
+classes that share a bucket.  :func:`compare_spaces`
 is the one comparison of two spaces: for every p up to p0 it says whether
 they are p'-isospectral for all p' <= p, and where their series first differ.
 Every test compares exact rational series, never truncations.
@@ -17,6 +19,7 @@ Every test compares exact rational series, never truncations.
 
 import math
 import sys
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import combinations_with_replacement, islice
@@ -159,54 +162,53 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
 
     ``manifolds`` lists the free actions only (every s_i a unit mod q);
     ``orbifolds`` lists every valid parameter vector, the manifold ones
-    included.  Each class is listed once, by its key, and no other vector is
-    visited: the candidates are the sorted tuples c over [0, q // 2] (units
-    only, for manifolds) with gcd(q, *c) = 1, and c is kept when no unit
-    multiplier folds it to a smaller tuple, so the list comes out sorted.
-
-    A unit carries x to every residue with the same gcd with q, so the least
-    nonzero entry g of a key is the least gcd(c_i, q) over its nonzero
-    entries, and a manifold key (q >= 2) starts with 1.  A unit t can fold c
-    lower only if it carries some entry x with gcd(x, q) = g to +-g; every
-    other unit leaves that slot above g.  So only those units are tried
+    included.  Each class is listed once, by its key, the sorted tuple over
+    [0, q // 2] that no unit multiplier folds lower; no other vector is
+    visited.  A unit carries x to every residue with the same gcd with q, so
+    a key (q >= 2) is its zero entries, then its head g, the least gcd(x, q)
+    over its nonzero entries and so a divisor of q, then entries of the pool
+    of g: the x in [g, q // 2] with gcd(x, q) >= g.  A manifold pool holds
+    units only, so 1 is the one head and no key has a zero.  The candidates
+    of a head are the sorted (n - 1)-tuples over its pool and 0 (orbifolds
+    only), with g put after the zeros; one is kept when gcd(q, *c) = 1 and
+    no unit folds it lower.  A unit can fold it lower only if it carries
+    some entry x with gcd(x, q) = g to +-g, so only those units are tried
     (:func:`_reaching_units`, at most n of them for a manifold), not every
-    unit in [2, q // 2].  The candidates hold n * C(values + n - 1, n)
-    entries, or n * C(values + n - 2, n - 1) for manifolds.  A manifold
-    candidate is folded by up to 2n units of n entries each, 2n + 1 steps of
-    one word an entry; an orbifold candidate is mostly dropped by the gcds of
-    its entries, 2 steps an entry.  That work is admitted before any
-    candidate is built (InvalidParameters).
+    unit in [2, q // 2].
+
+    A head whose pool holds m values, 0 included, has C(m + n - 2, n - 1)
+    candidates of n entries, each gcd-checked and folded by up to 2n units:
+    2n + 1 steps of one word an entry, in either mode.  That work is
+    admitted before any candidate is built (InvalidParameters), and no more
+    values are read than it can admit.
     """
     _check_q_n(q, n)
     if mode not in ("manifolds", "orbifolds"):
         raise InvalidParameters(f"mode must be 'manifolds' or 'orbifolds', got {mode!r}")
-    # a manifold key (q >= 2) is (1,) + a sorted (n - 1)-tuple of units
-    free = mode == "manifolds" and q >= 2
-    k = n - 1 if free else n
+    step = (2 * n + 1) * (_STEP_WORDS + 1)
     values = (x for x in range(q // 2 + 1) if mode == "orbifolds" or math.gcd(x, q) == 1)
-    step = (2 * n + 1 if free else 2) * (_STEP_WORDS + 1)
-    # C(m + k - 1, k) >= m, so no more values are read than the limit can admit
-    values = list(islice(values, WORK_LIMIT // (n * step) + 1))
-    admit(n * math.comb(len(values) + k - 1, k) * step, f"listing the classes of q={q}, n={n} ({mode})")
-    gcds = {x: math.gcd(x, q) for x in values}
-    reach = {x: _reaching_units(q, x) for x in values if x}
-    candidates = combinations_with_replacement(values, k)
-    if free:
-        candidates = ((1, *c) for c in candidates)
-    keys = []
-    for c in candidates:
-        if math.gcd(q, *c) != 1:
-            continue
-        nonzero = c[c.count(0):]  # empty only for q = 1
-        if nonzero:
-            g = nonzero[0]
-            if any(gcds[x] < g for x in nonzero):
+    # every value read is in the pool of the head 1, and C(m + n - 2, n - 1)
+    # >= m, so no more are read than the limit can admit
+    ranked = sorted((math.gcd(x, q), x) for x in islice(values, WORK_LIMIT // (n * step) + 1))
+    # the heads, the divisors g of q read (0 has gcd q), each with the start
+    # of its pool in ranked.  One candidate at least is counted: q = 1 has no
+    # head and the one key (0, ..., 0), and a read that stops at 0 is over the
+    # limit with one
+    heads = {g: bisect_left(ranked, (g,)) for d, g in ranked if d == g}
+    candidates = max(1, sum(math.comb(len(ranked) - i + n - 2, n - 1) for i in heads.values()))
+    admit(n * candidates * step, f"listing the classes of q={q}, n={n} ({mode})")
+    keys = [LensKey(n=n, q=q, exponents=(0,) * n)] if q == 1 else []
+    for g, i in heads.items():
+        reach = {x: _reaching_units(q, x) for d, x in ranked[i:] if d == g}
+        for c in combinations_with_replacement(sorted(x for _, x in ranked[i:]), n - 1):
+            if math.gcd(q, g, *c) != 1:
                 continue
-            trials = {t for x in nonzero if gcds[x] == g for t in reach[x]}
-            if not all(_folded(q, c, t) >= c for t in trials):
-                continue
-        keys.append(LensKey(n=n, q=q, exponents=c))
-    return keys
+            z = c.count(0)
+            c = (*c[:z], g, *c[z:])
+            trials = {t for x in c if x in reach for t in reach[x]}
+            if all(_folded(q, c, t) >= c for t in trials):
+                keys.append(LensKey(n=n, q=q, exponents=c))
+    return sorted(keys)
 
 
 def numerator_fingerprint(series) -> tuple:

@@ -297,7 +297,7 @@ def _ones(q, n, last=1):
 _JUST_OVER = {
     "box count": (("spectrum", "--space", "L(437;1,2,3)", "--kmax", "2"), ("lenspec._kernels._group_ops",)),
     "class listing": (
-        ("search", "--q", "272", "--n", "3", "--mode", "orbifolds"),
+        ("search", "--q", "60", "--n", "5", "--mode", "orbifolds"),
         ("lenspec.isospec.combinations_with_replacement",),
     ),
     "probe box count": (
@@ -382,13 +382,13 @@ _JUST_UNDER = {
     ),
     "search n = 3 manifolds": (("search", "--q", "432", "--n", "3"), "lenspec.isospec._is_prime"),
     "search n = 3 orbifolds": (
-        ("search", "--q", "271", "--n", "3", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+        ("search", "--q", "379", "--n", "3", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
     ),
     "search n = 4 orbifolds": (
-        ("search", "--q", "101", "--n", "4", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+        ("search", "--q", "121", "--n", "4", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
     ),
     "search n = 5 orbifolds": (
-        ("search", "--q", "57", "--n", "5", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+        ("search", "--q", "61", "--n", "5", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
     ),
     "verify --n 7": (("verify", "--n", "7"), "lenspec.verify.random.Random"),
     "verify --kmax 22": (("verify", "--n", "3", "--kmax", "22"), "lenspec.verify.random.Random"),

@@ -20,7 +20,7 @@ from lenspec import (
     spectrum_table,
     theta_rational,
 )
-from lenspec.errors import DimensionMismatch, InternalError, InvalidParameters
+from lenspec.errors import _STEP_WORDS, DimensionMismatch, InternalError, InvalidParameters
 from lenspec.genfun import phi_weights
 from lenspec.isospec import fingerprint_digest, numerator_fingerprint
 from support import acts_freely
@@ -180,8 +180,9 @@ def brute_classes(q, n, mode):
 # every q up to this bound, per rank, is checked against the brute force
 _BRUTE_Q_MAX = {2: 40, 3: 16, 4: 8}
 # and these divisor-rich q above it, where entries with gcd > 1 and zero
-# entries widen the set of units the listing tries
-_BRUTE_Q_EXTRA = {2: (), 3: (18, 24, 30), 4: (12,)}
+# entries widen the set of units the listing tries; q = 20 has the heads
+# g = 2, 4 and 5 after the zeros, and q = 27 the heads 3 and 9
+_BRUTE_Q_EXTRA = {2: (), 3: (18, 20, 24, 27, 30), 4: (12,)}
 
 
 @pytest.mark.parametrize("n", sorted(_BRUTE_Q_MAX))
@@ -199,22 +200,43 @@ def test_manifold_classes_are_free_orbifold_classes(n):
 
 
 def test_isometry_classes_bounded_before_listing(monkeypatch):
-    # n * C(values + n - 1, n) candidate entries, n * C(values + n - 2, n - 1)
-    # for manifolds: one candidate of 10^7 entries, or the 999 units of
-    # q = 1999 in (1, a, b), is refused before any candidate is built
+    # n * C(m + n - 2, n - 1) candidate entries per head, m the values of its
+    # pool: one candidate of 10^7 entries, the 999 units of q = 1999 in
+    # (1, a, b), or the first values of [0, q // 2] at q = 10^12 + 39, are
+    # refused before any candidate is built, in both modes
     built = []
     combinations = isospec.combinations_with_replacement
     monkeypatch.setattr(
         isospec, "combinations_with_replacement", lambda *args: built.append(args) or combinations(*args)
     )
-    for q, n in ((2, 10**7), (1999, 3)):
-        with pytest.raises(InvalidParameters):
-            isometry_classes(q, n, "manifolds")
+    for q, n in ((2, 10**7), (1999, 3), (10**12 + 39, 3)):
+        for mode in ("manifolds", "orbifolds"):
+            with pytest.raises(InvalidParameters, match=f"listing the classes of q={q}, n={n} "):
+                isometry_classes(q, n, mode)
     assert built == []
     # the largest benchmark and q-range gate inputs stay within it, and
     # q = 251 takes 23625 manifold entries
     assert len(isometry_classes(151, 3, "orbifolds")) == 1015
     assert len(isometry_classes(251, 3, "manifolds")) == 2667
+
+
+@pytest.mark.parametrize("q, n", [(60, 3), (101, 3), (151, 3), (211, 3), (24, 4), (31, 4), (36, 5)])
+def test_isometry_classes_work_within_its_count(monkeypatch, q, n):
+    # the n entries each candidate built is gcd-checked on, and the n entries
+    # of each fold it runs, stay within the entry steps the listing admits
+    # (word steps over _STEP_WORDS + 1), in either mode
+    counted, entries = [], []
+    folded, combinations = isospec._folded, isospec.combinations_with_replacement
+    monkeypatch.setattr(isospec, "admit", lambda work, what: counted.append(work) or work)
+    monkeypatch.setattr(isospec, "_folded", lambda q, s, t: entries.append(len(s)) or folded(q, s, t))
+    monkeypatch.setattr(
+        isospec, "combinations_with_replacement", lambda *args: (entries.append(n) or c for c in combinations(*args))
+    )
+    for mode in ("manifolds", "orbifolds"):
+        counted.clear()
+        entries.clear()
+        isometry_classes(q, n, mode)
+        assert len(counted) == 1 and sum(entries) <= counted[0] // (_STEP_WORDS + 1), (q, n, mode)
 
 
 def test_fingerprint_digest_is_sha256():
