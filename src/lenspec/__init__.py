@@ -5,9 +5,13 @@ All arithmetic is exact: multiplicities and series coefficients are unbounded
 Python integers, rational functions keep factored denominators, and equality
 of series is decided by polynomial identities rather than truncation.
 
-The public names below are resolved on first access (PEP 562), so
-``import lenspec`` loads no submodule and each command of :mod:`lenspec.cli`
-loads only the modules it runs; ``from lenspec import *`` loads them all.
+The public names below are the chain's, from the congruence lattice to the
+search, and the error types; the routes that certify the chain
+(:mod:`lenspec.weights`, :mod:`lenspec.oracle`, :mod:`lenspec.verify`) are
+imported from their own modules.  The names are resolved on first access
+(PEP 562), so ``import lenspec`` loads no submodule and each command of
+:mod:`lenspec.cli` loads only the modules it runs; ``from lenspec import *``
+loads them all.
 """
 
 __version__ = "0.1.0"
@@ -19,14 +23,9 @@ _EXPORTS = {
         "errors": "LenspecError InvalidParameters DimensionMismatch NegativeOrderTerm NotDominant",
         "polyseries": "binom LaurentPolynomial RationalSeries",
         "lattice": "CongruenceLattice lattice_from_lens",
-        "weights": "WeightClass RepIndex weight_multiplicity m_gamma invariant_dimension",
         "spectrum": "eigenvalue spectrum_table SpectrumTable SpectrumEntry Contribution",
-        "genfun": "theta_ell_rational theta_rational a_laurent f_rational f_rational_p0_direct moment_series",
-        "isospec": (
-            "LensKey canonical_key isometry_classes compare_spaces norm_star_isospectral search"
-            " IsospectralFamily"
-        ),
-        "oracle": "WeightTable freudenthal_weights weyl_dimension monomial_weight_count oracle_weight_multiplicity",
+        "genfun": "theta_ell_rational theta_rational a_laurent f_rational moment_series",
+        "isospec": "LensKey isometry_classes compare_spaces search IsospectralFamily",
     }.items()
     for name in names.split()
 }

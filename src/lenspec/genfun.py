@@ -215,10 +215,3 @@ def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
         RationalSeries(_phi_sum(phis, _weight_set(q, n, "moment", h)), ((q, n),))
         for h in range(p0 + 1)
     ]
-
-
-def f_rational_p0_direct(L: CongruenceLattice) -> RationalSeries:
-    """Independent closed form of F^0 straight from the theta series:
-    (theta / (1-z^2)^(n-1) - 1) / z."""
-    base = theta_rational(L).over_factor(2, L.n - 1) + RationalSeries(LaurentPolynomial.term(-1, 0))
-    return RationalSeries(base.numerator.shift(-1), base.denominator)

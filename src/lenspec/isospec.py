@@ -2,19 +2,20 @@
 
 Two lens parameter vectors give isometric quotients exactly when one is
 carried to the other by a unit multiplier mod q together with coordinate
-permutations and sign flips; :func:`canonical_key` minimizes over that whole
-action, so key equality decides isometry.  :func:`isometry_classes` lists the
-keys themselves, the sorted sign-folded tuples that no unit lowers, head by
-head in both modes: the zero entries, then the least gcd of an entry with q,
-then entries whose gcd with q is no smaller.  It keys no parameter vector,
-and its candidate count is bounded before it starts.  :func:`search` buckets
-the classes by character sums mod a prime at one point, which need no
-lattice and are taken in one walk over the sorted keys that shares the
-products of their common leading entries, and builds exact series only for
-classes that share a bucket.  :func:`compare_spaces`
-is the one comparison of two spaces: for every p up to p0 it says whether
-they are p'-isospectral for all p' <= p, and where their series first differ.
-Every test compares exact rational series, never truncations.
+permutations and sign flips.  A class's key, :class:`LensKey`, is the least
+sorted sign-folded tuple over that whole action, so key equality decides
+isometry.  :func:`isometry_classes` lists the keys themselves, the tuples
+that no unit lowers, head by head in both modes: the zero entries, then the
+least gcd of an entry with q, then entries whose gcd with q is no smaller.
+It keys no parameter vector, and its candidate count is bounded before it
+starts.  :func:`search` buckets the classes by character sums mod a prime
+at one point, which need no lattice and are taken in one walk over the
+sorted keys that shares the products of their common leading entries, and
+builds exact series only for classes that share a bucket.
+:func:`compare_spaces` is the one comparison of two spaces: for every p up
+to p0 it says whether they are p'-isospectral for all p' <= p, and where
+their series first differ.  Every test compares exact rational series,
+never truncations.
 """
 
 import math
@@ -27,7 +28,7 @@ from operator import mul
 
 from ._kernels import box_work
 from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InternalError, InvalidParameters, admit
-from .genfun import _weight_set, check_series_work, f_rational, moment_series, theta_ell_rational
+from .genfun import _weight_set, check_series_work, f_rational, moment_series
 from .lattice import CongruenceLattice, lattice_from_lens, lens_label
 
 
@@ -50,25 +51,6 @@ def _folded(q: int, s: tuple[int, ...], t: int) -> tuple[int, ...]:
     # t * s with every entry folded to its sign-orbit representative in
     # [0, q // 2], sorted
     return tuple(sorted([min(v, q - v) for v in [t * x % q for x in s]]))
-
-
-def canonical_key(q: int, s) -> LensKey:
-    """Minimize (t * s_i mod q) over units t, signs and coordinate order.
-
-    Each coordinate is folded to its sign-orbit representative in
-    [0, q // 2]; sorting handles permutations and the minimum over all units
-    handles the residual equivalence.
-    """
-    s = tuple(int(x) for x in s)
-    n = len(s)
-    if n < 2:
-        raise InvalidParameters("rank n must be >= 2")
-    if q < 1:
-        raise InvalidParameters("q must be >= 1")
-    if math.gcd(q, *s) != 1:
-        raise InvalidParameters(f"gcd(q, s_1, ..., s_n) must be 1, got ({q}; {s})")
-    best = min(_folded(q, s, t) for t in range(1, q + 1) if math.gcd(t, q) == 1)
-    return LensKey(n=n, q=q, exponents=best)
 
 
 def compare_spaces(
@@ -113,18 +95,6 @@ def compare_spaces(
             fingerprint = numerator_fingerprint(series1 if method == "range" else moment_series(L1, p0))
         rows.append((same, fingerprint_digest(fingerprint[: p + 1]) if same else diff))
     return rows
-
-
-def norm_star_isospectral(L1: CongruenceLattice, L2: CongruenceLattice) -> bool:
-    """True iff every refined count series theta^(ell) agrees; equivalent to
-    p-isospectrality for all p."""
-    if L1.n != L2.n:
-        raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
-    n = L1.n
-    return all(
-        theta_ell_rational(L1, ell) == theta_ell_rational(L2, ell)
-        for ell in range(n + 1)
-    )
 
 
 # -- search ---------------------------------------------------------------------
@@ -394,22 +364,18 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     member, else the first class) checks the character sums through the same
     walk; a disagreement raises InternalError.  The box count of
     (q; 1, ..., 1), a class in both modes, is admitted before the class
-    listing, the listing before it starts, and the largest box count over
-    the listed classes, the moment series and the character sums together
-    before any of them starts (InvalidParameters).
+    listing, the listing before it starts, the moment series and the
+    character sums before either starts, and the sum of the box counts that
+    run, those of the bucket members or else of the first class, before the
+    first of them (InvalidParameters).
     """
     _check_q_n(q, n)  # before p0, whose range depends on n
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    # a box count depends on its class only through the gcds of q and the
-    # exponents, so no class, the probe included, takes more than the largest
-    # over their patterns; (1, ..., 1), the pattern of (q; 1, ..., 1), is
-    # listed in both modes, and the others are known only once listed
-    what = f"the probe box count of q={q}, n={n}"
-    admit(box_work(((q, (1,) * n),), n), what)
+    # (q; 1, ..., 1) is a class in both modes, and every manifold box count
+    # costs as much as its own, so a search it refuses skips the listing
+    admit(box_work(((q, (1,) * n),), n), f"the probe box count of q={q}, n={n}")
     keys = isometry_classes(q, n, mode)
-    patterns = {tuple(sorted(math.gcd(q, x) for x in key.exponents)) for key in keys}
-    admit(max(box_work(((q, s),), n) for s in patterns), what)
     sums = _CharacterSums(q, n, p0, len(keys))
     buckets: dict[tuple, list[LensKey]] = {}
     for key, phi in zip(keys, _phi_sums(sums, [key.exponents for key in keys])):
@@ -418,6 +384,11 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     # the table is checked on the first class that gets a box count, or on
     # the first class when none does
     probe = (shared[0] if shared else keys)[0]
+    counted = [key for members in shared for key in members] or [probe]
+    admit(
+        sum(box_work(((q, key.exponents),), n) for key in counted),
+        f"the box counts of {len(counted)} classes of q={q}, n={n}",
+    )
     if not shared:
         _check_phi_sums(sums, probe, probe.lattice())
     families = []

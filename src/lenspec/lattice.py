@@ -107,11 +107,6 @@ class CongruenceLattice(_LatticeFields):
         """
         return self._phi
 
-    def reduced_count(self, k: int, zeros: int) -> int:
-        """Lattice vectors of the open box |a_i| < exponent with one-norm k
-        and ``zeros`` zero entries: coefficient k of phi_zeros."""
-        return self._phi[zeros].coeffs.get(k, 0)
-
     def label(self) -> str:
         if not self.congruences:
             return f"Z^{self.n}"

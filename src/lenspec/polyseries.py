@@ -60,25 +60,15 @@ class LaurentPolynomial:
         return cls()
 
     @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
-    @classmethod
     def term(cls, coeff: int, exponent: int) -> "LaurentPolynomial":
         """The monomial coeff * z^exponent."""
         return cls({exponent: coeff})
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def min_exp(self) -> int | None:
         """Lowest exponent carrying a nonzero coefficient, or None for 0."""
         return min(self.coeffs) if self.coeffs else None
-
-    def max_exp(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
@@ -123,19 +113,6 @@ class LaurentPolynomial:
         res.coeffs = out
         return res
 
-    def __pow__(self, exponent: int) -> "LaurentPolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise InvalidParameters("polynomial powers must be nonnegative integers")
-        result = LaurentPolynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def shift(self, exponent: int) -> "LaurentPolynomial":
         """Multiply by z^exponent (any integer exponent)."""
         res = LaurentPolynomial.__new__(LaurentPolynomial)
@@ -147,9 +124,6 @@ class LaurentPolynomial:
         if other is NotImplemented:
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -175,8 +149,14 @@ def _as_poly(value) -> "LaurentPolynomial":
 
 
 def one_minus_z(a: int, b: int = 1) -> LaurentPolynomial:
-    """The expanded factor (1 - z^a)^b."""
-    return LaurentPolynomial({0: 1, a: -1}) ** b
+    """The expanded factor (1 - z^a)^b = sum_i (-1)^i C(b, i) z^(a i)."""
+    coeffs, c = {}, 1
+    for i in range(b + 1):
+        coeffs[a * i] = -c if i % 2 else c
+        c = c * (b - i) // (i + 1)  # C(b, i + 1)
+    res = LaurentPolynomial.__new__(LaurentPolynomial)
+    res.coeffs = coeffs
+    return res
 
 
 class RationalSeries:
@@ -201,14 +181,6 @@ class RationalSeries:
                 merged[a] = merged.get(a, 0) + b
         self.numerator = num
         self.denominator = tuple(sorted(merged.items()))
-
-    @classmethod
-    def zero(cls) -> "RationalSeries":
-        return cls(LaurentPolynomial.zero())
-
-    def over_factor(self, a: int, b: int = 1) -> "RationalSeries":
-        """Divide by (1 - z^a)^b, i.e. append a denominator factor."""
-        return RationalSeries(self.numerator, self.denominator + ((a, b),))
 
     # -- expansion ---------------------------------------------------------------
 

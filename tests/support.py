@@ -5,8 +5,8 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from lenspec import CongruenceLattice
-from lenspec.errors import DimensionMismatch
+from lenspec import CongruenceLattice, LensKey, theta_ell_rational
+from lenspec.errors import DimensionMismatch, InvalidParameters
 
 
 def member(L, a) -> bool:
@@ -57,6 +57,23 @@ def acts_freely(L) -> bool:
     rows = [[x * (big // q) % big for x in s] for q, s in L.congruences]
     order = subgroup_order(rows, big)
     return all(big // math.gcd(big, *column) == order for column in zip(*rows))
+
+
+def canonical_key(q: int, s) -> LensKey:
+    """The key of the class of (q; s) by brute force: the least sorted tuple
+    of t * s_i mod q, each folded to its sign-orbit representative in
+    [0, q // 2], over every unit t, sharing no code with the listing."""
+    s = tuple(int(x) for x in s)
+    if math.gcd(q, *s) != 1:
+        raise InvalidParameters(f"gcd(q, s_1, ..., s_n) must be 1, got ({q}; {s})")
+    best = min(sorted(min(t * x % q, -t * x % q) for x in s) for t in range(1, q + 1) if math.gcd(t, q) == 1)
+    return LensKey(n=len(s), q=q, exponents=tuple(best))
+
+
+def norm_star_isospectral(L1, L2) -> bool:
+    """True iff every refined count series theta^(ell) agrees; equivalent to
+    p-isospectrality for all p."""
+    return all(theta_ell_rational(L1, ell) == theta_ell_rational(L2, ell) for ell in range(L1.n + 1))
 
 
 def brute_box(congruences, n, radius):

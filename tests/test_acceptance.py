@@ -13,25 +13,21 @@ from functools import cache
 
 from lenspec import _kernels, isospec
 from lenspec import (
-    RepIndex,
     f_rational,
-    f_rational_p0_direct,
-    invariant_dimension,
     compare_spaces,
     isometry_classes,
     lattice_from_lens,
-    norm_star_isospectral,
-    oracle_weight_multiplicity,
     search,
     spectrum_table,
     theta_ell_rational,
     theta_rational,
-    weyl_dimension,
 )
 from lenspec.cli import main as cli_main
+from lenspec.oracle import oracle_weight_multiplicity, weyl_dimension
 from lenspec.polyseries import RationalSeries, binom
-from lenspec.verify import convolution_rhs
-from lenspec.weights import _class_multiplicity, shell_table
+from lenspec.verify import convolution_rhs, f_rational_p0_direct
+from lenspec.weights import RepIndex, _class_multiplicity, invariant_dimension, shell_table
+from support import norm_star_isospectral
 
 
 def report(number: int, ok: bool, label: str) -> None:
@@ -135,7 +131,7 @@ def test_acceptance_05_theta_rationality():
         for ell in range(L.n + 1):
             got = theta_ell_rational(L, ell).expand(top)
             assert got == [table[k][ell] for k in range(top + 1)], (label, ell)
-        summed = RationalSeries.zero()
+        summed = RationalSeries(0)
         for ell in range(L.n + 1):
             summed = summed + theta_ell_rational(L, ell)
         assert theta_rational(L) == summed, label

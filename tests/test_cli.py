@@ -304,6 +304,7 @@ _JUST_OVER = {
         ("search", "--q", "439", "--n", "3"), ("lenspec.isospec._is_prime", "lenspec._kernels._group_ops"),
     ),
     "character sums": (("search", "--q", "2", "--n", "152"), ("lenspec.isospec._is_prime",)),
+    "member box counts": (("search", "--q", "169", "--n", "3"), ("lenspec._kernels._group_ops",)),
     "phi_m weights": (
         ("isospectral", "--space", _ones(2, 47), "--space2", _ones(2, 47, 3)),
         ("lenspec.genfun.phi_weights", "lenspec._kernels._group_ops"),
@@ -380,15 +381,15 @@ _JUST_UNDER = {
         ("isospectral", "--space", _ones(2, 46), "--space2", _ones(2, 46, 3)),
         "lenspec.lattice.CongruenceLattice.phi_polynomials",
     ),
-    "search n = 3 manifolds": (("search", "--q", "432", "--n", "3"), "lenspec.isospec._is_prime"),
+    "search n = 3 manifolds": (("search", "--q", "432", "--n", "3"), "lenspec._kernels._group_ops"),
     "search n = 3 orbifolds": (
-        ("search", "--q", "379", "--n", "3", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+        ("search", "--q", "379", "--n", "3", "--mode", "orbifolds"), "lenspec._kernels._group_ops",
     ),
     "search n = 4 orbifolds": (
-        ("search", "--q", "121", "--n", "4", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+        ("search", "--q", "119", "--n", "4", "--mode", "orbifolds"), "lenspec._kernels._group_ops",
     ),
     "search n = 5 orbifolds": (
-        ("search", "--q", "61", "--n", "5", "--mode", "orbifolds"), "lenspec.isospec._is_prime",
+        ("search", "--q", "61", "--n", "5", "--mode", "orbifolds"), "lenspec._kernels._group_ops",
     ),
     "verify --n 7": (("verify", "--n", "7"), "lenspec.verify.random.Random"),
     "verify --kmax 22": (("verify", "--n", "3", "--kmax", "22"), "lenspec.verify.random.Random"),
@@ -444,8 +445,9 @@ def test_genfun_matches_direct_formula(capsys):
     code, out, _ = run_cli(capsys, "genfun", "--space", "L(4;1,2)", "--format", "json")
     assert code == 0
     records = {r["name"]: r["rational"] for r in json.loads(out)}
-    from lenspec import RationalSeries, f_rational_p0_direct, lattice_from_lens
+    from lenspec import RationalSeries, lattice_from_lens
     from lenspec.polyseries import LaurentPolynomial
+    from lenspec.verify import f_rational_p0_direct
 
     # re-parse the printed F^0 and compare exactly with the direct formula
     num_text, den_text = records["F^0"].split(" | ")
@@ -619,6 +621,14 @@ def test_space_and_gen_file_conflict(capsys):
         capsys, "spectrum", "--space", "L(4;1,1)", "--gen-file", "x.txt"
     )
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt, digest", [("table", "853575ac92195071"), ("json", "afc408dec1a26aeb")])
+def test_verify_output_is_pinned(capsys, fmt, digest):
+    # every check's name, verdict and detail at n = 3, kmax = 6, byte for byte
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--kmax", "6", "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_verify_small(capsys):

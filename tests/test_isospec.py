@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from lenspec import _kernels, genfun, isospec
 from lenspec import (
     CongruenceLattice,
-    canonical_key,
     compare_spaces,
     isometry_classes,
     lattice_from_lens,
     moment_series,
-    norm_star_isospectral,
     search,
     spectrum_table,
     theta_rational,
@@ -23,7 +21,7 @@ from lenspec import (
 from lenspec.errors import _STEP_WORDS, DimensionMismatch, InternalError, InvalidParameters
 from lenspec.genfun import phi_weights
 from lenspec.isospec import fingerprint_digest, numerator_fingerprint
-from support import acts_freely
+from support import acts_freely, canonical_key, norm_star_isospectral
 
 
 def test_canonical_key_unit_multiplier():

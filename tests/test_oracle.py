@@ -5,15 +5,16 @@ import pytest
 
 import lenspec.cli
 import lenspec.verify
-from lenspec import (
+from lenspec import errors
+from lenspec.errors import _STEP_WORDS, InvalidParameters, NotDominant
+from lenspec.oracle import (
+    _dominant_below,
+    dominant_representative,
     freudenthal_weights,
     monomial_weight_count,
     oracle_weight_multiplicity,
     weyl_dimension,
 )
-from lenspec import errors
-from lenspec.errors import _STEP_WORDS, InvalidParameters, NotDominant
-from lenspec.oracle import _dominant_below, dominant_representative
 from lenspec.verify import check_verify_work
 
 

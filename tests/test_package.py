@@ -1,29 +1,31 @@
+import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import lenspec
 from lenspec import weights
-from lenspec.isospec import IsospectralFamily, LensKey, canonical_key, isometry_classes
+from lenspec.isospec import IsospectralFamily, LensKey, isometry_classes
 from lenspec.lattice import lattice_from_lens
 from lenspec.spectrum import spectrum_table
+from support import canonical_key
 
 PUBLIC = {
     "LenspecError", "InvalidParameters", "DimensionMismatch", "NegativeOrderTerm", "NotDominant",
     "binom", "LaurentPolynomial", "RationalSeries",
     "CongruenceLattice", "lattice_from_lens",
-    "WeightClass", "RepIndex", "weight_multiplicity", "m_gamma", "invariant_dimension",
     "eigenvalue", "spectrum_table", "SpectrumTable", "SpectrumEntry", "Contribution",
-    "theta_ell_rational", "theta_rational", "a_laurent", "f_rational", "f_rational_p0_direct",
-    "moment_series",
-    "LensKey", "canonical_key", "isometry_classes", "compare_spaces", "norm_star_isospectral", "search",
-    "IsospectralFamily",
-    "WeightTable", "freudenthal_weights", "weyl_dimension", "monomial_weight_count",
-    "oracle_weight_multiplicity",
+    "theta_ell_rational", "theta_rational", "a_laurent", "f_rational", "moment_series",
+    "LensKey", "isometry_classes", "compare_spaces", "search", "IsospectralFamily",
     "__version__",
 }
+
+# the modules of the production chain and the command line, without the
+# routes that certify the chain (weights, oracle, verify)
+PRODUCTION = ("cli", "isospec", "genfun", "lattice", "polyseries", "_kernels", "spectrum", "errors")
 
 
 def test_public_names_unchanged():
@@ -42,6 +44,41 @@ def test_every_public_name_resolves():
     assert PUBLIC <= set(namespace)
     assert namespace["search"] is lenspec.isospec.search
     assert PUBLIC <= set(dir(lenspec))
+
+
+def _named(node):
+    # every name and attribute read or written under node
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_production_modules_hold_only_called_code():
+    # every top-level function and class of the production modules, and
+    # every method not named __x__, is named in them outside its own body:
+    # code that only the tests or verify call lives beside them.  Public
+    # names are exempt, and _make, which namedtuple's _replace calls
+    src = os.path.dirname(lenspec.__file__)
+    trees = []
+    for module in PRODUCTION:
+        with open(os.path.join(src, f"{module}.py"), encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read()))
+    defs = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append(node)
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    m for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+    named = Counter(name for tree in trees for name in _named(tree))
+    exempt = {*lenspec._EXPORTS, "_make"}
+    uncalled = [d.name for d in defs if d.name not in exempt and named[d.name] == Counter(_named(d))[d.name]]
+    assert uncalled == []
 
 
 def test_unknown_name_raises_attribute_error():

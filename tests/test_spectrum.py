@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from lenspec import (
     eigenvalue,
     f_rational,
-    invariant_dimension,
     lattice_from_lens,
-    m_gamma,
     spectrum_table,
 )
-from lenspec import RepIndex
 from lenspec.errors import InvalidParameters
+from lenspec.weights import RepIndex, invariant_dimension, m_gamma
 from support import small_lattices
 
 

@@ -1,19 +1,17 @@
 import pytest
 
-from lenspec import (
+from lenspec import lattice_from_lens
+from lenspec.errors import DimensionMismatch, InvalidParameters
+from lenspec.oracle import monomial_weight_count, oracle_weight_multiplicity, weyl_dimension
+from lenspec.polyseries import binom
+from lenspec.weights import (
     RepIndex,
     WeightClass,
+    _class_multiplicity,
     invariant_dimension,
-    lattice_from_lens,
     m_gamma,
-    monomial_weight_count,
-    oracle_weight_multiplicity,
     weight_multiplicity,
-    weyl_dimension,
 )
-from lenspec.errors import DimensionMismatch, InvalidParameters
-from lenspec.polyseries import binom
-from lenspec.weights import _class_multiplicity
 from support import member
 
 
