@@ -149,12 +149,16 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     A head whose pool holds m values, 0 included, has C(m + n - 2, n - 1)
     candidates of n entries, each gcd-checked and folded by up to 2n units:
     2n + 1 steps of one word an entry, in either mode.  That work is
-    admitted before any candidate is built (InvalidParameters), and no more
-    values are read than it can admit.
+    admitted before any candidate is built, and the scan of [0, q // 2], a
+    gcd step a value, before any value is read (InvalidParameters); no more
+    values are read than the candidates' count can admit.
     """
     _check_q_n(q, n)
     if mode not in ("manifolds", "orbifolds"):
         raise InvalidParameters(f"mode must be 'manifolds' or 'orbifolds', got {mode!r}")
+    what = f"listing the classes of q={q}, n={n} ({mode})"
+    # the scan of [0, q // 2] takes a gcd step a value in either mode
+    admit((q // 2 + 1) * (_STEP_WORDS + 1), what)
     step = (2 * n + 1) * (_STEP_WORDS + 1)
     values = (x for x in range(q // 2 + 1) if mode == "orbifolds" or math.gcd(x, q) == 1)
     # every value read is in the pool of the head 1, and C(m + n - 2, n - 1)
@@ -166,7 +170,7 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     # limit with one
     heads = {g: bisect_left(ranked, (g,)) for d, g in ranked if d == g}
     candidates = max(1, sum(math.comb(len(ranked) - i + n - 2, n - 1) for i in heads.values()))
-    admit(n * candidates * step, f"listing the classes of q={q}, n={n} ({mode})")
+    admit(n * candidates * step, what)
     keys = [LensKey(n=n, q=q, exponents=(0,) * n)] if q == 1 else []
     for g, i in heads.items():
         reach = {x: _reaching_units(q, x) for d, x in ranked[i:] if d == g}
@@ -340,14 +344,6 @@ def _phi_sums(sums: _CharacterSums, classes: list[tuple[int, ...]]) -> Iterator[
         previous = s[:-1]
 
 
-def _check_phi_sums(sums: _CharacterSums, key: LensKey, L: CongruenceLattice) -> None:
-    # the box count of one class certifies the table of a search: its phi
-    # polynomials evaluated at the point against the walk over that class
-    exact = [_at(phi, sums.z, sums.P) for phi in L.phi_polynomials()]
-    if exact != next(_phi_sums(sums, [key.exponents])):
-        raise InternalError(f"character sums disagree with the box count of {key.label()}")
-
-
 def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[IsospectralFamily]:
     """Group the isometry classes with modulus q into families that are
     p-isospectral for all p <= p0; families of size >= 2 are returned.
@@ -360,9 +356,9 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     two or more get a lattice: they are split by the exact moment-series
     fingerprint, and each is checked against the first of its group by
     equality of F^p for every p <= p0.  The result rests on both exact
-    criteria, not on the values.  The box count of one class (a bucket
-    member, else the first class) checks the character sums through the same
-    walk; a disagreement raises InternalError.  The box count of
+    criteria, not on the values.  Every box count, of a bucket member or
+    else of the first class, checks the phi_m(z) of its class that the walk
+    gave; a disagreement raises InternalError.  The box count of
     (q; 1, ..., 1), a class in both modes, is admitted before the class
     listing, the listing before it starts, the moment series and the
     character sums before either starts, and the sum of the box counts that
@@ -377,28 +373,28 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     admit(box_work(((q, (1,) * n),), n), f"the probe box count of q={q}, n={n}")
     keys = isometry_classes(q, n, mode)
     sums = _CharacterSums(q, n, p0, len(keys))
+    phis = dict(zip(keys, _phi_sums(sums, [key.exponents for key in keys])))
     buckets: dict[tuple, list[LensKey]] = {}
-    for key, phi in zip(keys, _phi_sums(sums, [key.exponents for key in keys])):
+    for key, phi in phis.items():
         buckets.setdefault(sums.moment_values(phi), []).append(key)
-    shared = [members for members in buckets.values() if len(members) > 1]
-    # the table is checked on the first class that gets a box count, or on
-    # the first class when none does
-    probe = (shared[0] if shared else keys)[0]
-    counted = [key for members in shared for key in members] or [probe]
+    # the members of every shared bucket get a box count, the first class
+    # when no bucket is shared
+    counted = [members for members in buckets.values() if len(members) > 1] or [keys[:1]]
     admit(
-        sum(box_work(((q, key.exponents),), n) for key in counted),
-        f"the box counts of {len(counted)} classes of q={q}, n={n}",
+        sum(box_work(((q, key.exponents),), n) for members in counted for key in members),
+        f"the box counts of {sum(map(len, counted))} classes of q={q}, n={n}",
     )
-    if not shared:
-        _check_phi_sums(sums, probe, probe.lattice())
     families = []
-    for members in shared:
+    for members in counted:
         groups: dict[tuple, list[tuple[LensKey, CongruenceLattice]]] = {}
         for key in members:
             L = key.lattice()
-            if key is probe:
-                _check_phi_sums(sums, key, L)
-            groups.setdefault(_moment_fingerprint(L, p0), []).append((key, L))
+            # each box count certifies the walk's values of its class
+            if [_at(phi, sums.z, sums.P) for phi in L.phi_polynomials()] != phis[key]:
+                raise InternalError(f"character sums disagree with the box count of {key.label()}")
+            # a lone class, counted only to check the walk, forms no family
+            if len(members) > 1:
+                groups.setdefault(_moment_fingerprint(L, p0), []).append((key, L))
         for fp, group in groups.items():
             if len(group) < 2:
                 continue

@@ -7,8 +7,12 @@ sum, and an exact comparison: equality, and the first power at which two
 series differ with their coefficients there, are decided by one
 cross-multiplication, never by comparing truncations: both numerators are
 brought over the common denominator, a numerator already over it with no
-product, and compared term by term.  The two coefficients are read without
-expanding the lower ones.
+product, and compared term by term.  The two coefficients at that power are
+read off each series' expansion up to it.  The power is an exponent of a
+numerator over the common denominator, and the chain's numerators have terms
+throughout their degree range, so that expansion costs about what bringing
+them over it did; a sparse numerator that differs far past its terms is
+refused by the expansion's work bound.
 """
 
 import math
@@ -236,7 +240,10 @@ class RationalSeries:
         """None when the series are equal, otherwise (k, a, b): their expansions
         first differ at z^k, with coefficients a and b.  k is the least
         exponent at which the numerators over the common denominator differ,
-        the ones ``==`` compares: that denominator has constant term 1."""
+        the ones ``==`` compares: that denominator has constant term 1.  a and
+        b are read off ``expand(k)`` of each series, so a negative power raises
+        NegativeOrderTerm and work over the limit InvalidParameters, before
+        the expansion allocates anything."""
         _, left, right = self._merge(other)
         left, right = left.coeffs, right.coeffs
         if left == right:
@@ -244,44 +251,8 @@ class RationalSeries:
         # no coefficient is stored as 0, so get gives None only where the
         # other side's coefficient is nonzero
         k = next(e for e in sorted(left.keys() | right.keys()) if left.get(e) != right.get(e))
-        return k, self._coefficient(k), other._coefficient(k)
-
-    def _coefficient(self, k: int) -> int:
-        """Coefficient of z^k, read without expanding the lower ones: the factor
-        (1 - z^a0)^b0 of least a0 gives C(j + b0 - 1, b0 - 1) at z^(j a0), and
-        the sum runs over the multiples of every other factor up to z^k, for
-        every term of the numerator up to z^k.  That work is admitted before
-        any of it is summed (InvalidParameters); a negative power raises
-        NegativeOrderTerm as in expand."""
-        lo = self.numerator.min_exp()
-        if lo is not None and lo < 0:
-            raise NegativeOrderTerm(f"series has a nonzero coefficient at z^{lo}")
-        if not self.denominator:
-            return self.numerator.coeffs.get(k, 0)
-        (a0, b0), *others = self.denominator
-        # the partial expansion's count of terms, each built in one step and
-        # paired with every numerator term up to z^k in two, a division and a
-        # binomial; a step moves a numerator coefficient and a binomial
-        count = math.prod(k // a + 1 for a, _ in others)
-        terms = [c for e, c in self.numerator.coeffs.items() if e <= k]
-        words = 1 + -(-max((c.bit_length() for c in terms), default=0) // 64)
-        admit(count * (2 * len(terms) + 1) * (_STEP_WORDS + words), f"the series coefficient at z^{k}")
-        partial = {0: 1}  # the expansion of the other factors, up to z^k
-        for a, b in others:
-            step: dict[int, int] = {}
-            for s, c in partial.items():
-                for j in range((k - s) // a + 1):
-                    step[s + j * a] = step.get(s + j * a, 0) + c * math.comb(j + b - 1, b - 1)
-            partial = step
-        total = 0
-        for e, c in self.numerator.coeffs.items():
-            if e > k:
-                continue
-            for s, w in partial.items():
-                j, rest = divmod(k - e - s, a0)
-                if j >= 0 and not rest:
-                    total += c * w * math.comb(j + b0 - 1, b0 - 1)
-        return total
+        # a negative k is a negative power, which expand refuses at any order
+        return k, self.expand(max(k, 0))[k], other.expand(max(k, 0))[k]
 
     def __add__(self, other) -> "RationalSeries":
         if isinstance(other, (int, LaurentPolynomial)):

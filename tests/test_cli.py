@@ -577,16 +577,21 @@ def test_isospectral_stdout_matches_its_recorded_digest(capsys, s1, s2, method):
     [("range", "first difference at z^1009: 2020 vs 0"), ("direct", "first difference at z^1008: 2020 vs 0")],
 )
 def test_isospectral_reports_a_difference_past_the_expansion_bound(capsys, monkeypatch, method, detail):
-    # expanding either series of p=0 to its first difference would take over
-    # 3000 coefficient writes; the two coefficients are read without any
-    # expansion, so refusing every expansion changes nothing
-    monkeypatch.setattr(lenspec.polyseries.RationalSeries, "expand", _fail_if_called)
+    # the two coefficients of the first difference are read off one
+    # expansion of each series of p=0, up to the differing power and no
+    # further
+    expand, orders = lenspec.polyseries.RationalSeries.expand, []
+    monkeypatch.setattr(
+        lenspec.polyseries.RationalSeries, "expand", lambda self, order: orders.append(order) or expand(self, order)
+    )
     code, out, err = run_cli(
         capsys, "isospectral", "--space", "L(1009;1,1)", "--space2", "L(1013;1,1)",
         "--p0", "0", "--method", method, "--format", "csv",
     )
     assert (code, err) == (0, "")
     assert out.splitlines()[1] == f'"L(1009;1,1)","L(1013;1,1)",0,False,{detail}'
+    k = 1009 if method == "range" else 1008
+    assert orders == [k, k]
 
 
 def test_search_q11(capsys):

@@ -1,7 +1,9 @@
 import gc
 import hashlib
 import math
-from itertools import product, repeat
+import re
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,9 +201,9 @@ def test_manifold_classes_are_free_orbifold_classes(n):
 
 def test_isometry_classes_bounded_before_listing(monkeypatch):
     # n * C(m + n - 2, n - 1) candidate entries per head, m the values of its
-    # pool: one candidate of 10^7 entries, the 999 units of q = 1999 in
-    # (1, a, b), or the first values of [0, q // 2] at q = 10^12 + 39, are
-    # refused before any candidate is built, in both modes
+    # pool: one candidate of 10^7 entries or the 999 units of q = 1999 in
+    # (1, a, b) are refused before any candidate is built, in both modes, and
+    # q = 10^12 + 39 by the scan of [0, q // 2]
     built = []
     combinations = isospec.combinations_with_replacement
     monkeypatch.setattr(
@@ -216,6 +218,23 @@ def test_isometry_classes_bounded_before_listing(monkeypatch):
     # q = 251 takes 23625 manifold entries
     assert len(isometry_classes(151, 3, "orbifolds")) == 1015
     assert len(isometry_classes(251, 3, "manifolds")) == 2667
+
+
+def _fail_if_called(*args):
+    raise AssertionError("a value was read before the scan was admitted")
+
+
+def test_isometry_classes_admit_the_scan_before_reading_a_value(monkeypatch):
+    # q = 2 * 3 * 5 * ... * 37 has few units, so capping the values read
+    # would still scan far into [0, q // 2]; the scan is refused first, one
+    # gcd step a value
+    q = 7420738134810
+    work = (q // 2 + 1) * (_STEP_WORDS + 1)
+    monkeypatch.setattr(isospec, "math", SimpleNamespace(gcd=_fail_if_called))
+    for n in (2, 3, 5):
+        for mode in ("manifolds", "orbifolds"):
+            with pytest.raises(InvalidParameters, match=f"q={q}, n={n} \\({mode}\\): at least {work} word steps"):
+                isometry_classes(q, n, mode)
 
 
 @pytest.mark.parametrize("q, n", [(60, 3), (101, 3), (151, 3), (211, 3), (24, 4), (31, 4), (36, 5)])
@@ -234,7 +253,8 @@ def test_isometry_classes_work_within_its_count(monkeypatch, q, n):
         counted.clear()
         entries.clear()
         isometry_classes(q, n, mode)
-        assert len(counted) == 1 and sum(entries) <= counted[0] // (_STEP_WORDS + 1), (q, n, mode)
+        # the scan's count, then the candidates'
+        assert len(counted) == 2 and sum(entries) <= counted[1] // (_STEP_WORDS + 1), (q, n, mode)
 
 
 def test_fingerprint_digest_is_sha256():
@@ -400,23 +420,38 @@ def _families(q, n, p0, mode):
     [(13, 3, 0, "manifolds"), (11, 4, 0, "orbifolds"), (49, 3, 2, "manifolds")],
 )
 def test_value_collisions_are_split_exactly(monkeypatch, q, n, p0, mode):
-    # one value for every class puts all of them in one bucket: the exact
-    # fingerprints must split it into the same families, with no error
+    # one bucket key for every class puts all of them in one bucket: the
+    # exact fingerprints must split it into the same families, with no error,
+    # and every class's box count agrees with its true values from the walk
     expected = _families(q, n, p0, mode)
     assert expected
     phi_sums = isospec._phi_sums
     calls = []
 
-    def first_class_values(sums, classes):
-        # the values of the first class for every class: the probe check,
-        # which walks that class alone, still gets its true values
+    def counted_walk(sums, classes):
         calls.append(len(classes))
-        return repeat(next(phi_sums(sums, classes[:1])), len(classes))
+        return phi_sums(sums, classes)
 
-    monkeypatch.setattr(isospec, "_phi_sums", first_class_values)
+    monkeypatch.setattr(isospec, "_phi_sums", counted_walk)
+    monkeypatch.setattr(isospec._CharacterSums, "moment_values", lambda self, phi: (0,))
     assert _families(q, n, p0, mode) == expected
-    # the search walked every class, then the probe alone
-    assert calls == [len(isometry_classes(q, n, mode)), 1]
+    # the search walked every class once
+    assert calls == [len(isometry_classes(q, n, mode))]
+
+
+def test_every_box_count_checks_the_walk(monkeypatch):
+    # all classes in one bucket, and the walk wrong on the last class alone:
+    # that class's box count finds it
+    phi_sums = isospec._phi_sums
+    last = isometry_classes(13, 3)[-1]
+
+    def last_shifted(sums, classes):
+        return ([v + (s == last.exponents) for v in phi] for s, phi in zip(classes, phi_sums(sums, classes)))
+
+    monkeypatch.setattr(isospec, "_phi_sums", last_shifted)
+    monkeypatch.setattr(isospec._CharacterSums, "moment_values", lambda self, phi: (0,))
+    with pytest.raises(InternalError, match=rf"box count of {re.escape(last.label())}$"):
+        search(13, 3, 0)
 
 
 def test_search_box_counts_family_members_only(monkeypatch):
@@ -440,5 +475,5 @@ def test_wrong_character_sums_are_an_internal_error(monkeypatch, q, n):
     monkeypatch.setattr(isospec, "_phi_sums", shifted)
     with pytest.raises(InternalError):
         search(q, n, 0)
-    # the probe's box count was checked through the same walk
-    assert calls == [len(isometry_classes(q, n, "manifolds")), 1]
+    # the box count was checked against the one walk
+    assert calls == [len(isometry_classes(q, n, "manifolds"))]

@@ -1,8 +1,10 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +143,30 @@ def test_congruence_lattice_is_a_dict_key():
     table = weights.shell_table(L, 4)
     assert again in weights._shell_tables
     assert weights.shell_table(again, 3) == table[:4]
+
+
+def test_readme_library_block_runs_as_documented():
+    # every statement of README's Library block runs, and a "# -> <literal>"
+    # comment on an expression's lines, or on a comment line right after
+    # them, is that expression's value; "# -> " followed by a word is prose
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S)[1]
+    lines = code.splitlines()
+    namespace, literals = {}, []
+    for stmt in ast.parse(code).body:
+        source = ast.get_source_segment(code, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = eval(source, namespace)
+        after = [line for line in lines[stmt.end_lineno : stmt.end_lineno + 1] if line.lstrip().startswith("#")]
+        for line in lines[stmt.lineno - 1 : stmt.end_lineno] + after:
+            _, arrow, text = line.partition("# -> ")
+            if arrow and not text[0].isalpha():
+                literal = ast.literal_eval(text.split(": ", 1)[0])
+                assert value == literal, source
+                literals.append(literal)
+    # every literal comment was read, and there are some
+    assert literals and len(literals) == sum(
+        1 for line in lines if "# -> " in line and not line.split("# -> ")[1][0].isalpha()
+    )

@@ -1,11 +1,10 @@
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from lenspec import LaurentPolynomial, RationalSeries, binom
-from lenspec import errors, polyseries
+from lenspec import errors
 from lenspec.errors import _STEP_WORDS, InvalidParameters, NegativeOrderTerm
 from lenspec.polyseries import one_minus_z
 
@@ -121,12 +120,19 @@ def test_equal_implies_expansions_agree():
         assert r1 == r2
         assert r1.expand(50) == r2.expand(50)
         assert r1.first_difference(r2) is None
-        # adding c z^e to the numerator changes the expansion first at z^e
-        e = rng.randint(0, 30)
-        r3 = RationalSeries(r2.numerator + LaurentPolynomial.term(rng.choice((-2, -1, 1, 2)), e), r2.denominator)
-        k, x, y = r1.first_difference(r3)
-        e1, e3 = r1.expand(k), r3.expand(k)
-        assert k == e and e1[:k] == e3[:k] and (e1[k], e3[k]) == (x, y)
+        _check_difference_at(r1, r2, rng.randint(0, 30), rng.choice((-2, -1, 1, 2)))
+    # a late difference, on denominators of different factors and degrees
+    r1 = RationalSeries(poly({0: 1, 3: -2}), ((1, 2), (3, 1)))
+    _check_difference_at(r1, RationalSeries(r1.numerator * one_minus_z(7, 2), r1.denominator + ((7, 2),)), 1000, 5)
+
+
+def _check_difference_at(r1, r2, e, c):
+    # r2 equals r1; adding c z^e to its numerator changes the expansion first
+    # at z^e
+    r3 = RationalSeries(r2.numerator + LaurentPolynomial.term(c, e), r2.denominator)
+    k, x, y = r1.first_difference(r3)
+    e1, e3 = r1.expand(k), r3.expand(k)
+    assert k == e and e1[:k] == e3[:k] and (e1[k], e3[k]) == (x, y)
 
 
 def _no_product(self, other):
@@ -166,12 +172,12 @@ def test_series_arithmetic_matches_expansion():
 
 
 def _fail_if_called(*args):
-    raise AssertionError("a term was summed before its work was admitted")
+    raise AssertionError("a series was expanded before its work was admitted")
 
 
 def test_first_difference_bounds_its_sum_and_refuses_negative_powers(monkeypatch):
-    # z^50 / (1-z)(1-z^2)(1-z^3) against 0: the factors of z^2 and z^3 are
-    # summed over 26 * 17 = 442 pairs of multiples, z^1 in closed form
+    # z^50 / (1-z)(1-z^2)(1-z^3) against 0: both coefficients at z^50 are
+    # read off the expansions to z^50
     r = RationalSeries(LaurentPolynomial.term(1, 50), ((1, 1), (2, 1), (3, 1)))
     assert r.first_difference(RationalSeries(0)) == (50, 1, 0)
     assert RationalSeries(0).first_difference(RationalSeries(r.numerator, r.denominator + ((1, 1),))) == (50, 0, 1)
@@ -179,20 +185,30 @@ def test_first_difference_bounds_its_sum_and_refuses_negative_powers(monkeypatch
     assert r2.first_difference(RationalSeries(LaurentPolynomial.term(1, 9), r.denominator)) == (
         50, r2.expand(50)[50], r2.expand(50)[50] - 3,
     )
-    # 442 partial terms, each built in one step and paired with the one
-    # numerator term in two, moving a one-word coefficient and a binomial:
-    # admitted exactly at that work, refused one word step below it before
-    # any term is summed
-    work = 442 * 3 * (_STEP_WORDS + 2)
+    # expanding r to z^50 over its three factors takes 51 * 4 = 204 steps of
+    # one word each (check_expand_work): admitted exactly at that work,
+    # refused one word step below it before the expansion reads the numerator
+    work = 204 * (_STEP_WORDS + 1)
+    assert work == 38964
     monkeypatch.setattr(errors, "WORK_LIMIT", work)
     assert r.first_difference(RationalSeries(0)) == (50, 1, 0)
     monkeypatch.setattr(errors, "WORK_LIMIT", work - 1)
-    monkeypatch.setattr(polyseries, "math", SimpleNamespace(prod=math.prod, comb=_fail_if_called))
-    with pytest.raises(InvalidParameters, match=f"at least {work} word steps"):
+    monkeypatch.setattr(LaurentPolynomial, "min_exp", _fail_if_called)
+    with pytest.raises(InvalidParameters, match=f"order 50: at least {work} word steps"):
         r.first_difference(RationalSeries(0))
     monkeypatch.undo()
     with pytest.raises(NegativeOrderTerm):
         RationalSeries(poly({-1: 1}), ((1, 2),)).first_difference(RationalSeries(0))
+    with pytest.raises(NegativeOrderTerm):
+        RationalSeries(0).first_difference(RationalSeries(poly({-1: 1}), ((1, 2),)))
+
+
+def test_first_difference_refuses_a_difference_far_past_a_sparse_numerator(monkeypatch):
+    # z^(10^9) against 0 differ first at z^(10^9): reading that coefficient
+    # takes an expansion to it, refused before anything is allocated
+    monkeypatch.setattr(LaurentPolynomial, "min_exp", _fail_if_called)
+    with pytest.raises(InvalidParameters, match=f"expanding 1 series to order {10**9}: at least"):
+        RationalSeries(LaurentPolynomial.term(1, 10**9)).first_difference(RationalSeries(0))
 
 
 def test_text_round_shapes():
