@@ -88,14 +88,12 @@ class CongruenceLattice(_LatticeFields):
 
     @cached_property
     def _phi(self) -> tuple[LaurentPolynomial, ...]:
-        phis = []
-        for counts in _kernels.box_table(self.congruences, self.n):
-            # the dict holds no zero coefficient, so it is the polynomial's
-            # own, not a copy that LaurentPolynomial() would filter again
-            phi = LaurentPolynomial.__new__(LaurentPolynomial)
-            phi.coeffs = {k: c for k, c in enumerate(counts) if c}
-            phis.append(phi)
-        return tuple(phis)
+        # each filtered dict becomes the polynomial's own, not a copy that
+        # LaurentPolynomial() would filter again
+        return tuple(
+            LaurentPolynomial._wrap({k: c for k, c in enumerate(counts) if c})
+            for counts in _kernels.box_table(self.congruences, self.n)
+        )
 
     def phi_polynomials(self) -> tuple[LaurentPolynomial, ...]:
         """Box-count generating polynomials, one per zero-entry count.

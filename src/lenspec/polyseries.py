@@ -60,6 +60,14 @@ class LaurentPolynomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
+        """The polynomial that owns ``coeffs``, a dict that already holds no
+        zero coefficient, so it is neither filtered nor copied."""
+        res = cls.__new__(cls)
+        res.coeffs = coeffs
+        return res
+
+    @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
 
@@ -91,17 +99,13 @@ class LaurentPolynomial:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPolynomial.__new__(LaurentPolynomial)
-        res.coeffs = out
-        return res
+        return LaurentPolynomial._wrap(out)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
             if other == 0:
                 return LaurentPolynomial()
-            res = LaurentPolynomial.__new__(LaurentPolynomial)
-            res.coeffs = {e: c * other for e, c in self.coeffs.items()}
-            return res
+            return LaurentPolynomial._wrap({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         out: dict[int, int] = {}
@@ -113,15 +117,11 @@ class LaurentPolynomial:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = LaurentPolynomial.__new__(LaurentPolynomial)
-        res.coeffs = out
-        return res
+        return LaurentPolynomial._wrap(out)
 
     def shift(self, exponent: int) -> "LaurentPolynomial":
         """Multiply by z^exponent (any integer exponent)."""
-        res = LaurentPolynomial.__new__(LaurentPolynomial)
-        res.coeffs = {e + exponent: c for e, c in self.coeffs.items()}
-        return res
+        return LaurentPolynomial._wrap({e + exponent: c for e, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
@@ -158,9 +158,7 @@ def one_minus_z(a: int, b: int = 1) -> LaurentPolynomial:
     for i in range(b + 1):
         coeffs[a * i] = -c if i % 2 else c
         c = c * (b - i) // (i + 1)  # C(b, i + 1)
-    res = LaurentPolynomial.__new__(LaurentPolynomial)
-    res.coeffs = coeffs
-    return res
+    return LaurentPolynomial._wrap(coeffs)
 
 
 class RationalSeries:

@@ -9,7 +9,7 @@ from .genfun import a_laurent, f_rational, theta_ell_rational, theta_rational
 from .lattice import CongruenceLattice, lattice_from_lens
 from .oracle import _dominant_below, oracle_weight_multiplicity, weyl_dimension
 from .polyseries import LaurentPolynomial, RationalSeries, binom
-from .weights import RepIndex, _class_multiplicity, invariant_dimension, shell_table
+from .weights import _class_multiplicity, invariant_dimensions, shell_table
 from .spectrum import spectrum_table
 
 
@@ -248,13 +248,8 @@ def run_checks(max_n: int = 3, kmax: int = 6) -> list[CheckResult]:
     def central_identity():
         order = 20
         for L in lattices:
-            for p in range(1, L.n + 1):
-                got = f_rational(L, p - 1).expand(order)
-                want = [
-                    invariant_dimension(L, RepIndex(k=k, p=p, n=L.n))
-                    for k in range(order + 1)
-                ]
-                assert got == want, (L.label(), p)
+            for p, want in enumerate(invariant_dimensions(L, order), 1):
+                assert f_rational(L, p - 1).expand(order) == want, (L.label(), p)
         return f"{len(lattices)} lattices to order 20"
 
     record("central-identity", central_identity)

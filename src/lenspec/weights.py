@@ -7,16 +7,16 @@ The closed form below evaluates it directly; summing it against lattice
 shell counts gives the dimension of the invariant subspace, which is exactly
 an eigenvalue multiplicity of the quotient.
 
-The eigenvalue pairing is ``mult(lambda_{k, p-1}) = m_gamma(L, k, p)`` and
-``mult(lambda_{k, p}) = m_gamma(L, k, p+1)``, certified against the
-Freudenthal oracle in the test suite.  Production reads the same numbers off
-the series of :mod:`lenspec.genfun`; this module serves ``verify`` and the
-tests, and its shell enumeration shares no code with the box count behind
-those series.
+:func:`invariant_dimensions` gives these dimensions for the families (k, p),
+k = 0..order, in one row per p = 1..n, all read off one shell table.  Its
+``rows[p-1]`` is the expansion of F^(p-1): the eigenvalue paired with
+(k, p-1) on (p-1)-forms has multiplicity ``rows[p-1][k-1]``, and the one
+paired with (k, p) has ``rows[p][k-1]``.  Production reads the same numbers off the series
+of :mod:`lenspec.genfun`; this module serves ``verify`` and the tests, and its
+shell enumeration shares no code with the box count behind those series.
 """
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,16 +24,8 @@ from .errors import DimensionMismatch, InvalidParameters
 from .lattice import CongruenceLattice
 from .polyseries import binom
 
-# Lattices whose shell tables stay cached; the least recently used is dropped first.
-_SHELL_LATTICES = 512
 # Largest ball of integer points, by one-norm, that one enumeration may cover.
 _SHELL_POINT_LIMIT = 10**8
-# Least number of shells a table grows by.  An enumeration walks every partial
-# vector of norm <= its top shell, however few shells it adds, so callers that
-# ask for one more shell per call (m_gamma over k) share one walk per step.
-_SHELL_GROWTH = 8
-
-_shell_tables: OrderedDict[CongruenceLattice, list[tuple[int, ...]]] = OrderedDict()
 
 
 def _ball_size(d: int, k: int) -> int:
@@ -43,13 +35,13 @@ def _ball_size(d: int, k: int) -> int:
     return sum((1 << i) * math.comb(d, i) * math.comb(k, i) for i in range(d + 1))
 
 
-def _enumerate_shells(L: CongruenceLattice, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """Rows lo..hi of the shell table, each lattice vector generated once.
+def _enumerate_shells(L: CongruenceLattice, hi: int) -> list[tuple[int, ...]]:
+    """Rows 0..hi of the shell table, each lattice vector generated once.
 
     The first n - 1 coordinates take every value that keeps the one-norm
     <= hi, carrying the norm, the zero count and the congruence residues.
     The last coordinate is solved: its values that cancel those residues are
-    one class modulo ``period``, stepped through within the norms lo..hi.
+    one class modulo ``period``, stepped through within the norms <= hi.
     """
     n = L.n
     width = n + 1
@@ -70,7 +62,7 @@ def _enumerate_shells(L: CongruenceLattice, lo: int, hi: int) -> list[tuple[int,
     # the least value >= 0 of the last coordinate that cancels the residues
     least = {residues(n - 1, -x): x for x in range(period)}
     solved: dict[int, int] = {}
-    counts = [0] * ((hi - lo + 1) * width)
+    counts = [0] * ((hi + 1) * width)
 
     def walk(j, norm, zeros, key):
         span = hi - norm
@@ -87,14 +79,13 @@ def _enumerate_shells(L: CongruenceLattice, lo: int, hi: int) -> list[tuple[int,
                 continue
             part = norm + abs(x)
             z = zeros + (x == 0)
-            if x0 == 0 and part >= lo:
-                counts[(part - lo) * width + z + 1] += 1
-            # the last value is t or -t, with t >= 1 and lo <= part + t <= hi
-            low = max(lo - part, 1)
-            base = (part - lo) * width + z
+            if x0 == 0:
+                counts[part * width + z + 1] += 1
+            # the last value is t or -t, with 1 <= t <= hi - part
+            base = part * width + z
             stop = base + (hi - part) * width + 1
             for r in (x0, -x0):
-                first = low + (r - low) % period
+                first = 1 + (r - 1) % period
                 for i in range(base + first * width, stop, period * width):
                     counts[i] += 1
 
@@ -104,12 +95,7 @@ def _enumerate_shells(L: CongruenceLattice, lo: int, hi: int) -> list[tuple[int,
 
 def shell_table(L: CongruenceLattice, kmax: int) -> list[tuple[int, ...]]:
     """Table N[k][zeros] of lattice vectors with one-norm k, for 0 <= k <= kmax,
-    by brute-force enumeration.
-
-    A lattice's table grows on demand, enumerating only the shells not yet
-    counted, by at least ``_SHELL_GROWTH`` while within the point limit; the
-    last ``_SHELL_LATTICES`` lattices used keep their tables.
-    """
+    by brute-force enumeration, refused above the point limit before it starts."""
     if kmax < 0:
         raise InvalidParameters("kmax must be >= 0")
     points = _ball_size(L.n, kmax)
@@ -118,16 +104,7 @@ def shell_table(L: CongruenceLattice, kmax: int) -> list[tuple[int, ...]]:
             f"shell enumeration to one-norm {kmax} in rank {L.n} covers {points}"
             f" points, above the limit of {_SHELL_POINT_LIMIT}"
         )
-    table = _shell_tables.pop(L, [])
-    if kmax >= len(table):
-        top = max(kmax, len(table) - 1 + _SHELL_GROWTH)
-        if _ball_size(L.n, top) > _SHELL_POINT_LIMIT:
-            top = kmax
-        table = table + _enumerate_shells(L, len(table), top)
-    _shell_tables[L] = table
-    while len(_shell_tables) > _SHELL_LATTICES:
-        _shell_tables.popitem(last=False)
-    return table[: kmax + 1]
+    return _enumerate_shells(L, kmax)
 
 
 @dataclass(frozen=True)
@@ -208,35 +185,26 @@ def weight_multiplicity(idx: RepIndex, w: WeightClass) -> int:
     return _class_multiplicity(idx.n, idx.k, idx.p, w.norm, w.zeros)
 
 
-def m_gamma(L: CongruenceLattice, k: int, p: int) -> int:
-    """Invariant dimension of family (k-1, p), summed over the lattice.
+def invariant_dimensions(L: CongruenceLattice, order: int) -> list[list[int]]:
+    """Dimensions of the lattice-invariant subspaces of the families (k, p):
+    row p - 1 holds k = 0..order for p = 1..n.
 
-    Equals the multiplicity of the eigenvalue paired with (k, p-1) on
-    (p-1)-forms of the quotient.  Returns 0 for p = 0.
+    Family (k, p) has weights of one-norm k + p, k + p - 2, ..., so one shell
+    table to one-norm order + n serves every row.
     """
+    if order < 0:
+        raise InvalidParameters("order must be >= 0")
     n = L.n
-    if k < 1:
-        raise InvalidParameters("k must be >= 1")
-    if not 0 <= p <= n:
-        raise InvalidParameters(f"p must lie in 0..{n}")
-    if p == 0:
-        return 0
-    top = k - 1 + p
-    table = shell_table(L, top)
-    total = 0
-    for r in range(top // 2 + 1):
-        norm = top - 2 * r
-        for zeros in range(n + 1):
-            count = table[norm][zeros]
-            if count:
-                total += count * _class_multiplicity(n, k - 1, p, norm, zeros)
-    return total
-
-
-def invariant_dimension(L: CongruenceLattice, idx: RepIndex) -> int:
-    """Dimension of the lattice-invariant subspace of the representation ``idx``."""
-    if idx.n != L.n:
-        raise DimensionMismatch(f"rank mismatch: {idx.n} vs {L.n}")
-    if idx.p < 1:
-        raise InvalidParameters("invariant dimensions are defined for p >= 1")
-    return m_gamma(L, idx.k + 1, idx.p)
+    table = shell_table(L, order + n)
+    return [
+        [
+            sum(
+                count * _class_multiplicity(n, k, p, norm, zeros)
+                for norm in range((k + p) % 2, k + p + 1, 2)
+                for zeros, count in enumerate(table[norm])
+                if count
+            )
+            for k in range(order + 1)
+        ]
+        for p in range(1, n + 1)
+    ]

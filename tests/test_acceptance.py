@@ -26,7 +26,7 @@ from lenspec.cli import main as cli_main
 from lenspec.oracle import oracle_weight_multiplicity, weyl_dimension
 from lenspec.polyseries import RationalSeries, binom
 from lenspec.verify import convolution_rhs, f_rational_p0_direct
-from lenspec.weights import RepIndex, _class_multiplicity, invariant_dimension, shell_table
+from lenspec.weights import _class_multiplicity, invariant_dimensions, shell_table
 from support import norm_star_isospectral
 
 
@@ -108,12 +108,8 @@ def test_acceptance_03_central_identity():
     order = 30
     pairs = 0
     for label, L in suite_lattices():
-        for p in range(1, L.n + 1):
-            got = f_rational(L, p - 1).expand(order)
-            want = [
-                invariant_dimension(L, RepIndex(k, p, L.n)) for k in range(order + 1)
-            ]
-            assert got == want, (label, p)
+        for p, want in enumerate(invariant_dimensions(L, order), 1):
+            assert f_rational(L, p - 1).expand(order) == want, (label, p)
             pairs += 1
     report(3, True, f"rational series == invariant-dimension route to order 30, {pairs} series")
 

@@ -19,7 +19,7 @@ from lenspec import _kernels, genfun
 from lenspec.genfun import check_series_work, phi_weights
 from lenspec.polyseries import binom
 from lenspec.verify import f_rational_p0_direct
-from lenspec.weights import RepIndex, _class_multiplicity, invariant_dimension, shell_table
+from lenspec.weights import _class_multiplicity, invariant_dimensions, shell_table
 from support import brute_box, small_lattices
 
 
@@ -213,12 +213,8 @@ def test_f_matches_direct_zero_form_formula():
 
 def test_f_coefficients_are_invariant_dimensions():
     for L in SAMPLES[:5]:
-        for p in range(L.n):
-            got = f_rational(L, p).expand(30)
-            want = [
-                invariant_dimension(L, RepIndex(k, p + 1, L.n)) for k in range(31)
-            ]
-            assert got == want, (L.label(), p)
+        for p, want in enumerate(invariant_dimensions(L, 30)):
+            assert f_rational(L, p).expand(30) == want, (L.label(), p)
 
 
 def test_f_nonnegative_coefficients():
@@ -245,14 +241,13 @@ def test_main_identity_all_p_families():
     ]
     for L, order in cases:
         n = L.n
+        rows = invariant_dimensions(L, order)
         for p in range(1, n + 1):
             acc = _merged_sum(L, lambda ell: a_laurent(p, ell, n))
             acc = RationalSeries(acc.numerator, acc.denominator + ((2, n - 1),))
             sign = -1 if p % 2 else 1
             series = acc + RationalSeries(LaurentPolynomial.term(sign, -p))
-            got = series.expand(order)
-            want = [invariant_dimension(L, RepIndex(k, p, n)) for k in range(order + 1)]
-            assert got == want
+            assert series.expand(order) == rows[p - 1]
 
 
 def _merged_sum(L, weight):

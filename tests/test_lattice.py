@@ -154,33 +154,9 @@ def test_shell_table_matches_naive_enumeration():
         assert shell_table(L, 8) == brute_shell(L, 8), L.label()
 
 
-def test_shell_table_grows_to_the_request():
-    for L, top in (
-        (lattice_from_lens(1, (0, 0, 0)), 12),
-        (lattice_from_lens(7, (1, 2, 3)), 12),
-        (CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))]), 30),
-    ):
-        weights._shell_tables.clear()
-        grown = [shell_table(L, k) for k in range(top + 1)]
-        weights._shell_tables.clear()
-        fresh = shell_table(L, top)
-        brute = brute_shell(L, top)
-        assert fresh == brute, L.label()
-        assert all(table == brute[: k + 1] for k, table in enumerate(grown)), L.label()
-
-
-def test_shell_table_growth_step_stops_at_the_point_limit(monkeypatch):
+def test_shell_table_refuses_above_the_point_limit(monkeypatch):
     L = lattice_from_lens(7, (1, 2, 3))
-    brute = brute_shell(L, 5)
-    weights._shell_tables.clear()
-    assert shell_table(L, 0) == brute[:1]
-    assert len(weights._shell_tables[L]) == weights._SHELL_GROWTH
-    weights._shell_tables.clear()
-    # a limit that admits one-norm 5 in rank 3 but not a growth step past it
     monkeypatch.setattr(weights, "_SHELL_POINT_LIMIT", weights._ball_size(3, 5))
-    assert shell_table(L, 4) == brute[:5]
-    assert shell_table(L, 5) == brute
-    assert len(weights._shell_tables[L]) == 6
     # a request above the limit is refused before any enumeration
     monkeypatch.setattr(weights, "_enumerate_shells", None)
     with pytest.raises(InvalidParameters):

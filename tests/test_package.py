@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import lenspec
-from lenspec import weights
 from lenspec.isospec import IsospectralFamily, LensKey, isometry_classes
 from lenspec.lattice import lattice_from_lens
 from lenspec.spectrum import spectrum_table
@@ -25,9 +24,10 @@ PUBLIC = {
     "__version__",
 }
 
-# the modules of the production chain and the command line, without the
-# routes that certify the chain (weights, oracle, verify)
+# the modules of the production chain and the command line, and those of the
+# routes that certify the chain
 PRODUCTION = ("cli", "isospec", "genfun", "lattice", "polyseries", "_kernels", "spectrum", "errors")
+CERTIFICATION = ("weights", "oracle", "verify")
 
 
 def test_public_names_unchanged():
@@ -57,16 +57,14 @@ def _named(node):
             yield sub.attr
 
 
-def test_production_modules_hold_only_called_code():
-    # every top-level function and class of the production modules, and
-    # every method not named __x__, is named in them outside its own body:
-    # code that only the tests or verify call lives beside them.  Public
-    # names are exempt, and _make, which namedtuple's _replace calls
-    src = os.path.dirname(lenspec.__file__)
-    trees = []
-    for module in PRODUCTION:
-        with open(os.path.join(src, f"{module}.py"), encoding="utf-8") as fh:
-            trees.append(ast.parse(fh.read()))
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _unnamed(trees, corpus):
+    # the top-level functions and classes of trees, and their methods not
+    # named __x__, that no code of corpus names outside their own body
     defs = []
     for tree in trees:
         for node in tree.body:
@@ -77,10 +75,29 @@ def test_production_modules_hold_only_called_code():
                     m for m in node.body
                     if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
                 ]
-    named = Counter(name for tree in trees for name in _named(tree))
+    named = Counter(name for tree in corpus for name in _named(tree))
+    return [d.name for d in defs if named[d.name] == Counter(_named(d))[d.name]]
+
+
+def test_production_modules_hold_only_called_code():
+    # every definition of the production modules is named in them outside
+    # its own body: code that only the tests or verify call lives beside
+    # them.  Public names are exempt, and _make, which namedtuple's _replace
+    # calls
+    src = os.path.dirname(lenspec.__file__)
+    trees = [_parse(os.path.join(src, f"{module}.py")) for module in PRODUCTION]
     exempt = {*lenspec._EXPORTS, "_make"}
-    uncalled = [d.name for d in defs if d.name not in exempt and named[d.name] == Counter(_named(d))[d.name]]
-    assert uncalled == []
+    assert [name for name in _unnamed(trees, trees) if name not in exempt] == []
+
+
+def test_certification_modules_hold_only_named_code():
+    # every definition of the certification modules is named outside its
+    # own body somewhere in the package or the tests
+    src = os.path.dirname(lenspec.__file__)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    corpus = [_parse(path) for folder in (src, tests) for path in sorted(Path(folder).glob("*.py"))]
+    trees = [_parse(os.path.join(src, f"{module}.py")) for module in CERTIFICATION]
+    assert _unnamed(trees, corpus) == []
 
 
 def test_unknown_name_raises_attribute_error():
@@ -139,10 +156,6 @@ def test_congruence_lattice_is_a_dict_key():
     # the cached box count lives in the instance, outside the hashed fields
     L.phi_polynomials()
     assert hash(L) == hash(again)
-    # the brute-force shell tables are kept per lattice, found again by an equal one
-    table = weights.shell_table(L, 4)
-    assert again in weights._shell_tables
-    assert weights.shell_table(again, 3) == table[:4]
 
 
 def test_readme_library_block_runs_as_documented():

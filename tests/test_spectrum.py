@@ -9,7 +9,7 @@ from lenspec import (
     spectrum_table,
 )
 from lenspec.errors import InvalidParameters
-from lenspec.weights import RepIndex, invariant_dimension, m_gamma
+from lenspec.weights import invariant_dimensions
 from support import small_lattices
 
 
@@ -108,27 +108,23 @@ def test_multiplicities_match_invariant_dimensions():
     L = lattice_from_lens(4, (1, 2))
     p = 1
     table = spectrum_table(L, p, 6)
+    rows = invariant_dimensions(L, 5)
     for entry in table.entries:
         for c in entry.contributors:
-            expected = (
-                m_gamma(L, c.k, p) if c.family == p - 1 else m_gamma(L, c.k, p + 1)
-            )
-            assert c.multiplicity == expected
-            if c.family == p:
-                assert c.multiplicity == invariant_dimension(
-                    L, RepIndex(c.k - 1, p + 1, L.n)
-                )
+            # family p - 1 reads row p - 1 of the invariant dimensions, family p row p
+            assert c.multiplicity == rows[c.family][c.k - 1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(L=small_lattices(), k_max=st.integers(1, 20))
 def test_table_matches_certification_route(L, k_max):
+    rows = invariant_dimensions(L, k_max - 1)
     for p in range(L.n):
         table = spectrum_table(L, p, k_max)
         by_source = {(c.k, c.family): c.multiplicity for e in table.entries for c in e.contributors}
         for k in range(1, k_max + 1):
-            assert by_source.pop((k, p - 1), 0) == m_gamma(L, k, p), (L.label(), p, k)
-            assert by_source.pop((k, p), 0) == m_gamma(L, k, p + 1), (L.label(), p, k)
+            assert by_source.pop((k, p - 1), 0) == (rows[p - 1][k - 1] if p else 0), (L.label(), p, k)
+            assert by_source.pop((k, p), 0) == rows[p][k - 1], (L.label(), p, k)
         assert by_source == ({(0, 0): 1} if p == 0 else {})
 
 

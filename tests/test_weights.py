@@ -8,8 +8,7 @@ from lenspec.weights import (
     RepIndex,
     WeightClass,
     _class_multiplicity,
-    invariant_dimension,
-    m_gamma,
+    invariant_dimensions,
     weight_multiplicity,
 )
 from support import member
@@ -128,33 +127,32 @@ def test_symmetric_power_identity():
                 assert _class_multiplicity(n, k, 1, norm, zeros) == expected
 
 
+# m_gamma(L, k, p), the paper's multiplicity, is the entry k - 1 of row p - 1
+# of invariant_dimensions(L, order)
+
+
 def test_m_gamma_trivial_sphere():
     L = lattice_from_lens(1, (0, 0))
-    assert m_gamma(L, 2, 1) == 9
-    assert m_gamma(L, 1, 2) == 6
-    assert [m_gamma(L, k, 1) for k in range(1, 6)] == [(k + 1) ** 2 for k in range(1, 6)]
-
-
-def test_m_gamma_p0_is_zero():
-    for L in (lattice_from_lens(1, (0, 0)), lattice_from_lens(4, (1, 1))):
-        for k in (1, 2, 5):
-            assert m_gamma(L, k, 0) == 0
+    rows = invariant_dimensions(L, 4)
+    assert rows[0][1] == 9
+    assert rows[1][0] == 6
+    assert rows[0][:5] == [(k + 1) ** 2 for k in range(1, 6)]
 
 
 def test_m_gamma_validation():
     L = lattice_from_lens(1, (0, 0))
     with pytest.raises(InvalidParameters):
-        m_gamma(L, 0, 1)
-    with pytest.raises(InvalidParameters):
-        m_gamma(L, 1, 3)
+        invariant_dimensions(L, -1)
+    assert len(invariant_dimensions(L, 0)) == 2
 
 
 def test_invariant_dimension_examples():
     L3 = lattice_from_lens(1, (0, 0, 0))
-    assert invariant_dimension(L3, RepIndex(0, 2, 3)) == 15
-    assert invariant_dimension(L3, RepIndex(0, 3, 3)) == 20
+    rows = invariant_dimensions(L3, 0)
+    assert rows[1][0] == 15
+    assert rows[2][0] == 20
     L = lattice_from_lens(4, (1, 1))
-    assert invariant_dimension(L, RepIndex(0, 1, 2)) == 0
+    assert invariant_dimensions(L, 0)[0][0] == 0
 
 
 def test_invariant_dimension_is_lattice_weight_sum():
@@ -162,10 +160,31 @@ def test_invariant_dimension_is_lattice_weight_sum():
     from itertools import product
 
     L = lattice_from_lens(3, (1, 2))
-    for k, p in [(0, 1), (1, 1), (0, 2), (2, 2)]:
-        reach = k + p
-        total = 0
-        for a in product(range(-reach, reach + 1), repeat=2):
-            if sum(map(abs, a)) <= reach and member(L, a):
-                total += oracle_weight_multiplicity(k, p, a, 2)
-        assert invariant_dimension(L, RepIndex(k, p, 2)) == total
+    rows = invariant_dimensions(L, 2)
+    for p in (1, 2):
+        want = []
+        for k in range(3):
+            reach = k + p
+            total = 0
+            for a in product(range(-reach, reach + 1), repeat=2):
+                if sum(map(abs, a)) <= reach and member(L, a):
+                    total += oracle_weight_multiplicity(k, p, a, 2)
+            want.append(total)
+        assert rows[p - 1] == want, p
+
+
+def test_invariant_dimensions_walk_the_shells_once(monkeypatch):
+    from lenspec import weights
+
+    walks = []
+    enumerate_shells = weights._enumerate_shells
+
+    def counted(L, hi):
+        walks.append(hi)
+        return enumerate_shells(L, hi)
+
+    monkeypatch.setattr(weights, "_enumerate_shells", counted)
+    L = lattice_from_lens(7, (1, 2, 3))
+    rows = invariant_dimensions(L, 6)
+    assert walks == [6 + 3]
+    assert [len(row) for row in rows] == [7, 7, 7]
