@@ -29,12 +29,13 @@ call and returns the exit status.
 
 Each subcommand imports the modules it runs when it is called, so ``--help``
 and ``search`` never load the certification side (:mod:`lenspec.verify`,
-:mod:`lenspec.oracle`, :mod:`lenspec.weights`).  No module of the
-production path loads :mod:`re` or :mod:`typing`: the lens shorthand is read
-with str methods and its records are :func:`collections.namedtuple` types
-or plain classes.  Every subcommand names its columns once and hands its
-rows, tuples in that order, to :func:`_emit_records`, the one writer of
-records.  Apart from it only the help text reaches stdout.
+:mod:`lenspec.oracle`, :mod:`lenspec.weights`).  No lenspec module
+imports :mod:`re` or a record or annotation library beyond
+:mod:`collections`: the lens shorthand is read with str methods, and every
+record is a :func:`collections.namedtuple` type or a plain class.  Every
+subcommand names its columns once and hands its rows, tuples in that order,
+to :func:`_emit_records`, the one writer of records.  Apart from it only
+the help text reaches stdout.
 """
 
 import os
@@ -49,23 +50,22 @@ def _lens_parameters(text: str) -> tuple[int, tuple[int, ...]]:
 
     Whitespace (``str.isspace``) may surround the whole and every part, q is
     decimal digits (``str.isdecimal``) and each s_j is what ``int`` reads
-    from a field of digits, ``-`` and whitespace.  Anything else raises
-    ValueError.  This accepts and reads exactly what the pattern
-    ``^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$`` followed by ``int`` does,
-    without loading :mod:`re`.
+    from a field of digits and ``-`` once the whitespace around the field is
+    stripped.  Anything else raises ValueError.  This accepts and reads
+    exactly what the pattern
+    ``^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$`` followed by ``int`` of each
+    stripped field does, without loading :mod:`re`.
     """
     body = text.strip()
     if not (body.startswith("L(") and body.endswith(")")):
         raise ValueError(text)
     digits, semicolon, fields = body[2:-1].partition(";")
-    # the pattern drops the whitespace after ";" before int reads the first
-    # field; int itself would refuse some of it (\x1c-\x1f)
-    digits, fields = digits.strip(), fields.lstrip()
-    if not (semicolon and fields and digits.isdecimal()) or not all(
+    digits = digits.strip()
+    if not (semicolon and digits.isdecimal()) or not all(
         c in "-," or c.isdecimal() or c.isspace() for c in fields
     ):
         raise ValueError(text)
-    return int(digits), tuple(int(x) for x in fields.split(","))
+    return int(digits), tuple(int(x.strip()) for x in fields.split(","))
 
 
 def parse_space(text: str | None, gen_file: str | None):
@@ -94,7 +94,7 @@ def parse_space(text: str | None, gen_file: str | None):
             head, _, rest = line.partition(":")
             try:
                 q = int(head.strip())
-                s = tuple(int(x) for x in rest.split(","))
+                s = tuple(int(x.strip()) for x in rest.split(","))
             except ValueError:
                 raise LenspecError(f"{gen_file}:{lineno}: expected 'q: s1,s2,...,sn'")
             if n is None:

@@ -255,9 +255,10 @@ class _CharacterSums:
     (w_l = l^h) that :func:`lenspec.genfun.moment_series` uses, the same
     cached set per (q, n, h); this route and the box count differ only in
     how phi_m is obtained.  ``table`` holds w + H(u) at z packed as one int
-    per u, and ``weights`` the W_m(z); both are built once, and
+    per u, ``powers`` the z^e, e <= n q, that :meth:`at` evaluates a
+    polynomial with, and ``weights`` the W_m(z); all are built once, and
     :func:`_phi_sums` walks the classes over them.  Raises
-    InvalidParameters, before either is built, when the work limit refuses
+    InvalidParameters, before any is built, when the work limit refuses
     the p0 + 1 moment series (:func:`lenspec.genfun.check_series_work`, the
     one count every series batch takes) or the sums over ``classes``
     classes.
@@ -296,17 +297,22 @@ class _CharacterSums:
         table += table[(q + 1) // 2 - 1 : 0 : -1]  # H(q - u) = H(u)
         self.q, self.n, self.P, self.width, self.z, self.table = q, n, P, width, z, table
         self.q_inverse = pow(q, -1, P)
-        self.weights = [[_at(w, z, P) for w in _weight_set(q, n, "moment", h)] for h in range(p0 + 1)]
+        # z^0..z^(nq) mod P: every phi_m has degree <= (n - m)(q - 1), and
+        # every moment weight W_m degree <= m q
+        self.powers = powers = [1]
+        for _ in range(n * q):
+            powers.append(powers[-1] * z % P)
+        self.weights = [[self.at(w) for w in _weight_set(q, n, "moment", h)] for h in range(p0 + 1)]
+
+    def at(self, poly) -> int:
+        """poly(z) mod P, for a polynomial of degree <= n q."""
+        powers = self.powers
+        return sum(c * powers[e] for e, c in poly.coeffs.items()) % self.P
 
     def moment_values(self, phi: list[int]) -> tuple[int, ...]:
         """The moment numerators of orders 0..p0 mod P of the class whose
         phi_m(z) are ``phi``.  Equal numerators give equal values."""
         return tuple(sum(map(mul, row, phi)) % self.P for row in self.weights)
-
-
-def _at(poly, z: int, P: int) -> int:
-    # poly(z) mod P
-    return sum(c * pow(z, e, P) for e, c in poly.coeffs.items()) % P
 
 
 def _phi_sums(sums: _CharacterSums, classes: list[tuple[int, ...]]) -> Iterator[list[int]]:
@@ -390,7 +396,7 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
         for key in members:
             L = key.lattice()
             # each box count certifies the walk's values of its class
-            if [_at(phi, sums.z, sums.P) for phi in L.phi_polynomials()] != phis[key]:
+            if [sums.at(phi) for phi in L.phi_polynomials()] != phis[key]:
                 raise InternalError(f"character sums disagree with the box count of {key.label()}")
             # a lone class, counted only to check the walk, forms no family
             if len(members) > 1:

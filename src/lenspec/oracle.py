@@ -3,9 +3,11 @@
 Everything here recomputes representation data of so(2n) from first
 principles: the Freudenthal recursion over the D_n root system, the Weyl
 dimension product, and direct monomial counting in symmetric and exterior
-powers of the standard representation.  These routines certify the closed
-multiplicity formulas in :mod:`lenspec.weights`; production code never calls
-them.
+powers of the standard representation.  :func:`family_highest_weights` is
+the one statement of the highest weights of the harmonic family (k, p),
+both mirror components at p = n; the multiplicities and dimensions of the
+family sum over them.  These routines certify the closed multiplicity
+formulas in :mod:`lenspec.weights`; production code never calls them.
 
 Conventions: weights live in Z^n written in the orthonormal epsilon basis
 (so the inner product is the dot product), the positive roots are
@@ -13,7 +15,6 @@ e_i - e_j and e_i + e_j for i < j, the Weyl vector is (n-1, n-2, ..., 0),
 and a weight is dominant when a_1 >= ... >= a_{n-1} >= |a_n|.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -165,31 +166,17 @@ def _orbit(mu):
     return out
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Complete weight-multiplicity table of one highest-weight representation."""
-
-    highest_weight: tuple[int, ...]
-    n: int
-    table: dict
-
-    def multiplicity(self, mu) -> int:
-        return self.table.get(tuple(mu), 0)
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.table.values())
-
-
-def freudenthal_weights(highest_weight, n: int) -> WeightTable:
-    """Exact weight multiplicities of the irreducible so(2n)-module."""
+def freudenthal_weights(highest_weight, n: int) -> dict:
+    """Exact weight multiplicities of the irreducible so(2n)-module: a dict
+    from each weight to its multiplicity, so its values sum to the
+    dimension."""
     lam = _require_dominant(highest_weight, n)
     dominant = _dominant_multiplicities(lam, n)
     full: dict[tuple[int, ...], int] = {}
     for mu, mult in dominant.items():
         for w in _orbit(mu):
             full[w] = mult
-    return WeightTable(highest_weight=lam, n=n, table=full)
+    return full
 
 
 def weyl_dimension(highest_weight, n: int) -> int:
@@ -239,24 +226,20 @@ def monomial_weight_count(kind: str, degree: int, mu, n: int) -> int:
     return _monomial_table(kind, degree, n).get(tuple(mu), 0)
 
 
-def _family_highest_weight(k: int, p: int, n: int) -> tuple[int, ...]:
-    return (k + 1,) + (1,) * (p - 1) + (0,) * (n - p)
+def family_highest_weights(k: int, p: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Highest weights of the degree-(k, p) harmonic family:
+    (k+1, 1^(p-1), 0^(n-p)), and at p = n also its mirror with last entry -1."""
+    lam = (k + 1,) + (1,) * (p - 1) + (0,) * (n - p)
+    return (lam,) if p < n else (lam, lam[:-1] + (-1,))
 
 
 def oracle_weight_multiplicity(k: int, p: int, mu, n: int) -> int:
-    """Multiplicity of mu in the degree-(k, p) harmonic family, by Freudenthal.
-
-    For p = n the family is the sum of the two mirror components, so both
-    tables contribute.
-    """
+    """Multiplicity of mu in the degree-(k, p) harmonic family, by Freudenthal,
+    summed over the family's highest weights."""
     _check_rank(n)
     if not 1 <= p <= n:
         raise InvalidParameters(f"p must lie in 1..{n}")
     if k < 0:
         raise InvalidParameters("k must be >= 0")
     rep = dominant_representative(tuple(mu))
-    value = _dominant_multiplicities(_family_highest_weight(k, p, n), n).get(rep, 0)
-    if p == n:
-        mirror = (k + 1,) + (1,) * (n - 2) + (-1,)
-        value += _dominant_multiplicities(mirror, n).get(rep, 0)
-    return value
+    return sum(_dominant_multiplicities(lam, n).get(rep, 0) for lam in family_highest_weights(k, p, n))

@@ -1,24 +1,27 @@
 """Self-check battery wiring the independent computation routes against each
-other at a configurable scale.  Used by the ``verify`` CLI subcommand."""
+other at a configurable scale, one ``CheckResult`` row per check.  Used by the
+``verify`` CLI subcommand; the weight classes come from :mod:`lenspec.weights`
+and the family highest weights from :mod:`lenspec.oracle`."""
 
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import _STEP_WORDS, InvalidParameters, LenspecError, admit
 from .genfun import a_laurent, f_rational, theta_ell_rational, theta_rational
 from .lattice import CongruenceLattice, lattice_from_lens
-from .oracle import _dominant_below, oracle_weight_multiplicity, weyl_dimension
+from .oracle import _dominant_below, family_highest_weights, oracle_weight_multiplicity, weyl_dimension
 from .polyseries import LaurentPolynomial, RationalSeries, binom
-from .weights import _class_multiplicity, invariant_dimensions, shell_table
+from .weights import (
+    _class_multiplicity,
+    class_representative,
+    class_size,
+    invariant_dimensions,
+    shell_table,
+    weight_classes,
+)
 from .spectrum import spectrum_table
 
-
-class CheckResult(NamedTuple):
-    """One check of the battery, a row of the ``verify`` output."""
-
-    name: str
-    ok: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", ("name", "ok", "detail"))
 
 
 def _sample_lattices(max_n: int) -> list[CongruenceLattice]:
@@ -38,39 +41,6 @@ def _sample_lattices(max_n: int) -> list[CongruenceLattice]:
             CongruenceLattice(3, [(2, (1, 1, 0)), (2, (0, 1, 1))]),
         ]
     return samples
-
-
-def _feasible_classes(n: int, max_norm: int):
-    for norm in range(max_norm + 1):
-        for zeros in range(n + 1):
-            if norm == 0 and zeros != n:
-                continue
-            if norm > 0 and (zeros == n or norm < n - zeros):
-                continue
-            yield norm, zeros
-
-
-def _class_representative(n: int, norm: int, zeros: int) -> tuple[int, ...]:
-    nonzeros = n - zeros
-    if nonzeros == 0:
-        return (0,) * n
-    return (norm - (nonzeros - 1),) + (1,) * (nonzeros - 1) + (0,) * zeros
-
-
-def _class_size(n: int, norm: int, zeros: int) -> int:
-    if norm == 0:
-        return 1 if zeros == n else 0
-    nonzeros = n - zeros
-    if nonzeros == 0:
-        return 0
-    return binom(n, zeros) * (1 << nonzeros) * binom(norm - 1, nonzeros - 1)
-
-
-def _family_dimension(k: int, p: int, n: int) -> int:
-    dim = weyl_dimension((k + 1,) + (1,) * (p - 1) + (0,) * (n - p), n)
-    if p == n:
-        dim += weyl_dimension((k + 1,) + (1,) * (n - 2) + (-1,), n)
-    return dim
 
 
 def compositions_count(total: int, parts: int) -> int:
@@ -188,8 +158,8 @@ def run_checks(max_n: int = 3, kmax: int = 6) -> list[CheckResult]:
         for n in range(2, max_n + 1):
             for p in range(1, n + 1):
                 for k in range(kmax + 1):
-                    for norm, zeros in _feasible_classes(n, k + p + 2):
-                        mu = _class_representative(n, norm, zeros)
+                    for norm, zeros in weight_classes(n, k + p + 2):
+                        mu = class_representative(n, norm, zeros)
                         lhs = _class_multiplicity(n, k, p, norm, zeros)
                         rhs = oracle_weight_multiplicity(k, p, mu, n)
                         assert lhs == rhs, (n, k, p, norm, zeros, lhs, rhs)
@@ -203,12 +173,12 @@ def run_checks(max_n: int = 3, kmax: int = 6) -> list[CheckResult]:
         for n in range(2, max_n + 1):
             for p in range(1, n + 1):
                 for k in range(kmax + 1):
-                    total = 0
-                    for norm, zeros in _feasible_classes(n, k + p):
-                        total += _class_size(n, norm, zeros) * _class_multiplicity(
-                            n, k, p, norm, zeros
-                        )
-                    assert total == _family_dimension(k, p, n), (n, k, p)
+                    total = sum(
+                        class_size(n, norm, zeros) * _class_multiplicity(n, k, p, norm, zeros)
+                        for norm, zeros in weight_classes(n, k + p)
+                    )
+                    dimension = sum(weyl_dimension(lam, n) for lam in family_highest_weights(k, p, n))
+                    assert total == dimension, (n, k, p)
                     checked += 1
         return f"{checked} representations"
 

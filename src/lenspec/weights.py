@@ -2,10 +2,13 @@
 enumeration of lattice shells.
 
 The multiplicity of a weight in the harmonic family representations of
-so(2n) depends only on the weight's one-norm and its number of zero entries.
-The closed form below evaluates it directly; summing it against lattice
-shell counts gives the dimension of the invariant subspace, which is exactly
-an eigenvalue multiplicity of the quotient.
+so(2n) depends only on the weight's class (norm, zeros): its one-norm and
+its number of zero entries.  :func:`weight_classes` lists the classes,
+:func:`class_representative` and :func:`class_size` give one weight of a
+class and its number of weights, and :func:`_class_multiplicity` evaluates
+the closed form directly.  Summing it against lattice shell counts gives
+the dimension of the invariant subspace, which is exactly an eigenvalue
+multiplicity of the quotient.
 
 :func:`invariant_dimensions` gives these dimensions for the families (k, p),
 k = 0..order, in one row per p = 1..n, all read off one shell table.  Its
@@ -17,10 +20,9 @@ shell enumeration shares no code with the box count behind those series.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, InvalidParameters
+from .errors import InvalidParameters
 from .lattice import CongruenceLattice
 from .polyseries import binom
 
@@ -107,44 +109,31 @@ def shell_table(L: CongruenceLattice, kmax: int) -> list[tuple[int, ...]]:
     return _enumerate_shells(L, kmax)
 
 
-@dataclass(frozen=True)
-class WeightClass:
-    """A Weyl-invariant class of weights: one-norm, zero entries, rank."""
-
-    norm: int
-    zeros: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidParameters("rank n must be >= 2")
-        if not 0 <= self.zeros <= self.n:
-            raise InvalidParameters("zero count must lie in 0..n")
-        if self.norm < self.n - self.zeros or (self.norm == 0) != (self.zeros == self.n):
-            raise InvalidParameters(
-                f"no weight has one-norm {self.norm} with {self.zeros} zeros in rank {self.n}"
-            )
+def weight_classes(n: int, max_norm: int):
+    """The (norm, zeros) classes of weights of Z^n with one-norm <= max_norm:
+    norm 0 has n zeros, and a positive norm spreads over n - zeros >= 1
+    nonzero entries."""
+    for norm in range(max_norm + 1):
+        for zeros in range(n + 1):
+            if (norm == 0) == (zeros == n) and norm >= n - zeros:
+                yield norm, zeros
 
 
-@dataclass(frozen=True)
-class RepIndex:
-    """Index (k, p) of a harmonic family representation of so(2n).
+def class_representative(n: int, norm: int, zeros: int) -> tuple[int, ...]:
+    """One weight of the class: (norm - nonzeros + 1, 1, ..., 1, 0, ..., 0)."""
+    nonzeros = n - zeros
+    if nonzeros == 0:
+        return (0,) * n
+    return (norm - (nonzeros - 1),) + (1,) * (nonzeros - 1) + (0,) * zeros
 
-    p = 0 names the zero representation; p = n names the reducible sum of the
-    two mirror components.
-    """
 
-    k: int
-    p: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise InvalidParameters("rank n must be >= 2")
-        if self.k < 0:
-            raise InvalidParameters("k must be >= 0")
-        if not 0 <= self.p <= self.n:
-            raise InvalidParameters(f"p must lie in 0..{self.n}")
+def class_size(n: int, norm: int, zeros: int) -> int:
+    """Number of weights of Z^n in the class, 0 for an infeasible one."""
+    nonzeros = n - zeros
+    if norm == 0 or nonzeros == 0:
+        # the zero weight alone has norm 0 or no nonzero entry
+        return int(norm == nonzeros == 0)
+    return binom(n, zeros) * (1 << nonzeros) * binom(norm - 1, nonzeros - 1)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -174,15 +163,6 @@ def _class_multiplicity(n: int, k: int, p: int, norm: int, zeros: int) -> int:
                         tail += binom(r - i - p + alpha + t + j + n - 2, n - 2)
                     total += sign * c_t * c_b * c_a * tail
     return total
-
-
-def weight_multiplicity(idx: RepIndex, w: WeightClass) -> int:
-    """Exact weight multiplicity for the class ``w`` in the representation ``idx``."""
-    if idx.n != w.n:
-        raise DimensionMismatch(f"rank mismatch: {idx.n} vs {w.n}")
-    if idx.p < 1:
-        raise InvalidParameters("weight multiplicities require p >= 1")
-    return _class_multiplicity(idx.n, idx.k, idx.p, w.norm, w.zeros)
 
 
 def invariant_dimensions(L: CongruenceLattice, order: int) -> list[list[int]]:

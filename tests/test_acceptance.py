@@ -23,33 +23,23 @@ from lenspec import (
     theta_rational,
 )
 from lenspec.cli import main as cli_main
-from lenspec.oracle import oracle_weight_multiplicity, weyl_dimension
-from lenspec.polyseries import RationalSeries, binom
+from lenspec.oracle import family_highest_weights, oracle_weight_multiplicity, weyl_dimension
+from lenspec.polyseries import RationalSeries
 from lenspec.verify import convolution_rhs, f_rational_p0_direct
-from lenspec.weights import _class_multiplicity, invariant_dimensions, shell_table
+from lenspec.weights import (
+    _class_multiplicity,
+    class_representative,
+    class_size,
+    invariant_dimensions,
+    shell_table,
+    weight_classes,
+)
 from support import norm_star_isospectral
 
 
 def report(number: int, ok: bool, label: str) -> None:
     print(f"ACCEPTANCE {number:02d} {'PASS' if ok else 'FAIL'}: {label}")
     assert ok, f"criterion {number} failed: {label}"
-
-
-def feasible_classes(n, max_norm):
-    for norm in range(max_norm + 1):
-        for zeros in range(n + 1):
-            if norm == 0 and zeros != n:
-                continue
-            if norm > 0 and (zeros == n or norm < n - zeros):
-                continue
-            yield norm, zeros
-
-
-def representative(n, norm, zeros):
-    nonzeros = n - zeros
-    if nonzeros == 0:
-        return (0,) * n
-    return (norm - (nonzeros - 1),) + (1,) * (nonzeros - 1) + (0,) * zeros
 
 
 @cache
@@ -68,37 +58,24 @@ def test_acceptance_01_closed_form_certified_by_freudenthal():
     for n in (2, 3, 4):
         for p in range(1, n + 1):
             for k in range(7):
-                for norm, zeros in feasible_classes(n, k + p + 2):
+                for norm, zeros in weight_classes(n, k + p + 2):
                     lhs = _class_multiplicity(n, k, p, norm, zeros)
-                    rhs = oracle_weight_multiplicity(
-                        k, p, representative(n, norm, zeros), n
-                    )
+                    rhs = oracle_weight_multiplicity(k, p, class_representative(n, norm, zeros), n)
                     assert lhs == rhs, (n, k, p, norm, zeros, lhs, rhs)
                     checked += 1
     report(1, True, f"closed multiplicity formula == Freudenthal on {checked} classes")
 
 
 def test_acceptance_02_dimension_sums():
-    def class_size(n, norm, zeros):
-        if norm == 0:
-            return 1 if zeros == n else 0
-        nonzeros = n - zeros
-        if nonzeros == 0:
-            return 0
-        return binom(n, zeros) * 2**nonzeros * binom(norm - 1, nonzeros - 1)
-
     checked = 0
     for n in (2, 3, 4):
         for p in range(1, n + 1):
             for k in range(7):
                 total = sum(
-                    class_size(n, norm, zeros)
-                    * _class_multiplicity(n, k, p, norm, zeros)
-                    for norm, zeros in feasible_classes(n, k + p)
+                    class_size(n, norm, zeros) * _class_multiplicity(n, k, p, norm, zeros)
+                    for norm, zeros in weight_classes(n, k + p)
                 )
-                expected = weyl_dimension((k + 1,) + (1,) * (p - 1) + (0,) * (n - p), n)
-                if p == n:
-                    expected += weyl_dimension((k + 1,) + (1,) * (n - 2) + (-1,), n)
+                expected = sum(weyl_dimension(lam, n) for lam in family_highest_weights(k, p, n))
                 assert total == expected, (n, k, p, total, expected)
                 checked += 1
     report(2, True, f"class-weighted multiplicity sums == Weyl dimensions, {checked} reps")

@@ -77,8 +77,8 @@ def test_bad_space_string(capsys):
     assert code == 2 and err.startswith("error:")
 
 
-# the lens shorthand as a regular expression read it, the reference for the
-# str-method parser
+# the lens shorthand as a regular expression read it, each field stripped
+# of its whitespace, the reference for the str-method parser
 _LENS_RE = re.compile(r"^\s*L\(\s*(\d+)\s*;\s*([-\d\s,]+)\)\s*$")
 
 
@@ -88,7 +88,7 @@ def _reference_parse_space(text):
         raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)")
     try:
         q = int(m.group(1))
-        s = tuple(int(x) for x in m.group(2).split(","))
+        s = tuple(int(x.strip()) for x in m.group(2).split(","))
     except ValueError:
         raise LenspecError(f"cannot parse space {text!r}; expected L(q;s1,...,sn)")
     return f"L({q};{','.join(str(x % max(q, 1)) for x in s)})", lattice_from_lens(q, s)
@@ -619,6 +619,11 @@ def test_gen_file_space(tmp_path, capsys):
     assert code == 0
     records = json.loads(out)
     assert records[0]["space"] == "G(2:1,1,0|2:0,1,1)"
+    # every field is stripped of its whitespace, \x1c included, as in the shorthand
+    path.write_text("2: 1\x1c,1, 0\n2:\x1c0,1\x1c,1\n")
+    assert run_cli(capsys, "spectrum", "--gen-file", str(path), "--p", "0", "--kmax", "6", "--format", "json") == (
+        0, out, ""
+    )
 
 
 def test_space_and_gen_file_conflict(capsys):
@@ -685,17 +690,17 @@ sys.stderr.write(f"\\nexit {code}, numpy imported: {'numpy' in sys.modules}, loa
 """
 
 # the watched modules each subcommand loads: the certification side
-# (weights, oracle, verify) and dataclasses only behind verify, re and typing
-# behind no table-format call of the production path, and numpy, OpenSSL's
-# _hashlib (the fingerprint digests use the builtin sha256) and __future__
-# (no module postpones its annotations) behind none
+# (weights, oracle, verify) only behind verify, and dataclasses, re and
+# typing behind no table-format call, numpy, OpenSSL's _hashlib (the
+# fingerprint digests use the builtin sha256) and __future__ (no module
+# postpones its annotations) behind none
 _LOADED = {
     "--help": "",
     "search": "lenspec.isospec",
     "spectrum": "lenspec.spectrum",
     "genfun": "",
     "isospectral": "lenspec.isospec",
-    "verify": "dataclasses re typing lenspec.spectrum lenspec.weights lenspec.oracle lenspec.verify",
+    "verify": "lenspec.spectrum lenspec.weights lenspec.oracle lenspec.verify",
 }
 
 

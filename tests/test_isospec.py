@@ -395,6 +395,18 @@ def test_character_sum_weights_match_binomial_sum(q, n):
     assert sums.weights == expected, (q, n)
 
 
+@pytest.mark.parametrize("q, n", [(1, 2), (7, 3), (12, 4), (45, 3), (101, 3)])
+def test_power_table_evaluates_every_phi_and_moment_weight(q, n):
+    # sums.at reads each z^e off one table, against one pow per term
+    sums = isospec._CharacterSums(q, n, n - 1, 1)
+    weights = [w for h in range(n) for w in genfun._weight_set(q, n, "moment", h)]
+    # W_n of order 0 is (1 + z^q)^n, of degree n q, the top of the table
+    assert max(weights[n].coeffs) == n * q == len(sums.powers) - 1
+    phis = [phi for key in isometry_classes(q, n, "orbifolds")[:6] for phi in key.lattice().phi_polynomials()]
+    for poly in weights + phis:
+        assert sums.at(poly) == sum(c * pow(sums.z, e, sums.P) for e, c in poly.coeffs.items()) % sums.P
+
+
 def test_character_sum_bound_admits_the_gate_scales():
     # the q-range gates at every p0 pass both bounds of the search's sums;
     # checked by the work alone, so no class is summed here
