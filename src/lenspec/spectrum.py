@@ -2,8 +2,8 @@
 
 For 0 <= p <= n-1 every eigenvalue on p-forms belongs to one of two integer
 families indexed by k >= 1 (plus the constant functions at 0 when p = 0);
-the table lists eigenvalues in increasing order with their multiplicities
-and the contributing (k, family) pairs.  Multiplicities are read off the
+the table lists eigenvalues in increasing order, each with its multiplicity
+and its one contributing (k, family) pair.  Multiplicities are read off the
 exact spectrum-encoding series F^(p-1) and F^p of :mod:`lenspec.genfun`.
 """
 
@@ -54,7 +54,11 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
 
     Coefficient k-1 of F^j is the multiplicity of the k-th eigenvalue of
     family j, for j = p-1 and j = p; family -1 is empty.  For p = 0 the zero
-    eigenvalue of the constants is added with multiplicity 1.  The table
+    eigenvalue of the constants is added with multiplicity 1.  Each nonzero
+    coefficient is one entry with one contributor: an eigenvalue grows with k
+    within a family, and families p-1 and p share none, since with
+    a = k+p-1, b = k'+p and m = n-p, a(a+2m) = b(b+2m-2) would need
+    (a-b+1)(a+b+2m-1) = 2m-1 < a+b+2m-1.  The table
     (each of the k_max coefficients of both series expanded over its 2n - 1
     factors, then entered), the F^p weights and their products are admitted
     before any series is built.
@@ -68,24 +72,11 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> SpectrumTable:
     families = range(max(p - 1, 0), p + 1)
     check_series_work(n, L.exponent, families)
 
-    cells: dict[int, list[Contribution]] = {}
-    if p == 0:
-        cells[0] = [Contribution(k=0, family=0, multiplicity=1)]
+    entries = [SpectrumEntry(0, 1, (Contribution(k=0, family=0, multiplicity=1),))] if p == 0 else []
     for family in families:
         for k, mult in enumerate(f_rational(L, family).expand(k_max - 1), 1):
             if mult:
-                cells.setdefault(eigenvalue(k, family, n), []).append(
-                    Contribution(k=k, family=family, multiplicity=mult)
-                )
-
-    entries = []
-    for eig in sorted(cells):
-        contribs = tuple(cells[eig])
-        entries.append(
-            SpectrumEntry(
-                eigenvalue=eig,
-                multiplicity=sum(c.multiplicity for c in contribs),
-                contributors=contribs,
-            )
-        )
+                contribution = Contribution(k=k, family=family, multiplicity=mult)
+                entries.append(SpectrumEntry(eigenvalue(k, family, n), mult, (contribution,)))
+    entries.sort()
     return SpectrumTable(n=n, p=p, k_max=k_max, entries=tuple(entries))

@@ -1,7 +1,13 @@
 """Self-check battery wiring the independent computation routes against each
-other at a configurable scale, one ``CheckResult`` row per check.  Used by the
-``verify`` CLI subcommand; the weight classes come from :mod:`lenspec.weights`
-and the family highest weights from :mod:`lenspec.oracle`."""
+other at a configurable scale, one ``CheckResult`` row per check.  Each
+cross-route identity is one function of its scale that returns its detail and
+raises ``AssertionError`` on a mismatch: :func:`check_multiplicity_closed_form`,
+:func:`check_dimension_sums`, :func:`check_theta_rational`,
+:func:`check_reduced_convolution`, :func:`check_central_identity`,
+:func:`check_zero_form_closed_form` and :func:`check_sphere_spectrum`.
+:func:`run_checks` runs them for the ``verify`` CLI subcommand, and the tests
+at their own scale.  The weight classes come from :mod:`lenspec.weights` and
+the family highest weights from :mod:`lenspec.oracle`."""
 
 import random
 from collections import namedtuple
@@ -88,6 +94,135 @@ def check_verify_work(max_n: int, kmax: int) -> int:
     return work
 
 
+def _binom_convention() -> str:
+    import math
+
+    for b in range(31):
+        for a in range(b + 1):
+            assert binom(b, a) == math.factorial(b) // (math.factorial(a) * math.factorial(b - a))
+    assert binom(1, 3) == 0 and binom(4, -1) == 0
+    return "0 <= a <= b <= 30 plus out-of-range conventions"
+
+
+def _ring_axioms(rng: random.Random) -> str:
+    def rand_poly():
+        return LaurentPolynomial({rng.randint(-4, 4): rng.randint(-9, 9) for _ in range(4)})
+
+    for _ in range(200):
+        f, g, h = rand_poly(), rand_poly(), rand_poly()
+        assert (f + g) + h == f + (g + h)
+        assert f * (g + h) == f * g + f * h
+        assert (f * g) * h == f * (g * h)
+        assert f * g == g * f
+    return "200 random triples"
+
+
+def _series_consistency(rng: random.Random) -> str:
+    one = RationalSeries(1, ((1, 3),))
+    assert one.expand(3) == [1, 3, 6, 10]
+    for _ in range(40):
+        num = LaurentPolynomial({rng.randint(0, 4): rng.randint(-5, 5) for _ in range(3)})
+        fac = tuple((rng.randint(1, 3), rng.randint(1, 2)) for _ in range(2))
+        r1 = RationalSeries(num, fac)
+        extra = rng.randint(1, 3)
+        r2 = RationalSeries(num * LaurentPolynomial({0: 1, extra: -1}), fac + ((extra, 1),))
+        assert r1 == r2
+        assert r1.expand(50) == r2.expand(50)
+    return "equality implies identical order-50 expansions"
+
+
+def check_multiplicity_closed_form(max_n: int, kmax: int) -> str:
+    """Closed multiplicities of the weight classes of one-norm <= k + p + 2 against Freudenthal's."""
+    checked = 0
+    for n in range(2, max_n + 1):
+        for p in range(1, n + 1):
+            for k in range(kmax + 1):
+                for norm, zeros in weight_classes(n, k + p + 2):
+                    mu = class_representative(n, norm, zeros)
+                    lhs = _class_multiplicity(n, k, p, norm, zeros)
+                    rhs = oracle_weight_multiplicity(k, p, mu, n)
+                    assert lhs == rhs, (n, k, p, norm, zeros, lhs, rhs)
+                    checked += 1
+    return f"{checked} classes, n <= {max_n}, k <= {kmax}"
+
+
+def check_dimension_sums(max_n: int, kmax: int) -> str:
+    """Class sizes times closed multiplicities sum to the Weyl dimension of family (k, p)."""
+    checked = 0
+    for n in range(2, max_n + 1):
+        for p in range(1, n + 1):
+            for k in range(kmax + 1):
+                total = sum(
+                    class_size(n, norm, zeros) * _class_multiplicity(n, k, p, norm, zeros)
+                    for norm, zeros in weight_classes(n, k + p)
+                )
+                dimension = sum(weyl_dimension(lam, n) for lam in family_highest_weights(k, p, n))
+                assert total == dimension, (n, k, p)
+                checked += 1
+    return f"{checked} representations"
+
+
+def check_theta_rational(lattices) -> str:
+    """Each theta^(ell) expands to the shell counts to order 3q, and theta is their sum."""
+    for L in lattices:
+        top = 3 * L.exponent
+        table = shell_table(L, top)
+        for ell in range(L.n + 1):
+            got = theta_ell_rational(L, ell).expand(top)
+            assert got == [table[k][ell] for k in range(top + 1)], (L.label(), ell)
+        summed = RationalSeries(0)
+        for ell in range(L.n + 1):
+            summed = summed + theta_ell_rational(L, ell)
+        assert theta_rational(L) == summed, L.label()
+    return f"{len(lattices)} lattices to order 3q"
+
+
+def check_reduced_convolution(lattices) -> str:
+    """The shell counts below 4q equal :func:`convolution_rhs` of the box counts."""
+    for L in lattices:
+        q = L.exponent
+        table = shell_table(L, 3 * q + q)
+        for a in range(4):
+            for r in range(q):
+                for ell in range(L.n + 1):
+                    lhs = table[a * q + r][ell]
+                    assert lhs == convolution_rhs(L, a, r, ell), (L.label(), a, r, ell)
+    return f"{len(lattices)} lattices, a <= 3"
+
+
+def check_central_identity(lattices, order: int) -> str:
+    """Coefficient k <= order of F^(p-1) is the invariant dimension of family (k, p)."""
+    for L in lattices:
+        for p, want in enumerate(invariant_dimensions(L, order), 1):
+            assert f_rational(L, p - 1).expand(order) == want, (L.label(), p)
+    return f"{len(lattices)} lattices to order {order}"
+
+
+def check_zero_form_closed_form(lattices) -> str:
+    """F^0 equals :func:`f_rational_p0_direct`."""
+    for L in lattices:
+        assert f_rational(L, 0) == f_rational_p0_direct(L), L.label()
+    return f"{len(lattices)} lattices"
+
+
+def _degree_window(max_n: int) -> str:
+    for n in range(2, max_n + 1):
+        for p in range(1, n + 1):
+            for ell in range(n + 1):
+                poly = a_laurent(p, ell, n)
+                if poly:
+                    assert poly.min_exp() >= -p and max(poly.coeffs) <= p - 2, (p, ell, n)
+    return f"exponents within [-p, p-2] for n <= {max_n}"
+
+
+def check_sphere_spectrum() -> str:
+    """The 3-sphere's functions: eigenvalue k(k+2) with multiplicity (k+1)^2, k <= 20."""
+    table = spectrum_table(lattice_from_lens(1, (0, 0)), 0, 20)
+    want = [(k * (k + 2), (k + 1) ** 2) for k in range(21)]
+    assert [(e.eigenvalue, e.multiplicity) for e in table.entries] == want
+    return "3-sphere functions to k = 20"
+
+
 def run_checks(max_n: int = 3, kmax: int = 6) -> list[CheckResult]:
     """Run every cross-route identity at the given scale; raises
     InvalidParameters before any check runs when :func:`check_verify_work`
@@ -97,158 +232,27 @@ def run_checks(max_n: int = 3, kmax: int = 6) -> list[CheckResult]:
     if kmax < 0:
         raise InvalidParameters("kmax must be >= 0")
     check_verify_work(max_n, kmax)
-    results = []
     rng = random.Random(0)
-
-    def record(name, fn):
+    lattices = _sample_lattices(max_n)
+    checks = (
+        ("binom-convention", _binom_convention),
+        ("laurent-ring-axioms", lambda: _ring_axioms(rng)),
+        ("series-expand-equal", lambda: _series_consistency(rng)),
+        ("multiplicity-closed-form", lambda: check_multiplicity_closed_form(max_n, kmax)),
+        ("dimension-sums", lambda: check_dimension_sums(max_n, kmax)),
+        ("theta-rational", lambda: check_theta_rational(lattices)),
+        ("reduced-convolution", lambda: check_reduced_convolution(lattices)),
+        ("central-identity", lambda: check_central_identity(lattices, 20)),
+        ("zero-form-closed-form", lambda: check_zero_form_closed_form(lattices)),
+        ("laurent-weight-degrees", lambda: _degree_window(max_n)),
+        ("sphere-spectrum", check_sphere_spectrum),
+    )
+    results = []
+    for name, check in checks:
         try:
-            detail = fn()
-            results.append(CheckResult(name, True, detail))
+            results.append(CheckResult(name, True, check()))
         except LenspecError as exc:  # configuration errors count as failures
             results.append(CheckResult(name, False, str(exc)))
         except AssertionError as exc:
             results.append(CheckResult(name, False, str(exc) or "assertion failed"))
-
-    def binom_convention():
-        import math
-
-        for b in range(31):
-            for a in range(b + 1):
-                assert binom(b, a) == math.factorial(b) // (
-                    math.factorial(a) * math.factorial(b - a)
-                )
-        assert binom(1, 3) == 0 and binom(4, -1) == 0
-        return "0 <= a <= b <= 30 plus out-of-range conventions"
-
-    record("binom-convention", binom_convention)
-
-    def ring_axioms():
-        def rand_poly():
-            return LaurentPolynomial(
-                {rng.randint(-4, 4): rng.randint(-9, 9) for _ in range(4)}
-            )
-
-        for _ in range(200):
-            f, g, h = rand_poly(), rand_poly(), rand_poly()
-            assert (f + g) + h == f + (g + h)
-            assert f * (g + h) == f * g + f * h
-            assert (f * g) * h == f * (g * h)
-            assert f * g == g * f
-        return "200 random triples"
-
-    record("laurent-ring-axioms", ring_axioms)
-
-    def series_consistency():
-        one = RationalSeries(1, ((1, 3),))
-        assert one.expand(3) == [1, 3, 6, 10]
-        for _ in range(40):
-            num = LaurentPolynomial({rng.randint(0, 4): rng.randint(-5, 5) for _ in range(3)})
-            fac = tuple((rng.randint(1, 3), rng.randint(1, 2)) for _ in range(2))
-            r1 = RationalSeries(num, fac)
-            extra = rng.randint(1, 3)
-            r2 = RationalSeries(num * LaurentPolynomial({0: 1, extra: -1}), fac + ((extra, 1),))
-            assert r1 == r2
-            assert r1.expand(50) == r2.expand(50)
-        return "equality implies identical order-50 expansions"
-
-    record("series-expand-equal", series_consistency)
-
-    def closed_form_vs_oracle():
-        checked = 0
-        for n in range(2, max_n + 1):
-            for p in range(1, n + 1):
-                for k in range(kmax + 1):
-                    for norm, zeros in weight_classes(n, k + p + 2):
-                        mu = class_representative(n, norm, zeros)
-                        lhs = _class_multiplicity(n, k, p, norm, zeros)
-                        rhs = oracle_weight_multiplicity(k, p, mu, n)
-                        assert lhs == rhs, (n, k, p, norm, zeros, lhs, rhs)
-                        checked += 1
-        return f"{checked} classes, n <= {max_n}, k <= {kmax}"
-
-    record("multiplicity-closed-form", closed_form_vs_oracle)
-
-    def dimension_sums():
-        checked = 0
-        for n in range(2, max_n + 1):
-            for p in range(1, n + 1):
-                for k in range(kmax + 1):
-                    total = sum(
-                        class_size(n, norm, zeros) * _class_multiplicity(n, k, p, norm, zeros)
-                        for norm, zeros in weight_classes(n, k + p)
-                    )
-                    dimension = sum(weyl_dimension(lam, n) for lam in family_highest_weights(k, p, n))
-                    assert total == dimension, (n, k, p)
-                    checked += 1
-        return f"{checked} representations"
-
-    record("dimension-sums", dimension_sums)
-
-    lattices = _sample_lattices(max_n)
-
-    def theta_vs_shells():
-        for L in lattices:
-            top = 3 * L.exponent
-            table = shell_table(L, top)
-            for ell in range(L.n + 1):
-                got = theta_ell_rational(L, ell).expand(top)
-                assert got == [table[k][ell] for k in range(top + 1)], (L.label(), ell)
-            total = theta_rational(L)
-            summed = RationalSeries(0)
-            for ell in range(L.n + 1):
-                summed = summed + theta_ell_rational(L, ell)
-            assert total == summed, L.label()
-        return f"{len(lattices)} lattices to order 3q"
-
-    record("theta-rational", theta_vs_shells)
-
-    def convolution():
-        for L in lattices:
-            q = L.exponent
-            table = shell_table(L, 3 * q + q)
-            for a in range(4):
-                for r in range(q):
-                    for ell in range(L.n + 1):
-                        lhs = table[a * q + r][ell]
-                        assert lhs == convolution_rhs(L, a, r, ell), (L.label(), a, r, ell)
-        return f"{len(lattices)} lattices, a <= 3"
-
-    record("reduced-convolution", convolution)
-
-    def central_identity():
-        order = 20
-        for L in lattices:
-            for p, want in enumerate(invariant_dimensions(L, order), 1):
-                assert f_rational(L, p - 1).expand(order) == want, (L.label(), p)
-        return f"{len(lattices)} lattices to order 20"
-
-    record("central-identity", central_identity)
-
-    def f0_closed_form():
-        for L in lattices:
-            assert f_rational(L, 0) == f_rational_p0_direct(L), L.label()
-        return f"{len(lattices)} lattices"
-
-    record("zero-form-closed-form", f0_closed_form)
-
-    def degree_window():
-        for n in range(2, max(max_n, 2) + 1):
-            for p in range(1, n + 1):
-                for ell in range(n + 1):
-                    poly = a_laurent(p, ell, n)
-                    if poly:
-                        assert poly.min_exp() >= -p and max(poly.coeffs) <= p - 2, (p, ell, n)
-        return f"exponents within [-p, p-2] for n <= {max_n}"
-
-    record("laurent-weight-degrees", degree_window)
-
-    def sphere():
-        table = spectrum_table(lattice_from_lens(1, (0, 0)), 0, 20)
-        want = [(k * (k + 2), (k + 1) ** 2) for k in range(21)]
-        got = [(e.eigenvalue, e.multiplicity) for e in table.entries]
-        assert got == want
-        return "3-sphere functions to k = 20"
-
-    record("sphere-spectrum", sphere)
-
     return results

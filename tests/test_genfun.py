@@ -18,8 +18,8 @@ from lenspec.errors import InvalidParameters
 from lenspec import _kernels, genfun
 from lenspec.genfun import check_series_work, phi_weights
 from lenspec.polyseries import binom
-from lenspec.verify import f_rational_p0_direct
-from lenspec.weights import _class_multiplicity, invariant_dimensions, shell_table
+from lenspec.verify import check_central_identity, check_theta_rational, check_zero_form_closed_form
+from lenspec.weights import _class_multiplicity, invariant_dimensions
 from support import brute_box, small_lattices
 
 
@@ -54,12 +54,7 @@ def test_theta_ell_top_is_one():
 
 
 def test_theta_ell_matches_shell_counts():
-    for L in SAMPLES:
-        top = min(max(3 * L.exponent, 8), 24)
-        table = shell_table(L, top)
-        for ell in range(L.n + 1):
-            got = theta_ell_rational(L, ell).expand(top)
-            assert got == [table[k][ell] for k in range(top + 1)], (L.label(), ell)
+    check_theta_rational(SAMPLES)
 
 
 # largest expansion order drawn per rank, so the brute-force box stays small
@@ -207,14 +202,11 @@ def test_f0_sphere_series():
 
 
 def test_f_matches_direct_zero_form_formula():
-    for L in SAMPLES:
-        assert f_rational(L, 0) == f_rational_p0_direct(L)
+    check_zero_form_closed_form(SAMPLES)
 
 
 def test_f_coefficients_are_invariant_dimensions():
-    for L in SAMPLES[:5]:
-        for p, want in enumerate(invariant_dimensions(L, 30)):
-            assert f_rational(L, p).expand(30) == want, (L.label(), p)
+    check_central_identity(SAMPLES[:5], 30)
 
 
 def test_f_nonnegative_coefficients():

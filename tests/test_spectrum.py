@@ -27,6 +27,16 @@ def test_eigenvalue_validation():
         eigenvalue(1, 2, 2)
 
 
+def test_families_p_minus_1_and_p_share_no_eigenvalue():
+    # with a = k+p-1, b = k'+p and m = n-p >= 1 the eigenvalues are a(a+2m)
+    # and b(b+2m-2); they agree iff (a-b+1)(a+b+2m-1) = 2m-1, impossible since
+    # a+b+2m-1 > 2m-1 > 0, so every table entry has one contributor
+    for n in range(2, 9):
+        for p in range(1, n):
+            low = {eigenvalue(k, p - 1, n) for k in range(1, 301)}
+            assert low.isdisjoint(eigenvalue(k, p, n) for k in range(1, 301)), (n, p)
+
+
 def test_sphere_function_spectrum():
     table = spectrum_table(lattice_from_lens(1, (0, 0)), 0, 3)
     assert [(e.eigenvalue, e.multiplicity) for e in table.entries] == [
@@ -121,6 +131,9 @@ def test_table_matches_certification_route(L, k_max):
     rows = invariant_dimensions(L, k_max - 1)
     for p in range(L.n):
         table = spectrum_table(L, p, k_max)
+        assert all(len(e.contributors) == 1 for e in table.entries)
+        eigs = [e.eigenvalue for e in table.entries]
+        assert all(a < b for a, b in zip(eigs, eigs[1:]))
         by_source = {(c.k, c.family): c.multiplicity for e in table.entries for c in e.contributors}
         for k in range(1, k_max + 1):
             assert by_source.pop((k, p - 1), 0) == (rows[p - 1][k - 1] if p else 0), (L.label(), p, k)
