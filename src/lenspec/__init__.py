@@ -23,7 +23,7 @@ _EXPORTS = {
         "errors": "LenspecError InvalidParameters DimensionMismatch NegativeOrderTerm NotDominant",
         "polyseries": "binom LaurentPolynomial RationalSeries",
         "lattice": "CongruenceLattice lattice_from_lens",
-        "spectrum": "eigenvalue spectrum_table SpectrumTable SpectrumEntry Contribution",
+        "spectrum": "eigenvalue spectrum_table SpectrumEntry",
         "genfun": "theta_ell_rational theta_rational a_laurent f_rational moment_series",
         "isospec": "LensKey isometry_classes compare_spaces search IsospectralFamily",
     }.items()

@@ -165,12 +165,9 @@ def cmd_spectrum(args) -> int:
     if not 0 <= p <= 2 * n - 1:
         raise LenspecError(f"p must lie in 0..{2 * n - 1} for this space")
     internal = min(p, 2 * n - 1 - p)  # spectra on p- and (2n-1-p)-forms agree
-    table = spectrum_table(lattice, internal, args.kmax)
-
     rows = (
-        (label, n, p, entry.eigenvalue, str(entry.multiplicity),
-         ";".join(f"{c.k}:{c.family}:{c.multiplicity}" for c in entry.contributors))
-        for entry in table.entries
+        (label, n, p, e.eigenvalue, str(e.multiplicity), f"{e.k}:{e.family}:{e.multiplicity}")
+        for e in spectrum_table(lattice, internal, args.kmax)
     )
     _emit_records(args.format, ("space", "n", "p", "eigenvalue", "multiplicity", "contributors"), rows)
     return 0

@@ -219,7 +219,7 @@ def check_sphere_spectrum() -> str:
     """The 3-sphere's functions: eigenvalue k(k+2) with multiplicity (k+1)^2, k <= 20."""
     table = spectrum_table(lattice_from_lens(1, (0, 0)), 0, 20)
     want = [(k * (k + 2), (k + 1) ** 2) for k in range(21)]
-    assert [(e.eigenvalue, e.multiplicity) for e in table.entries] == want
+    assert [(e.eigenvalue, e.multiplicity) for e in table] == want
     return "3-sphere functions to k = 20"
 
 

@@ -79,14 +79,6 @@ def test_theta_rational_full_lattice():
         assert theta_rational(L) == expected
 
 
-def test_theta_is_sum_of_refinements():
-    for L in SAMPLES:
-        total = RationalSeries(0)
-        for ell in range(L.n + 1):
-            total = total + theta_ell_rational(L, ell)
-        assert theta_rational(L) == total
-
-
 def test_theta_low_coefficients_lens_4_11():
     got = theta_rational(lattice_from_lens(4, (1, 1))).expand(1)
     assert got == [1, 0]

@@ -299,9 +299,9 @@ def test_search_members_truncated_spectra_agree():
     fam = families[0]
     t1 = spectrum_table(fam.members[0].lattice(), 0, 25)
     t2 = spectrum_table(fam.members[1].lattice(), 0, 25)
-    cut = min(t1.entries[-1].eigenvalue, t2.entries[-1].eigenvalue)
-    e1 = [(e.eigenvalue, e.multiplicity) for e in t1.entries if e.eigenvalue <= cut]
-    e2 = [(e.eigenvalue, e.multiplicity) for e in t2.entries if e.eigenvalue <= cut]
+    cut = min(t1[-1].eigenvalue, t2[-1].eigenvalue)
+    e1 = [(e.eigenvalue, e.multiplicity) for e in t1 if e.eigenvalue <= cut]
+    e2 = [(e.eigenvalue, e.multiplicity) for e in t2 if e.eigenvalue <= cut]
     assert e1 == e2
 
 

@@ -46,7 +46,7 @@ def test_laurent_add_identity():
     assert p + 0 == p
 
 
-def test_laurent_int_coercion_and_pow():
+def test_laurent_int_coercion():
     p = poly({0: 1, 1: 1})
     assert p * 2 == poly({0: 2, 1: 2})
     assert one_minus_z(2, 2) == poly({0: 1, 2: -2, 4: 1})

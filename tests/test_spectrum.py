@@ -15,7 +15,6 @@ from support import small_lattices
 
 def test_eigenvalue_formula():
     assert eigenvalue(1, 0, 3) == 5
-    assert eigenvalue(2, -1, 2) == 0
     # (1+1)(1+2*2-2-1): the first eigenvalue of the upper family on the 3-sphere
     assert eigenvalue(1, 1, 2) == 4
 
@@ -25,57 +24,39 @@ def test_eigenvalue_validation():
         eigenvalue(0, 0, 2)
     with pytest.raises(InvalidParameters):
         eigenvalue(1, 2, 2)
+    with pytest.raises(InvalidParameters):
+        eigenvalue(2, -1, 2)
 
 
 def test_families_p_minus_1_and_p_share_no_eigenvalue():
     # with a = k+p-1, b = k'+p and m = n-p >= 1 the eigenvalues are a(a+2m)
     # and b(b+2m-2); they agree iff (a-b+1)(a+b+2m-1) = 2m-1, impossible since
-    # a+b+2m-1 > 2m-1 > 0, so every table entry has one contributor
+    # a+b+2m-1 > 2m-1 > 0, so every table entry is one (k, family) coefficient
     for n in range(2, 9):
         for p in range(1, n):
             low = {eigenvalue(k, p - 1, n) for k in range(1, 301)}
             assert low.isdisjoint(eigenvalue(k, p, n) for k in range(1, 301)), (n, p)
 
 
-def test_sphere_function_spectrum():
-    table = spectrum_table(lattice_from_lens(1, (0, 0)), 0, 3)
-    assert [(e.eigenvalue, e.multiplicity) for e in table.entries] == [
-        (0, 1),
-        (3, 4),
-        (8, 9),
-        (15, 16),
-    ]
-
-
 def test_no_zero_eigenvalue_on_middle_forms():
     for L in (lattice_from_lens(1, (0, 0)), lattice_from_lens(5, (1, 2, 3))):
         for p in range(1, L.n):
             table = spectrum_table(L, p, 6)
-            assert all(e.eigenvalue > 0 for e in table.entries)
+            assert all(e.eigenvalue > 0 for e in table)
 
 
 def test_one_form_low_family_is_standard_module():
-    table = spectrum_table(lattice_from_lens(1, (0, 0)), 1, 3)
-    first = table.entries[0]
-    assert first.eigenvalue == 3  # the k = 1 member of family 0
-    low = [c for c in first.contributors if c.family == 0]
-    assert low and low[0].multiplicity == 4
+    first = spectrum_table(lattice_from_lens(1, (0, 0)), 1, 3)[0]
+    assert first == (3, 4, 1, 0)  # the k = 1 member of family 0
 
 
 def test_entries_strictly_increasing_and_positive():
     for L in (lattice_from_lens(4, (1, 1)), lattice_from_lens(11, (1, 2, 3))):
         for p in range(L.n):
             table = spectrum_table(L, p, 10)
-            eigs = [e.eigenvalue for e in table.entries]
+            eigs = [e.eigenvalue for e in table]
             assert eigs == sorted(set(eigs))
-            assert all(e.multiplicity > 0 for e in table.entries)
-
-
-def test_aggregation_sums_contributors():
-    for p in range(3):
-        table = spectrum_table(lattice_from_lens(11, (1, 2, 3)), p, 12)
-        for entry in table.entries:
-            assert entry.multiplicity == sum(c.multiplicity for c in entry.contributors)
+            assert all(e.multiplicity > 0 for e in table)
 
 
 def test_generating_function_consistency():
@@ -83,46 +64,26 @@ def test_generating_function_consistency():
     L = lattice_from_lens(7, (1, 2))
     for p in range(L.n):
         coeffs = f_rational(L, p).expand(9)
-        table = spectrum_table(L, p, 10)
-        by_source = {
-            (c.k, c.family): c.multiplicity
-            for e in table.entries
-            for c in e.contributors
-        }
+        by_source = {(e.k, e.family): e.multiplicity for e in spectrum_table(L, p, 10)}
         for k in range(10):
             assert by_source.get((k + 1, p), 0) == coeffs[k]
 
 
 def test_cross_p_consistency():
-    # the family-p contribution is shared between the p and p+1 tables
+    # the family-p coefficients are shared between the p and p+1 tables
     L = lattice_from_lens(8, (1, 3, 5))
     for p in range(L.n - 1):
-        t1 = spectrum_table(L, p, 8)
-        t2 = spectrum_table(L, p + 1, 8)
-        c1 = {
-            (c.k, c.family): c.multiplicity
-            for e in t1.entries
-            for c in e.contributors
-            if c.family == p and c.k >= 1
-        }
-        c2 = {
-            (c.k, c.family): c.multiplicity
-            for e in t2.entries
-            for c in e.contributors
-            if c.family == p
-        }
+        c1 = {(e.k, e.multiplicity) for e in spectrum_table(L, p, 8) if e.family == p and e.k >= 1}
+        c2 = {(e.k, e.multiplicity) for e in spectrum_table(L, p + 1, 8) if e.family == p}
         assert c1 == c2
 
 
 def test_multiplicities_match_invariant_dimensions():
     L = lattice_from_lens(4, (1, 2))
-    p = 1
-    table = spectrum_table(L, p, 6)
     rows = invariant_dimensions(L, 5)
-    for entry in table.entries:
-        for c in entry.contributors:
-            # family p - 1 reads row p - 1 of the invariant dimensions, family p row p
-            assert c.multiplicity == rows[c.family][c.k - 1]
+    for e in spectrum_table(L, 1, 6):
+        # family p - 1 reads row p - 1 of the invariant dimensions, family p row p
+        assert e.multiplicity == rows[e.family][e.k - 1]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -131,10 +92,10 @@ def test_table_matches_certification_route(L, k_max):
     rows = invariant_dimensions(L, k_max - 1)
     for p in range(L.n):
         table = spectrum_table(L, p, k_max)
-        assert all(len(e.contributors) == 1 for e in table.entries)
-        eigs = [e.eigenvalue for e in table.entries]
+        eigs = [e.eigenvalue for e in table]
         assert all(a < b for a, b in zip(eigs, eigs[1:]))
-        by_source = {(c.k, c.family): c.multiplicity for e in table.entries for c in e.contributors}
+        by_source = {(e.k, e.family): e.multiplicity for e in table}
+        assert len(by_source) == len(table)
         for k in range(1, k_max + 1):
             assert by_source.pop((k, p - 1), 0) == (rows[p - 1][k - 1] if p else 0), (L.label(), p, k)
             assert by_source.pop((k, p), 0) == rows[p][k - 1], (L.label(), p, k)
