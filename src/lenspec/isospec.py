@@ -23,7 +23,7 @@ import sys
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, repeat
 from operator import mul
 
 from ._kernels import box_work
@@ -359,13 +359,13 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     in one walk over the sorted keys that shares the products of common
     leading entries (:func:`_phi_sums`) and costs no box count; equal series
     give equal values, so no family is split.  Only members of a bucket of
-    two or more get a lattice: they are split by the exact moment-series
-    fingerprint, and each is checked against the first of its group by
-    equality of F^p for every p <= p0.  The result rests on both exact
-    criteria, not on the values.  Every box count, of a bucket member or
-    else of the first class, checks the phi_m(z) of its class that the walk
-    gave; a disagreement raises InternalError.  The box count of
-    (q; 1, ..., 1), a class in both modes, is admitted before the class
+    two or more get a lattice, and the exact moment-series fingerprint
+    decides each family: the quotients are p-isospectral for every p <= p0
+    exactly when their moment series of orders 0..p0 agree.  The result
+    rests on that exact criterion, not on the values.  Every box count, of a
+    bucket member or else of the first class, checks the phi_m(z) of its
+    class that the walk gave; a disagreement raises InternalError.  The box
+    count of (q; 1, ..., 1), a class in both modes, is admitted before the class
     listing, the listing before it starts, the moment series and the
     character sums before either starts, and the sum of the box counts that
     run, those of the bucket members or else of the first class, before the
@@ -375,8 +375,9 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     # (q; 1, ..., 1) is a class in both modes, and every manifold box count
-    # costs as much as its own, so a search it refuses skips the listing
-    admit(box_work(((q, (1,) * n),), n), f"the probe box count of q={q}, n={n}")
+    # costs as much as its own, so a search it refuses skips the listing; its
+    # exponents stay lazy, so a huge n is refused before n of them are built
+    admit(box_work(((q, repeat(1, n)),), n), f"the probe box count of q={q}, n={n}")
     keys = isometry_classes(q, n, mode)
     sums = _CharacterSums(q, n, p0, len(keys))
     phis = dict(zip(keys, _phi_sums(sums, [key.exponents for key in keys])))
@@ -385,38 +386,25 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
         buckets.setdefault(sums.moment_values(phi), []).append(key)
     # the members of every shared bucket get a box count, the first class
     # when no bucket is shared
-    counted = [members for members in buckets.values() if len(members) > 1] or [keys[:1]]
+    shared = [key for members in buckets.values() if len(members) > 1 for key in members]
+    counted = shared or keys[:1]
     admit(
-        sum(box_work(((q, key.exponents),), n) for members in counted for key in members),
-        f"the box counts of {sum(map(len, counted))} classes of q={q}, n={n}",
+        sum(box_work(((q, key.exponents),), n) for key in counted),
+        f"the box counts of {len(counted)} classes of q={q}, n={n}",
     )
-    families = []
-    for members in counted:
-        groups: dict[tuple, list[tuple[LensKey, CongruenceLattice]]] = {}
-        for key in members:
-            L = key.lattice()
-            # each box count certifies the walk's values of its class
-            if [sums.at(phi) for phi in L.phi_polynomials()] != phis[key]:
-                raise InternalError(f"character sums disagree with the box count of {key.label()}")
-            # a lone class, counted only to check the walk, forms no family
-            if len(members) > 1:
-                groups.setdefault(_moment_fingerprint(L, p0), []).append((key, L))
-        for fp, group in groups.items():
-            if len(group) < 2:
-                continue
-            # p-isospectral for every p <= p0 exactly when F^0..F^p0 agree
-            base = [f_rational(group[0][1], j) for j in range(p0 + 1)]
-            for _, L in group[1:]:
-                if not all(f_rational(L, j) == F for j, F in enumerate(base)):
-                    raise InternalError("fingerprint bucket failed exact verification")
-            families.append(
-                IsospectralFamily(
-                    q=q,
-                    n=n,
-                    p0=p0,
-                    members=tuple(key for key, _ in group),
-                    fingerprint=fingerprint_digest(fp),
-                )
-            )
+    groups: dict[tuple, list[LensKey]] = {}
+    for key in counted:
+        L = key.lattice()
+        # each box count certifies the walk's values of its class
+        if [sums.at(phi) for phi in L.phi_polynomials()] != phis[key]:
+            raise InternalError(f"character sums disagree with the box count of {key.label()}")
+        # a lone class, counted only to check the walk, forms no family
+        if shared:
+            groups.setdefault(_moment_fingerprint(L, p0), []).append(key)
+    families = [
+        IsospectralFamily(q=q, n=n, p0=p0, members=tuple(group), fingerprint=fingerprint_digest(fp))
+        for fp, group in groups.items()
+        if len(group) > 1
+    ]
     families.sort(key=lambda fam: fam.members)
     return families

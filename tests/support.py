@@ -18,45 +18,21 @@ def member(L, a) -> bool:
     return all(sum(x * c for x, c in zip(a, s)) % q == 0 for q, s in L.congruences)
 
 
-def subgroup_order(rows, m: int) -> int:
-    """Order of the subgroup of Z_m^n spanned by ``rows``.
-
-    Echelon form over Z, entries mod m: Euclid's steps on column j leave one
-    pivot, whose entry spans the projection to column j of the rows zero
-    before j, an image of m / gcd(m, entry) elements; that multiple of the
-    pivot is zero in column j and joins the remaining rows.
-    """
-    order = 1
-    for j in range(len(rows[0]) if rows else 0):
-        pivot, rest = None, []
-        for r in rows:
-            if pivot is None and r[j]:
-                pivot = r
-                continue
-            while r[j]:
-                k = pivot[j] // r[j]
-                pivot, r = r, [(x - k * y) % m for x, y in zip(pivot, r)]
-            rest.append(r)
-        if pivot is not None:
-            step = m // math.gcd(m, pivot[j])
-            order *= step
-            rest.append([x * step % m for x in pivot])
-        rows = rest
-    return order
+def brute_group(n, generators):
+    """Every element of the group, as rotation exponents over the common
+    exponent, by enumerating all products of generator powers."""
+    big = math.lcm(*(q for q, _ in generators))
+    return {
+        tuple(sum(m * s[j] * (big // q) for m, (q, s) in zip(powers, generators)) % big for j in range(n))
+        for powers in product(*(range(q) for q, _ in generators))
+    }
 
 
 def acts_freely(L) -> bool:
-    """True when no nontrivial element of L's group fixes a point of the sphere.
-
-    As rotation exponents mod the exponent E, the group is the subgroup of
-    Z_E^n its generators span, and it acts freely exactly when every
-    coordinate projection is injective: when the image E / gcd(E, column j)
-    of each coordinate j has as many elements as the group.
-    """
-    big = L.exponent
-    rows = [[x * (big // q) % big for x in s] for q, s in L.congruences]
-    order = subgroup_order(rows, big)
-    return all(big // math.gcd(big, *column) == order for column in zip(*rows))
+    """True when no nontrivial element of L's group fixes a point of the
+    sphere: every element that moves some coordinate plane moves all of
+    them."""
+    return all(all(rot) for rot in brute_group(L.n, L.congruences) if any(rot))
 
 
 def canonical_key(q: int, s) -> LensKey:

@@ -153,7 +153,7 @@ def test_acceptance_08_existence_reproduction(monkeypatch):
         "box_table": 2,
         "box_work": 2790764,
         "moment_series": 2,
-        "f_rational": 6,
+        "f_rational": 0,
     }
     labels = "; ".join(
         f"q={q}: " + " ~ ".join(pair) + f" in {time}"

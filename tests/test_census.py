@@ -4,14 +4,19 @@
 ranges of q and p0, and the rows every family of them gave when recorded:
 q, n, p0, mode, the member labels and the fingerprint, in the order of the
 slices, then p0, then q, then the families of one search.  Any change to how
-`search` buckets, splits or checks its classes must leave these rows as they
-are.
+`search` buckets or splits its classes must leave these rows as they are.
+
+`search` decides each family by the moment criterion alone.  The series
+F^0..F^p0 that the p-form spectra are read off are the other exact criterion
+of the paper's theorem, and every recorded family is checked against them
+here.
 """
 
 import json
 from pathlib import Path
 
-from lenspec import search
+from lenspec import f_rational, search
+from lenspec.cli import parse_space
 
 CENSUS = Path(__file__).resolve().parent / "search_census.json"
 
@@ -28,3 +33,14 @@ def test_search_census_rows_unchanged():
                     for fam in search(q, n, p0, mode)
                 )
     assert rows == census["families"]
+
+
+def test_recorded_families_share_every_f_p_up_to_p0():
+    # the members of each family, read back from their labels, have equal
+    # F^0..F^p0
+    families = json.loads(CENSUS.read_text(encoding="utf-8"))["families"]
+    assert len(families) == 97
+    for _, _, p0, _, labels, _ in families:
+        lattices = [parse_space(label, None)[1] for label in labels.split()]
+        first, *rest = ([f_rational(L, p) for p in range(p0 + 1)] for L in lattices)
+        assert rest and all(series == first for series in rest), labels

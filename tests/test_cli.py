@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -406,11 +408,15 @@ def test_each_row_is_admitted_at_its_largest_input(capsys, monkeypatch, row):
 
 
 def test_internal_inconsistency_is_not_a_user_error(capsys, monkeypatch):
-    # no two series of the family check are equal
-    monkeypatch.setattr(lenspec.isospec, "f_rational", lambda L, p: object())
+    # the walk's values, shifted, disagree with the box count of every class
+    phi_sums = lenspec.isospec._phi_sums
+    monkeypatch.setattr(
+        lenspec.isospec, "_phi_sums", lambda *args: ([v + 1 for v in phi] for phi in phi_sums(*args))
+    )
     code, out, err = run_cli(capsys, "search", "--q", "11", "--n", "3", "--p0", "0")
     assert code == 3 and out == ""
-    assert err == "error: internal: fingerprint bucket failed exact verification\n"
+    assert err.startswith("error: internal: character sums disagree with the box count of L(11;")
+    assert err.count("\n") == 1
 
     # a numerator with a surviving negative power, as a failed pole cancellation leaves
     broken = RationalSeries(LaurentPolynomial.term(1, -1))
@@ -755,6 +761,23 @@ def test_in_process_call_returns(capsys, monkeypatch):
     assert main(["search", "--q", "5", "--n", "0"]) == 2
     assert main(["search", "--q", "11", "--n", "3"]) == 0
     assert capsys.readouterr().err == "error: rank n must be >= 2\n"
+
+
+def test_huge_rank_search_is_refused_before_anything_of_its_size():
+    # the probe box count is bounded from q and n alone: a tuple of 10^8
+    # exponents alone would take 800 MB, above the child's address space
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    for q in ("2", "1"):
+        start = time.monotonic()
+        res = subprocess.run(
+            _python_c(_ENTRY, ("search", "--q", q, "--n", "100000000")), capture_output=True, text=True,
+            env=_ENTRY_ENV, timeout=60, preexec_fn=limit,
+        )
+        assert time.monotonic() - start < 5, q
+        assert res.returncode == 2 and res.stdout == "", q
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, q
 
 
 def test_process_entry_runs_atexit_handlers_and_flushes_after_them():

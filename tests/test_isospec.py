@@ -316,9 +316,8 @@ def test_search_validation():
 
 
 def test_search_builds_each_weight_set_once(monkeypatch):
-    # search(49, 3, 2) needs six sets of phi_m weights: the moments of order
-    # 0..2, shared by the character sums and the members' fingerprints, and
-    # F^0..F^2, shared by the members' family checks
+    # search(49, 3, 2) needs three sets of phi_m weights: the moments of
+    # order 0..2, shared by the character sums and the members' fingerprints
     calls = []
 
     def counted(q, weights):
@@ -328,7 +327,7 @@ def test_search_builds_each_weight_set_once(monkeypatch):
     monkeypatch.setattr(genfun, "phi_weights", counted)
     genfun._weight_set.cache_clear()
     assert search(49, 3, 2)
-    assert len(calls) == len(set(calls)) == 6
+    assert len(calls) == len(set(calls)) == 3
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

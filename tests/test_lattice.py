@@ -17,7 +17,7 @@ from lenspec import _kernels, weights
 from lenspec.cli import main, parse_space
 from lenspec.errors import WORK_LIMIT, DimensionMismatch, InvalidParameters
 from lenspec.weights import shell_table
-from support import acts_freely, brute_box, canonical_key, member, subgroup_order
+from support import acts_freely, brute_box, canonical_key, member
 
 
 def brute_shell(L, kmax):
@@ -288,67 +288,6 @@ def test_box_table_matches_brute_force(case):
     assert _kernels.box_table(congs, n) == [list(column) for column in zip(*rows)]
 
 
-def brute_free(q, s):
-    """Enumerate the powers of the generator (q, s): the action is free when
-    every nontrivial power moves every coordinate plane."""
-    for m in range(1, q):
-        rot = [m * x % q for x in s]
-        if any(rot) and not all(rot):
-            return False
-    return True
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(
-    q=st.integers(1, 60),
-    s=st.lists(st.integers(0, 59), min_size=2, max_size=5),
-)
-@example(q=12, s=[1, 5, 7])  # every exponent a unit
-@example(q=12, s=[1, 0])  # s_j = 0
-@example(q=12, s=[2, 3])  # gcd(s_j, q) > 1 for every j
-@example(q=9, s=[3, 6, 3])  # common factor 3 divides out
-def test_cyclic_freeness_matches_enumeration(q, s):
-    s = tuple(x % q for x in s)
-    assert acts_freely(CongruenceLattice(len(s), [(q, s)])) == brute_free(q, s)
-
-
-def brute_group(n, generators):
-    """Every element of the group, as rotation exponents over the common
-    exponent, by enumerating all products of generator powers."""
-    big = math.lcm(*(q for q, _ in generators))
-    return {
-        tuple(sum(m * s[j] * (big // q) for m, (q, s) in zip(powers, generators)) % big for j in range(n))
-        for powers in product(*(range(q) for q, _ in generators))
-    }
-
-
-@st.composite
-def multi_generator_groups(draw):
-    n = draw(st.integers(2, 4))
-    orders = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), min_size=2, max_size=3))
-    generators = [
-        (q, tuple(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))) for q in orders
-    ]
-    return n, generators
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(group=multi_generator_groups())
-@example(group=(3, [(3, (1, 1, 1)), (3, (1, 2, 0))]))  # Z3 x Z3 on S^5, not free
-@example(group=(4, [(2, (1, 1, 1, 1)), (4, (1, 3, 1, 3))]))  # Z2 x Z4 on S^7
-@example(group=(2, [(2, (1, 1)), (4, (1, 3))]))  # the first generator is a power of the second
-@example(group=(2, [(5, (1, 2)), (3, (1, 1))]))  # cyclic of order 15, free
-@example(group=(3, [(6, (1, 1, 1)), (4, (1, 1, 3)), (9, (0, 3, 3))]))
-def test_freeness_matches_enumeration_for_several_generators(group):
-    # free: every nontrivial element moves every coordinate plane
-    n, generators = group
-    L = CongruenceLattice(n, generators)
-    elements = brute_group(n, L.congruences)
-    assert acts_freely(L) == all(all(rot) for rot in elements if any(rot))
-    rows = [[x * (L.exponent // q) for x in s] for q, s in L.congruences]
-    assert subgroup_order(rows, L.exponent) == len(elements)
-
-
 def test_box_work_bound_admits_the_required_inputs():
     # checked by the work alone, so none of these runs here
     def work(q, s):
@@ -362,12 +301,8 @@ def test_box_work_bound_admits_the_required_inputs():
         assert work(q, s) > WORK_LIMIT
 
 
-def test_freeness_group_size_guard(capsys):
-    # the closed form decides large groups at once; the box-count bound, not
-    # the group order, refuses their series
-    assert acts_freely(lattice_from_lens(3000017, (1, 2)))
-    assert not acts_freely(lattice_from_lens(3000017, (1, 3000017 - 1, 0)))
-    assert acts_freely(lattice_from_lens(1999993, (1, 2)))
+def test_large_group_series_refused_by_the_box_count_bound(capsys):
+    # a group of order 3000017: the box-count bound refuses its series
     code = main(["genfun", "--space", "L(3000017;1,2)"])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1

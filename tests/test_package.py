@@ -100,6 +100,14 @@ def test_certification_modules_hold_only_named_code():
     assert _unnamed(trees, corpus) == []
 
 
+def test_test_support_holds_only_named_code():
+    # every definition of the tests' shared support is named outside its own
+    # body by some test module or by the support itself
+    tests = os.path.dirname(os.path.abspath(__file__))
+    corpus = [_parse(path) for path in sorted(Path(tests).glob("*.py"))]
+    assert _unnamed([_parse(os.path.join(tests, "support.py"))], corpus) == []
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         lenspec.no_such_name
