@@ -25,7 +25,7 @@ _EXPORTS = {
         "lattice": "CongruenceLattice lattice_from_lens",
         "spectrum": "eigenvalue spectrum_table SpectrumEntry",
         "genfun": "theta_ell_rational theta_rational a_laurent f_rational moment_series",
-        "isospec": "LensKey isometry_classes compare_spaces search IsospectralFamily",
+        "isospec": "isometry_classes compare_spaces search IsospectralFamily",
     }.items()
     for name in names.split()
 }

@@ -40,6 +40,7 @@ the help text reaches stdout.
 
 import os
 import sys
+from collections import namedtuple
 from types import SimpleNamespace
 
 from .errors import InternalError, LenspecError
@@ -220,10 +221,11 @@ def cmd_isospectral(args) -> int:
 
 def cmd_search(args) -> int:
     from .isospec import search
+    from .lattice import lens_label
 
     families = search(args.q, args.n, args.p0, mode=args.mode)
     rows = [
-        (i, fam.q, fam.n, fam.p0, " ".join(key.label() for key in fam.members), fam.fingerprint)
+        (i, fam.q, fam.n, fam.p0, " ".join(lens_label(fam.q, s) for s in fam.members), fam.fingerprint)
         for i, fam in enumerate(families)
     ]
     _emit_records(args.format, ("family", "q", "n", "p0", "members", "fingerprint"), rows)
@@ -241,23 +243,12 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-class Option:
-    """One ``--name value`` option of a subcommand."""
-
-    __slots__ = ("name", "type", "default", "choices", "required", "help")
-
-    def __init__(self, name, type=str, default=None, choices=(), required=False, help=""):
-        self.name, self.type, self.default = name, type, default
-        self.choices, self.required, self.help = choices, required, help
-
-
-class Command:
-    """A subcommand: the function that runs it, its help line, its options."""
-
-    __slots__ = ("handler", "help", "options")
-
-    def __init__(self, handler, help, options):
-        self.handler, self.help, self.options = handler, help, options
+# one ``--name value`` option of a subcommand, and a subcommand: the function
+# that runs it, its help line and its options
+Option = namedtuple(
+    "Option", ("name", "type", "default", "choices", "required", "help"), defaults=(str, None, (), False, "")
+)
+Command = namedtuple("Command", ("handler", "help", "options"))
 
 
 _SPACE = (

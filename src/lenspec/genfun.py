@@ -6,19 +6,23 @@ come from the finite box-count polynomials phi_m.  Every series here is
 sum_m phi_m W_m on a denominator known in advance; :func:`phi_weights` turns
 the weights w_ell of sum_ell w_ell theta^(ell) into the W_m on (1 - z^q)^n.
 F^p takes a_laurent(p+1, ell, n) plus a corrective polynomial over
-(1-z^2)^(n-1) (1-z^q)^n, moment h takes ell^h and theta takes 1.  The W_m
-of F^p and of the moments are cached per (q, n, order); no result is cached
-per lattice.
+(1-z^2)^(n-1) (1-z^q)^n, moment h takes ell^h and theta takes 1.  Nothing
+here is cached: each call builds the W_m it uses, and a search builds its
+moment weights once and hands them to its fingerprints.
 
 A batch of series has one count of word steps, :func:`check_series_work`:
 given the orders of its F^p and the number of its moment series, it admits
 their a_laurent weights, phi_m weights and products phi_m W_m through
 :func:`lenspec.errors.admit`, each stage on its own, before any weight is
-built or any box is counted.  Every caller that builds series makes one
-such call for its whole batch.
+built or any box is counted.  Every caller that builds F^p or moment series
+makes one such call for its whole batch; theta admits itself through
+:func:`moment_series`.  The theta^(ell), whose weights are monomials, take
+no count of their own: phi_m meets one monomial in each theta^(ell) with
+ell <= m, m + 1 in all, and the count of F^0 takes its W_m at m + 1 terms,
+so the products of all n + 1 of them take at most the product steps counted
+for F^0.
 """
 
-from functools import lru_cache
 from itertools import accumulate
 
 from .errors import _STEP_WORDS, InvalidParameters, NegativeOrderTerm, admit
@@ -60,14 +64,14 @@ def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
     ]
 
 
-@lru_cache(maxsize=64)
 def _weight_set(q: int, n: int, kind: str, order: int) -> tuple[LaurentPolynomial, ...]:
     """The phi_m weights of the moment series of order h = ``order`` (``kind``
     "moment", w_ell = ell^h with 0^0 = 1) or of F^p, p = ``order`` (``kind``
     "F", w_ell = a_laurent(p + 1, ell, n)), in the exponent q.
 
-    They depend on (q, n, order) alone, so the members of a search and its
-    character sums share each set; the cache holds polynomials, no lattice.
+    They depend on (q, n, order) alone and are built anew on every call; a
+    search builds each moment set once, with its character sums, and passes
+    it to the fingerprints of its bucket members.
     """
     if kind == "moment":
         weights = [ell**order for ell in range(n + 1)]

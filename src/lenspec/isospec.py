@@ -2,20 +2,20 @@
 
 Two lens parameter vectors give isometric quotients exactly when one is
 carried to the other by a unit multiplier mod q together with coordinate
-permutations and sign flips.  A class's key, :class:`LensKey`, is the least
-sorted sign-folded tuple over that whole action, so key equality decides
-isometry.  :func:`isometry_classes` lists the keys themselves, the tuples
-that no unit lowers, head by head in both modes: the zero entries, then the
-least gcd of an entry with q, then entries whose gcd with q is no smaller.
-It keys no parameter vector, and its candidate count is bounded before it
-starts.  :func:`search` buckets the classes by character sums mod a prime
-at one point, which need no lattice and are taken in one walk over the
-sorted keys that shares the products of their common leading entries, and
-builds exact series only for classes that share a bucket.
-:func:`compare_spaces` is the one comparison of two spaces: for every p up
-to p0 it says whether they are p'-isospectral for all p' <= p, and where
-their series first differ.  Every test compares exact rational series,
-never truncations.
+permutations and sign flips.  A class's key is the least sorted sign-folded
+exponent tuple over that whole action, so key equality decides isometry.
+:func:`isometry_classes` lists the keys themselves, the tuples that no unit
+lowers, head by head in both modes: the zero entries, then the least gcd of
+an entry with q, then entries whose gcd with q is no smaller.  It keys no
+parameter vector, and its candidate count is bounded before it starts.
+:func:`search` buckets the classes by character sums mod a prime at one
+point, which need no lattice and are taken in one walk over the sorted keys
+that shares the products of their common leading entries, and builds exact
+moment numerators, with the weights the sums were built with, only for
+classes that share a bucket.  :func:`compare_spaces` is the one comparison
+of two spaces: for every p up to p0 it says whether they are p'-isospectral
+for all p' <= p, and where their series first differ.  Every test compares
+exact rational series or numerators, never truncations.
 """
 
 import math
@@ -28,23 +28,8 @@ from operator import mul
 
 from ._kernels import box_work
 from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InternalError, InvalidParameters, admit
-from .genfun import _weight_set, check_series_work, f_rational, moment_series
+from .genfun import _phi_sum, _weight_set, check_series_work, f_rational, moment_series
 from .lattice import CongruenceLattice, lattice_from_lens, lens_label
-
-
-class LensKey(namedtuple("LensKey", ("n", "q", "exponents"))):
-    """Canonical isometry key of lens parameters: equal keys <=> isometric.
-
-    ``exponents`` is the sorted tuple of the n folded exponents.
-    """
-
-    __slots__ = ()
-
-    def label(self) -> str:
-        return lens_label(self.q, self.exponents)
-
-    def lattice(self) -> CongruenceLattice:
-        return lattice_from_lens(self.q, self.exponents)
 
 
 def _folded(q: int, s: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -92,7 +77,8 @@ def compare_spaces(
         diff = a.first_difference(b)
         same = same and diff is None
         if same and fingerprint is None:
-            fingerprint = numerator_fingerprint(series1 if method == "range" else moment_series(L1, p0))
+            moments = series1 if method == "range" else moment_series(L1, p0)
+            fingerprint = numerator_fingerprint(r.numerator for r in moments)
         rows.append((same, fingerprint_digest(fingerprint[: p + 1]) if same else diff))
     return rows
 
@@ -103,8 +89,9 @@ def compare_spaces(
 IsospectralFamily = namedtuple("IsospectralFamily", ("q", "n", "p0", "members", "fingerprint"))
 IsospectralFamily.__doc__ = """A maximal set of >= 2 isometry classes sharing all spectra up to p0.
 
-``members`` is the sorted tuple of their :class:`LensKey`, ``fingerprint``
-the digest of their moment numerators.
+``members`` is the sorted tuple of their keys, the exponent tuples s of
+:func:`isometry_classes` (``lens_label(q, s)`` is the text of one),
+``fingerprint`` the digest of their moment numerators.
 """
 
 
@@ -127,7 +114,7 @@ def _check_q_n(q: int, n: int) -> None:
         raise InvalidParameters("rank n must be >= 2")
 
 
-def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
+def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[tuple[int, ...]]:
     """All isometry classes of lens parameters with modulus q and rank n, sorted.
 
     ``manifolds`` lists the free actions only (every s_i a unit mod q);
@@ -171,7 +158,7 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
     heads = {g: bisect_left(ranked, (g,)) for d, g in ranked if d == g}
     candidates = max(1, sum(math.comb(len(ranked) - i + n - 2, n - 1) for i in heads.values()))
     admit(n * candidates * step, what)
-    keys = [LensKey(n=n, q=q, exponents=(0,) * n)] if q == 1 else []
+    keys = [(0,) * n] if q == 1 else []
     for g, i in heads.items():
         reach = {x: _reaching_units(q, x) for d, x in ranked[i:] if d == g}
         for c in combinations_with_replacement(sorted(x for _, x in ranked[i:]), n - 1):
@@ -181,20 +168,22 @@ def isometry_classes(q: int, n: int, mode: str = "manifolds") -> list[LensKey]:
             c = (*c[:z], g, *c[z:])
             trials = {t for x in c if x in reach for t in reach[x]}
             if all(_folded(q, c, t) >= c for t in trials):
-                keys.append(LensKey(n=n, q=q, exponents=c))
+                keys.append(c)
     return sorted(keys)
 
 
-def numerator_fingerprint(series) -> tuple:
-    """Each series' numerator as sorted (exponent, coefficient) pairs, which
-    decide equality between series on one denominator."""
-    return tuple(tuple(sorted(r.numerator.coeffs.items())) for r in series)
+def numerator_fingerprint(numerators) -> tuple:
+    """Each numerator polynomial as sorted (exponent, coefficient) pairs,
+    which decide equality between series on one denominator."""
+    return tuple(tuple(sorted(num.coeffs.items())) for num in numerators)
 
 
-def _moment_fingerprint(L: CongruenceLattice, p0: int):
-    # all classes with the same (q, n) land on the identical denominator
-    # (1 - z^q)^n, so tuples compare exactly
-    return numerator_fingerprint(moment_series(L, p0))
+def _moment_fingerprint(L: CongruenceLattice, weight_sets) -> tuple:
+    # the moment numerators sum_m phi_m W_m of L, one per set of weights W_m;
+    # all classes with the same (q, n) share the denominator (1 - z^q)^n, so
+    # the tuples compare exactly
+    phis = L.phi_polynomials()
+    return numerator_fingerprint(_phi_sum(phis, weights) for weights in weight_sets)
 
 
 def fingerprint_digest(data) -> str:
@@ -252,12 +241,14 @@ class _CharacterSums:
     H(u) = sum_{r=1}^{q-1} omega^(u r) (z^r + z^(q-r)), omega a primitive
     q-th root of unity mod P; H(-u) = H(u), so t and q - t pair up.  The
     moment numerator of order h is sum_m phi_m(z) W_m(z), W_m the weights
-    (w_l = l^h) that :func:`lenspec.genfun.moment_series` uses, the same
-    cached set per (q, n, h); this route and the box count differ only in
-    how phi_m is obtained.  ``table`` holds w + H(u) at z packed as one int
-    per u, ``powers`` the z^e, e <= n q, that :meth:`at` evaluates a
-    polynomial with, and ``weights`` the W_m(z); all are built once, and
-    :func:`_phi_sums` walks the classes over them.  Raises
+    (w_l = l^h) that :func:`lenspec.genfun.moment_series` uses; this route
+    and the box count differ only in how phi_m is obtained.  ``table`` holds
+    w + H(u) at z packed as one int per u, ``powers`` the z^e, e <= n q,
+    that :meth:`at` evaluates a polynomial with, ``weight_sets`` the
+    polynomials W_m of each order, with which :func:`search` also builds the
+    exact numerators of its bucket members, and ``weights`` their values
+    W_m(z); all are built once, and :func:`_phi_sums` walks the classes over
+    them.  Raises
     InvalidParameters, before any is built, when the work limit refuses
     the p0 + 1 moment series (:func:`lenspec.genfun.check_series_work`, the
     one count every series batch takes) or the sums over ``classes``
@@ -302,7 +293,8 @@ class _CharacterSums:
         self.powers = powers = [1]
         for _ in range(n * q):
             powers.append(powers[-1] * z % P)
-        self.weights = [[self.at(w) for w in _weight_set(q, n, "moment", h)] for h in range(p0 + 1)]
+        self.weight_sets = [_weight_set(q, n, "moment", h) for h in range(p0 + 1)]
+        self.weights = [[self.at(w) for w in weights] for weights in self.weight_sets]
 
     def at(self, poly) -> int:
         """poly(z) mod P, for a polynomial of degree <= n q."""
@@ -359,9 +351,10 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     in one walk over the sorted keys that shares the products of common
     leading entries (:func:`_phi_sums`) and costs no box count; equal series
     give equal values, so no family is split.  Only members of a bucket of
-    two or more get a lattice, and the exact moment-series fingerprint
-    decides each family: the quotients are p-isospectral for every p <= p0
-    exactly when their moment series of orders 0..p0 agree.  The result
+    two or more get a lattice, and their exact moment numerators, taken with
+    the weight sets of the sums (:func:`_moment_fingerprint`), decide each
+    family: the quotients are p-isospectral for every p <= p0 exactly when
+    their moment series of orders 0..p0 agree.  The result
     rests on that exact criterion, not on the values.  Every box count, of a
     bucket member or else of the first class, checks the phi_m(z) of its
     class that the walk gave; a disagreement raises InternalError.  The box
@@ -380,27 +373,27 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     admit(box_work(((q, repeat(1, n)),), n), f"the probe box count of q={q}, n={n}")
     keys = isometry_classes(q, n, mode)
     sums = _CharacterSums(q, n, p0, len(keys))
-    phis = dict(zip(keys, _phi_sums(sums, [key.exponents for key in keys])))
-    buckets: dict[tuple, list[LensKey]] = {}
-    for key, phi in phis.items():
-        buckets.setdefault(sums.moment_values(phi), []).append(key)
+    phis = dict(zip(keys, _phi_sums(sums, keys)))
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    for s, phi in phis.items():
+        buckets.setdefault(sums.moment_values(phi), []).append(s)
     # the members of every shared bucket get a box count, the first class
     # when no bucket is shared
-    shared = [key for members in buckets.values() if len(members) > 1 for key in members]
+    shared = [s for members in buckets.values() if len(members) > 1 for s in members]
     counted = shared or keys[:1]
     admit(
-        sum(box_work(((q, key.exponents),), n) for key in counted),
+        sum(box_work(((q, s),), n) for s in counted),
         f"the box counts of {len(counted)} classes of q={q}, n={n}",
     )
-    groups: dict[tuple, list[LensKey]] = {}
-    for key in counted:
-        L = key.lattice()
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for s in counted:
+        L = lattice_from_lens(q, s)
         # each box count certifies the walk's values of its class
-        if [sums.at(phi) for phi in L.phi_polynomials()] != phis[key]:
-            raise InternalError(f"character sums disagree with the box count of {key.label()}")
+        if [sums.at(phi) for phi in L.phi_polynomials()] != phis[s]:
+            raise InternalError(f"character sums disagree with the box count of {lens_label(q, s)}")
         # a lone class, counted only to check the walk, forms no family
         if shared:
-            groups.setdefault(_moment_fingerprint(L, p0), []).append(key)
+            groups.setdefault(_moment_fingerprint(L, sums.weight_sets), []).append(s)
     families = [
         IsospectralFamily(q=q, n=n, p0=p0, members=tuple(group), fingerprint=fingerprint_digest(fp))
         for fp, group in groups.items()

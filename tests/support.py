@@ -5,7 +5,7 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from lenspec import CongruenceLattice, LensKey, theta_ell_rational
+from lenspec import CongruenceLattice, theta_ell_rational
 from lenspec.errors import DimensionMismatch, InvalidParameters
 
 
@@ -35,7 +35,7 @@ def acts_freely(L) -> bool:
     return all(all(rot) for rot in brute_group(L.n, L.congruences) if any(rot))
 
 
-def canonical_key(q: int, s) -> LensKey:
+def canonical_key(q: int, s) -> tuple[int, ...]:
     """The key of the class of (q; s) by brute force: the least sorted tuple
     of t * s_i mod q, each folded to its sign-orbit representative in
     [0, q // 2], over every unit t, sharing no code with the listing."""
@@ -43,7 +43,7 @@ def canonical_key(q: int, s) -> LensKey:
     if math.gcd(q, *s) != 1:
         raise InvalidParameters(f"gcd(q, s_1, ..., s_n) must be 1, got ({q}; {s})")
     best = min(sorted(min(t * x % q, -t * x % q) for x in s) for t in range(1, q + 1) if math.gcd(t, q) == 1)
-    return LensKey(n=len(s), q=q, exponents=tuple(best))
+    return tuple(best)
 
 
 def norm_star_isospectral(L1, L2) -> bool:

@@ -13,9 +13,10 @@ import json
 import time
 from functools import cache
 
-from lenspec import _kernels, isospec
-from lenspec import compare_spaces, isometry_classes, search, theta_rational
+from lenspec import _kernels, genfun, isospec
+from lenspec import compare_spaces, isometry_classes, lattice_from_lens, search, theta_rational
 from lenspec.cli import main as cli_main
+from lenspec.lattice import lens_label
 from lenspec.verify import (
     check_central_identity,
     check_dimension_sums,
@@ -35,7 +36,7 @@ def report(number: int, label: str) -> None:
 @cache
 def suite_lattices():
     """Trivial groups plus every lens isometry class with q <= 12, n in {2, 3}."""
-    return [key.lattice() for n in (2, 3) for q in range(1, 13) for key in isometry_classes(q, n, "orbifolds")]
+    return [lattice_from_lens(q, s) for n in (2, 3) for q in range(1, 13) for s in isometry_classes(q, n, "orbifolds")]
 
 
 def test_acceptance_01_closed_form_certified_by_freudenthal():
@@ -77,12 +78,12 @@ def _characterization_pairs():
     for n in (2, 3):
         for q in range(2, 13):
             keys = isometry_classes(q, n, "orbifolds")
-            lattices = [k.lattice() for k in keys]
+            lattices = [lattice_from_lens(q, s) for s in keys]
             sampled = list(itertools.combinations(lattices[:5], 2))
             for p0 in range(n):
                 family_pairs = []
                 for fam in search(q, n, p0, mode="orbifolds"):
-                    members = [k.lattice() for k in fam.members]
+                    members = [lattice_from_lens(q, s) for s in fam.members]
                     family_pairs.extend(itertools.combinations(members, 2))
                 yield q, n, p0, family_pairs + sampled
 
@@ -113,12 +114,17 @@ def _timed_search(*args):
 
 
 def _search_work(monkeypatch, *args):
-    # the calls of the box count, the moment series and F^p in one search,
-    # and the word steps of its box counts: its work, alike on every machine
+    # the calls of the box count, the series work count, the moment
+    # fingerprints, the moment series and F^p in one search, and the word
+    # steps of its box counts: its work, alike on every machine
     calls = {}
-    for module, name in ((_kernels, "box_table"), (isospec, "moment_series"), (isospec, "f_rational")):
-        log = calls[name] = []
-        monkeypatch.setattr(module, name, lambda *a, fn=getattr(module, name), log=log: log.append(a) or fn(*a))
+    for module, name in (
+        (_kernels, "box_table"), (genfun, "check_series_work"), (isospec, "check_series_work"),
+        (isospec, "_moment_fingerprint"), (isospec, "moment_series"), (isospec, "f_rational"),
+    ):
+        log = calls.setdefault(name, [])
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, log=log, **k: log.append(a) or fn(*a, **k))
     search(*args)
     monkeypatch.undo()
     work = {name: len(log) for name, log in calls.items()}
@@ -138,10 +144,10 @@ def test_acceptance_08_existence_reproduction(monkeypatch):
     for (q, n, p0), labels in expected.items():
         families, seconds = _timed_search(q, n, p0, "manifolds")
         times.append(f"{seconds * 1000:.1f} ms")
-        assert [tuple(k.label() for k in fam.members) for fam in families] == labels, (q, n, p0)
+        assert [tuple(lens_label(q, s) for s in fam.members) for fam in families] == labels, (q, n, p0)
         assert seconds < 0.02, (q, n, p0, seconds)
         for fam in families:
-            lattices = [k.lattice() for k in fam.members]
+            lattices = [lattice_from_lens(q, s) for s in fam.members]
             for L1, L2 in itertools.combinations(lattices, 2):
                 # two independent certificates must agree
                 assert all(same for same, _ in compare_spaces(L1, L2, p0, "direct"))
@@ -152,7 +158,9 @@ def test_acceptance_08_existence_reproduction(monkeypatch):
     assert _search_work(monkeypatch, 49, 3, 2, "manifolds") == {
         "box_table": 2,
         "box_work": 2790764,
-        "moment_series": 2,
+        "check_series_work": 1,
+        "_moment_fingerprint": 2,
+        "moment_series": 0,
         "f_rational": 0,
     }
     labels = "; ".join(

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from lenspec import f_rational, search
 from lenspec.cli import parse_space
+from lenspec.lattice import lens_label
 
 CENSUS = Path(__file__).resolve().parent / "search_census.json"
 
@@ -29,7 +30,7 @@ def test_search_census_rows_unchanged():
         for p0 in range(piece["p0"][0], piece["p0"][1] + 1):
             for q in range(piece["q"][0], piece["q"][1] + 1):
                 rows.extend(
-                    [q, n, p0, mode, " ".join(key.label() for key in fam.members), fam.fingerprint]
+                    [q, n, p0, mode, " ".join(lens_label(q, s) for s in fam.members), fam.fingerprint]
                     for fam in search(q, n, p0, mode)
                 )
     assert rows == census["families"]

@@ -16,6 +16,7 @@ from lenspec import (
 from lenspec import _kernels, weights
 from lenspec.cli import main, parse_space
 from lenspec.errors import WORK_LIMIT, DimensionMismatch, InvalidParameters
+from lenspec.lattice import lens_label
 from lenspec.weights import shell_table
 from support import acts_freely, brute_box, canonical_key, member
 
@@ -296,7 +297,7 @@ def test_box_work_bound_admits_the_required_inputs():
     assert work(100003, (1, 2)) <= WORK_LIMIT
     for q, n in ((151, 3), (31, 4)):
         for key in isometry_classes(q, n, "orbifolds"):
-            assert work(q, key.exponents) <= WORK_LIMIT, key
+            assert work(q, key) <= WORK_LIMIT, key
     for q, s in ((3499, (1, 2, 3)), (100003, (1, 2, 3)), (331000, (1, 3))):
         assert work(q, s) > WORK_LIMIT
 
@@ -327,7 +328,7 @@ def test_labels():
     assert lattice_from_lens(4, (1, 3)).label() == "L(4;1,3)"
     assert lattice_from_lens(1, (0, 0)).label() == "Z^2"
     # the key and the command line name the trivial group by its parameters
-    assert canonical_key(1, (0, 0)).label() == parse_space("L(1;0,0)", None)[0] == "L(1;0,0)"
+    assert lens_label(1, canonical_key(1, (0, 0))) == parse_space("L(1;0,0)", None)[0] == "L(1;0,0)"
     assert parse_space("L(7;1,-2)", None)[0] == "L(7;1,5)"
     L = CongruenceLattice(2, [(2, (1, 1)), (4, (1, 3))])
     assert L.label() == "G(2:1,1|4:1,3)"
