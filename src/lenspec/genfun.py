@@ -7,8 +7,9 @@ sum_m phi_m W_m on a denominator known in advance; :func:`phi_weights` turns
 the weights w_ell of sum_ell w_ell theta^(ell) into the W_m on (1 - z^q)^n.
 F^p takes a_laurent(p+1, ell, n) plus a corrective polynomial over
 (1-z^2)^(n-1) (1-z^q)^n, moment h takes ell^h and theta takes 1.  Nothing
-here is cached: each call builds the W_m it uses, and a search builds its
-moment weights once and hands them to its fingerprints.
+here is cached: each call builds the W_m it uses.  One builder gives the
+moment weights of orders 0..p0, and a search or a comparison of two spaces
+builds them once per exponent and takes every moment numerator with them.
 
 A batch of series has one count of word steps, :func:`check_series_work`:
 given the orders of its F^p and the number of its moment series, it admits
@@ -64,20 +65,11 @@ def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
     ]
 
 
-def _weight_set(q: int, n: int, kind: str, order: int) -> tuple[LaurentPolynomial, ...]:
-    """The phi_m weights of the moment series of order h = ``order`` (``kind``
-    "moment", w_ell = ell^h with 0^0 = 1) or of F^p, p = ``order`` (``kind``
-    "F", w_ell = a_laurent(p + 1, ell, n)), in the exponent q.
-
-    They depend on (q, n, order) alone and are built anew on every call; a
-    search builds each moment set once, with its character sums, and passes
-    it to the fingerprints of its bucket members.
-    """
-    if kind == "moment":
-        weights = [ell**order for ell in range(n + 1)]
-    else:
-        weights = [a_laurent(order + 1, ell, n) for ell in range(n + 1)]
-    return tuple(phi_weights(q, weights))
+def _moment_weights(q: int, n: int, p0: int) -> list[list[LaurentPolynomial]]:
+    """The phi_m weights W_m of the moment series of every order h = 0..p0
+    (w_ell = ell^h, 0^0 = 1) in the exponent q, one list per order.  They
+    depend on (q, n, p0) alone and are built anew on every call."""
+    return [phi_weights(q, [ell**h for ell in range(n + 1)]) for h in range(p0 + 1)]
 
 
 def _phi_sum(phis, weights) -> LaurentPolynomial:
@@ -192,7 +184,7 @@ def f_rational(L: CongruenceLattice, p: int) -> RationalSeries:
     check_series_work(n, q, (p,))
     P = p + 1
     phis = L.phi_polynomials()
-    weights = _weight_set(q, n, "F", p)
+    weights = phi_weights(q, [a_laurent(P, ell, n) for ell in range(n + 1)])
     sign = -1 if P % 2 else 1
     corrective = (one_minus_z(q, n) * one_minus_z(2, n - 1) * sign).shift(-P)
     series = RationalSeries(_phi_sum(phis, weights) + corrective, ((q, n), (2, n - 1)))
@@ -215,7 +207,4 @@ def moment_series(L: CongruenceLattice, p0: int) -> list[RationalSeries]:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     check_series_work(n, q, moments=p0 + 1)
     phis = L.phi_polynomials()
-    return [
-        RationalSeries(_phi_sum(phis, _weight_set(q, n, "moment", h)), ((q, n),))
-        for h in range(p0 + 1)
-    ]
+    return [RationalSeries(_phi_sum(phis, weights), ((q, n),)) for weights in _moment_weights(q, n, p0)]

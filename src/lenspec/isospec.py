@@ -14,8 +14,10 @@ that shares the products of their common leading entries, and builds exact
 moment numerators, with the weights the sums were built with, only for
 classes that share a bucket.  :func:`compare_spaces` is the one comparison
 of two spaces: for every p up to p0 it says whether they are p'-isospectral
-for all p' <= p, and where their series first differ.  Every test compares
-exact rational series or numerators, never truncations.
+for all p' <= p, and where their series first differ.  It takes the
+search's path to the moment criterion: one count of its series before
+either box count, and each moment weight set built once.  Every test
+compares exact rational series or numerators, never truncations.
 """
 
 import math
@@ -23,13 +25,14 @@ import sys
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import combinations_with_replacement, islice, repeat
+from itertools import combinations_with_replacement, islice
 from operator import mul
 
 from ._kernels import box_work
 from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InternalError, InvalidParameters, admit
-from .genfun import _phi_sum, _weight_set, check_series_work, f_rational, moment_series
+from .genfun import _moment_weights, _phi_sum, check_series_work, f_rational
 from .lattice import CongruenceLattice, lattice_from_lens, lens_label
+from .polyseries import RationalSeries
 
 
 def _folded(q: int, s: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -50,11 +53,13 @@ def compare_spaces(
     do, detail is the digest of the first space's moment numerators of
     orders 0..p, built only when the spaces agree at p = 0; afterwards it is
     the ``first_difference`` of the two series of order p, None when those
-    agree and the spaces differ below p.  Raises DimensionMismatch for spaces
-    of different rank, and InvalidParameters for p0 outside 0..n-1, and
-    before either box count when :func:`lenspec.genfun.check_series_work`
-    refuses the series of the call: for ``direct``, F^0..F^p0 and the p0 + 1
-    moment series of the digests as one batch, in the larger exponent.
+    agree and the spaces differ below p.  The moment weights are built once
+    per exponent, for both spaces' ``range`` series or for the digest.
+    Raises DimensionMismatch for spaces of different rank, and
+    InvalidParameters for p0 outside 0..n-1, and before either box count
+    when :func:`lenspec.genfun.check_series_work` refuses the series of the
+    call as one batch in the larger exponent: the p0 + 1 moment series, with
+    F^0..F^p0 for ``direct``.
     """
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
@@ -65,20 +70,26 @@ def compare_spaces(
         p0 = n - 1
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    if method == "direct":
-        # F^0..F^p0 and the moment digests, in the larger exponent, before
-        # either box count
-        check_series_work(n, max(L1.exponent, L2.exponent), range(p0 + 1), p0 + 1)
+    direct = method == "direct"
+    check_series_work(n, max(L1.exponent, L2.exponent), range(p0 + 1) if direct else (), p0 + 1)
+    if direct:
         series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (L1, L2))
     else:
-        series1, series2 = (moment_series(L, p0) for L in (L1, L2))
+        weights = {q: _moment_weights(q, n, p0) for q in {L1.exponent, L2.exponent}}
+        series1, series2 = (
+            [RationalSeries(_phi_sum(L.phi_polynomials(), w), ((L.exponent, n),)) for w in weights[L.exponent]]
+            for L in (L1, L2)
+        )
     rows, same, fingerprint = [], True, None
     for p, (a, b) in enumerate(zip(series1, series2)):
         diff = a.first_difference(b)
         same = same and diff is None
         if same and fingerprint is None:
-            moments = series1 if method == "range" else moment_series(L1, p0)
-            fingerprint = numerator_fingerprint(r.numerator for r in moments)
+            fingerprint = (
+                _moment_fingerprint(L1, _moment_weights(L1.exponent, n, p0))
+                if direct
+                else numerator_fingerprint(r.numerator for r in series1)
+            )
         rows.append((same, fingerprint_digest(fingerprint[: p + 1]) if same else diff))
     return rows
 
@@ -241,18 +252,17 @@ class _CharacterSums:
     H(u) = sum_{r=1}^{q-1} omega^(u r) (z^r + z^(q-r)), omega a primitive
     q-th root of unity mod P; H(-u) = H(u), so t and q - t pair up.  The
     moment numerator of order h is sum_m phi_m(z) W_m(z), W_m the weights
-    (w_l = l^h) that :func:`lenspec.genfun.moment_series` uses; this route
-    and the box count differ only in how phi_m is obtained.  ``table`` holds
-    w + H(u) at z packed as one int per u, ``powers`` the z^e, e <= n q,
-    that :meth:`at` evaluates a polynomial with, ``weight_sets`` the
-    polynomials W_m of each order, with which :func:`search` also builds the
-    exact numerators of its bucket members, and ``weights`` their values
-    W_m(z); all are built once, and :func:`_phi_sums` walks the classes over
-    them.  Raises
-    InvalidParameters, before any is built, when the work limit refuses
-    the p0 + 1 moment series (:func:`lenspec.genfun.check_series_work`, the
-    one count every series batch takes) or the sums over ``classes``
-    classes.
+    (w_l = l^h) of the one builder that :func:`lenspec.genfun.moment_series`
+    and :func:`compare_spaces` also take theirs from; this route and the box
+    count differ only in how phi_m is obtained.  ``table`` holds w + H(u) at
+    z packed as one int per u, ``powers`` the z^e, e <= n q, that :meth:`at`
+    evaluates a polynomial with, ``weight_sets`` the polynomials W_m of each
+    order, with which :func:`search` also builds the exact numerators of its
+    bucket members, and ``weights`` their values W_m(z); all are built once,
+    and :func:`_phi_sums` walks the classes over them.  Raises
+    InvalidParameters, before any is built, when the work limit refuses the
+    p0 + 1 moment series (:func:`lenspec.genfun.check_series_work`, the one
+    count every series batch takes) or the sums over ``classes`` classes.
     """
 
     def __init__(self, q: int, n: int, p0: int, classes: int):
@@ -293,7 +303,7 @@ class _CharacterSums:
         self.powers = powers = [1]
         for _ in range(n * q):
             powers.append(powers[-1] * z % P)
-        self.weight_sets = [_weight_set(q, n, "moment", h) for h in range(p0 + 1)]
+        self.weight_sets = _moment_weights(q, n, p0)
         self.weights = [[self.at(w) for w in weights] for weights in self.weight_sets]
 
     def at(self, poly) -> int:
@@ -368,9 +378,9 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     # (q; 1, ..., 1) is a class in both modes, and every manifold box count
-    # costs as much as its own, so a search it refuses skips the listing; its
-    # exponents stay lazy, so a huge n is refused before n of them are built
-    admit(box_work(((q, repeat(1, n)),), n), f"the probe box count of q={q}, n={n}")
+    # costs as much as its own, so a search it refuses skips the listing; a
+    # huge n, past 2^63 too, is refused before any of its exponents is built
+    admit(box_work(((q, (1 for _ in range(n))),), n), f"the probe box count of q={q}, n={n}")
     keys = isometry_classes(q, n, mode)
     sums = _CharacterSums(q, n, p0, len(keys))
     phis = dict(zip(keys, _phi_sums(sums, keys)))

@@ -68,7 +68,7 @@ class CongruenceLattice(_LatticeFields):
             s = tuple(x % q for x in s)
             g = math.gcd(q, *s)
             q //= g
-            s = tuple((x // g) % q for x in s)
+            s = tuple(x // g for x in s)
             if q > 1:
                 normalized.append((q, s))
         return super().__new__(cls, n, tuple(normalized))

@@ -120,7 +120,7 @@ def _search_work(monkeypatch, *args):
     calls = {}
     for module, name in (
         (_kernels, "box_table"), (genfun, "check_series_work"), (isospec, "check_series_work"),
-        (isospec, "_moment_fingerprint"), (isospec, "moment_series"), (isospec, "f_rational"),
+        (isospec, "_moment_fingerprint"), (genfun, "moment_series"), (isospec, "f_rational"),
     ):
         log = calls.setdefault(name, [])
         fn = getattr(module, name)

@@ -70,6 +70,9 @@ def test_spectrum_p_out_of_range(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "\n" not in err.strip()
+    # a negative number is a value, so -1 meets the range check
+    code, out, err = run_cli(capsys, "spectrum", "--space", "L(5;1,2)", "--p", "-1")
+    assert (code, out, err) == (2, "", "error: p must lie in 0..3 for this space\n")
 
 
 def test_bad_space_string(capsys):
@@ -306,6 +309,7 @@ _JUST_OVER = {
         ("search", "--q", "439", "--n", "3"), ("lenspec.isospec._is_prime", "lenspec._kernels._group_ops"),
     ),
     "character sums": (("search", "--q", "2", "--n", "152"), ("lenspec.isospec._is_prime",)),
+    "character sums, n = 3": (("search", "--q", "383", "--n", "3"), ("lenspec.isospec._is_prime",)),
     "member box counts": (("search", "--q", "169", "--n", "3"), ("lenspec._kernels._group_ops",)),
     "phi_m weights": (
         ("isospectral", "--space", _ones(2, 47), "--space2", _ones(2, 47, 3)),
@@ -769,15 +773,16 @@ def test_huge_rank_search_is_refused_before_anything_of_its_size():
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    for q in ("2", "1"):
+    # past 2^63 the rank no longer fits a machine word
+    for q, n in (("2", "100000000"), ("1", "100000000"), ("3", str(2**63)), ("3", str(10**20))):
         start = time.monotonic()
         res = subprocess.run(
-            _python_c(_ENTRY, ("search", "--q", q, "--n", "100000000")), capture_output=True, text=True,
+            _python_c(_ENTRY, ("search", "--q", q, "--n", n)), capture_output=True, text=True,
             env=_ENTRY_ENV, timeout=60, preexec_fn=limit,
         )
-        assert time.monotonic() - start < 5, q
-        assert res.returncode == 2 and res.stdout == "", q
-        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, q
+        assert time.monotonic() - start < 5, (q, n)
+        assert res.returncode == 2 and res.stdout == "", (q, n)
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, (q, n)
 
 
 def test_process_entry_runs_atexit_handlers_and_flushes_after_them():

@@ -96,9 +96,10 @@ def _refuse(*args):
 
 
 def test_direct_comparison_builds_no_digest_for_differing_spaces(monkeypatch):
-    # no row agrees, so no moment series is built for a digest
+    # no row agrees, so no moment numerator is built for a digest
     L1, L2 = lattice_from_lens(10007, (1, 2)), lattice_from_lens(10007, (1, 3))
-    monkeypatch.setattr(isospec, "moment_series", _refuse)
+    monkeypatch.setattr(genfun, "moment_series", _refuse)
+    monkeypatch.setattr(isospec, "_moment_fingerprint", _refuse)
     assert compare_spaces(L1, L2, method="direct") == [(False, (2, 2, 0)), (False, (1, 2, 0))]
 
 
@@ -112,6 +113,34 @@ def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
     L1, L2 = lattice_from_lens(3, (1,) * 100), lattice_from_lens(3, (1,) * 99 + (2,))
     with pytest.raises(InvalidParameters, match="phi_m weights of rank 100"):
         compare_spaces(L1, L2, 4, method="direct")
+    # both methods count their series in the larger exponent before either
+    # box count, whichever space holds it
+    small, large = lattice_from_lens(101, (1, 2)), lattice_from_lens(328901, (1, 2))
+    for method in ("range", "direct"):
+        for L1, L2 in ((small, large), (large, small)):
+            with pytest.raises(InvalidParameters, match="products of rank 2 and exponent 328901"):
+                compare_spaces(L1, L2, 1, method=method)
+
+
+def test_comparison_builds_each_weight_set_once(monkeypatch):
+    # Ikeda's pair agrees at p = 0, so both methods build a digest: range
+    # takes it from the numerators it compares, built with one weight set
+    # per order for both spaces of one q, and direct from the moment
+    # fingerprint; each counts its whole batch once before either box count
+    L1, L2 = lattice_from_lens(11, (1, 2, 3)), lattice_from_lens(11, (1, 2, 4))
+    calls = {}
+    for module, name in ((genfun, "phi_weights"), (genfun, "check_series_work"), (isospec, "check_series_work"),
+                         (genfun, "moment_series")):
+        log = calls.setdefault(name, [])
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, log=log, **k: log.append(a) or fn(*a, **k))
+    for method, expected in (("range", (3, 1)), ("direct", (9, 7))):
+        for log in calls.values():
+            log.clear()
+        rows = compare_spaces(L1, L2, method=method)
+        assert [same for same, _ in rows] == [True, False, False]
+        assert (len(calls["phi_weights"]), len(calls["check_series_work"])) == expected, method
+        assert calls["moment_series"] == []
 
 
 def test_search_admits_its_probe_box_count_before_any_character_sum(monkeypatch):
