@@ -116,6 +116,13 @@ def box_work(congruences, n: int) -> int:
     return _plan(congruences, n)[4]
 
 
+def admit_box(congruences, n: int):
+    """The plan of :func:`box_table`, admitted with the line it is refused by."""
+    plan = _plan(congruences, n)
+    admit(plan[4], f"the box count in rank {n} over exponent {plan[2] + 1}")
+    return plan
+
+
 def box_table(congruences, n: int) -> list[list[int]]:
     """Coefficient lists of phi_0..phi_n for the open box |a_i| < E.
 
@@ -125,8 +132,7 @@ def box_table(congruences, n: int) -> list[list[int]]:
     list runs from norm 0 to n * (E - 1).  Raises InvalidParameters, before
     the first step, when :func:`lenspec.errors.admit` refuses the work.
     """
-    congs, order, radius, field, work = _plan(congruences, n)
-    admit(work, f"the box count in rank {n} over exponent {radius + 1}")
+    congs, order, radius, field, _ = admit_box(congruences, n)
     gens, scale, add, neg = _group_ops(congs)
     width = n + 1
     xs = range(-radius, radius + 1)

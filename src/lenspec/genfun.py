@@ -24,6 +24,7 @@ so the products of all n + 1 of them take at most the product steps counted
 for F^0.
 """
 
+from collections.abc import Iterator
 from itertools import accumulate
 
 from .errors import _STEP_WORDS, InvalidParameters, NegativeOrderTerm, admit
@@ -65,11 +66,10 @@ def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
     ]
 
 
-def _moment_weights(q: int, n: int, p0: int) -> list[list[LaurentPolynomial]]:
-    """The phi_m weights W_m of the moment series of every order h = 0..p0
-    (w_ell = ell^h, 0^0 = 1) in the exponent q, one list per order.  They
-    depend on (q, n, p0) alone and are built anew on every call."""
-    return [phi_weights(q, [ell**h for ell in range(n + 1)]) for h in range(p0 + 1)]
+def _moment_weights(q: int, n: int, p0: int) -> Iterator[list[LaurentPolynomial]]:
+    """The phi_m weights W_m of the moment series of orders h = 0..p0 in the
+    exponent q (w_ell = ell^h, 0^0 = 1), one list per order, built when reached."""
+    return (phi_weights(q, [ell**h for ell in range(n + 1)]) for h in range(p0 + 1))
 
 
 def _phi_sum(phis, weights) -> LaurentPolynomial:

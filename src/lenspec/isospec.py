@@ -12,12 +12,11 @@ parameter vector, and its candidate count is bounded before it starts.
 point, which need no lattice and are taken in one walk over the sorted keys
 that shares the products of their common leading entries, and builds exact
 moment numerators, with the weights the sums were built with, only for
-classes that share a bucket.  :func:`compare_spaces` is the one comparison
-of two spaces: for every p up to p0 it says whether they are p'-isospectral
-for all p' <= p, and where their series first differ.  It takes the
-search's path to the moment criterion: one count of its series before
-either box count, and each moment weight set built once.  Every test
-compares exact rational series or numerators, never truncations.
+classes that share a bucket.  :func:`compare_spaces` says for every p up to
+p0 whether two spaces are p'-isospectral for all p' <= p, by the moment
+criterion alone as the search does, and where their series (F^p for
+``direct``) first differ; it admits its series and both box counts before
+either count.  Every test compares exact series, never truncations.
 """
 
 import math
@@ -28,7 +27,7 @@ from collections.abc import Iterator
 from itertools import combinations_with_replacement, islice
 from operator import mul
 
-from ._kernels import box_work
+from ._kernels import admit_box, box_work
 from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InternalError, InvalidParameters, admit
 from .genfun import _moment_weights, _phi_sum, check_series_work, f_rational
 from .lattice import CongruenceLattice, lattice_from_lens, lens_label
@@ -47,19 +46,19 @@ def compare_spaces(
     """Up to which p the quotients are p-isospectral, and where they differ.
 
     One pair (isospectral_upto_p, detail) per p = 0..p0 (default n - 1).
-    The quotients are p'-isospectral for every p' <= p exactly when the
-    series of every order <= p agree: the zero-count moment series
-    (``range``) or the encoding series F^0..F^p (``direct``).  While they
-    do, detail is the digest of the first space's moment numerators of
-    orders 0..p, built only when the spaces agree at p = 0; afterwards it is
-    the ``first_difference`` of the two series of order p, None when those
-    agree and the spaces differ below p.  The moment weights are built once
-    per exponent, for both spaces' ``range`` series or for the digest.
-    Raises DimensionMismatch for spaces of different rank, and
-    InvalidParameters for p0 outside 0..n-1, and before either box count
-    when :func:`lenspec.genfun.check_series_work` refuses the series of the
-    call as one batch in the larger exponent: the p0 + 1 moment series, with
-    F^0..F^p0 for ``direct``.
+    The moment series decide every row in both methods: the quotients are
+    p'-isospectral for every p' <= p exactly when those of orders <= p agree,
+    as F^0..F^p do (a_laurent(P, ell, n) has degree P - 1 in ell and the
+    unit +-z^(-P) (1 - z^2)^(P - 1) as its coefficient of C(ell, P - 1)).
+    While the spaces agree, detail is the digest of the first space's moment
+    numerators compared so far; afterwards it is the ``first_difference`` of
+    the two series of order p, None when those agree: the moment series
+    (``range``) or F^p (``direct``, which builds moment series only up to the
+    first differing row).  Each order's weights are built once per exponent.
+    Raises DimensionMismatch for spaces of different rank; InvalidParameters
+    for p0 outside 0..n-1 or, before either box count, when either box count
+    or the series batch is refused (:func:`lenspec.genfun.check_series_work`
+    in the larger exponent, with F^0..F^p0 for ``direct``).
     """
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
@@ -72,25 +71,20 @@ def compare_spaces(
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     direct = method == "direct"
     check_series_work(n, max(L1.exponent, L2.exponent), range(p0 + 1) if direct else (), p0 + 1)
-    if direct:
-        series1, series2 = ([f_rational(L, p) for p in range(p0 + 1)] for L in (L1, L2))
-    else:
-        weights = {q: _moment_weights(q, n, p0) for q in {L1.exponent, L2.exponent}}
-        series1, series2 = (
-            [RationalSeries(_phi_sum(L.phi_polynomials(), w), ((L.exponent, n),)) for w in weights[L.exponent]]
-            for L in (L1, L2)
-        )
-    rows, same, fingerprint = [], True, None
-    for p, (a, b) in enumerate(zip(series1, series2)):
-        diff = a.first_difference(b)
-        same = same and diff is None
-        if same and fingerprint is None:
-            fingerprint = (
-                _moment_fingerprint(L1, _moment_weights(L1.exponent, n, p0))
-                if direct
-                else numerator_fingerprint(r.numerator for r in series1)
-            )
-        rows.append((same, fingerprint_digest(fingerprint[: p + 1]) if same else diff))
+    for L in (L1, L2):
+        admit_box(L.congruences, n)
+    weights = {q: _moment_weights(q, n, p0) for q in {L1.exponent, L2.exponent}}
+    rows, same, fingerprint = [], True, ()
+    for p in range(p0 + 1):
+        if same or not direct:
+            w = {q: next(sets) for q, sets in weights.items()}
+            a, b = (RationalSeries(_phi_sum(L.phi_polynomials(), w[L.exponent]), ((L.exponent, n),)) for L in (L1, L2))
+            same = same and a == b
+        if same:
+            fingerprint += numerator_fingerprint([a.numerator])
+        elif direct:
+            a, b = f_rational(L1, p), f_rational(L2, p)
+        rows.append((same, fingerprint_digest(fingerprint) if same else a.first_difference(b)))
     return rows
 
 
@@ -303,7 +297,7 @@ class _CharacterSums:
         self.powers = powers = [1]
         for _ in range(n * q):
             powers.append(powers[-1] * z % P)
-        self.weight_sets = _moment_weights(q, n, p0)
+        self.weight_sets = list(_moment_weights(q, n, p0))
         self.weights = [[self.at(w) for w in weights] for weights in self.weight_sets]
 
     def at(self, poly) -> int:

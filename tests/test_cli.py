@@ -352,6 +352,19 @@ def test_each_stage_is_refused_just_over_the_limit(capsys, monkeypatch, stage):
     assert "word steps, above the limit of 500000000" in err
 
 
+def test_isospectral_admits_both_box_counts_before_either(capsys, monkeypatch):
+    # the box count of L(437;1,2,3) is over the limit, that of L(433;1,2,3)
+    # under it: neither runs, whichever space comes first
+    monkeypatch.setattr("lenspec._kernels.box_table", _fail_if_called)
+    for spaces in (("L(433;1,2,3)", "L(437;1,2,3)"), ("L(437;1,2,3)", "L(433;1,2,3)")):
+        code, out, err = run_cli(capsys, "isospectral", "--space", spaces[0], "--space2", spaces[1], "--p0", "0")
+        assert (code, out) == (2, ""), spaces
+        assert err == (
+            "error: the box count in rank 3 over exponent 437: at least 512785524 word steps,"
+            " above the limit of 500000000\n"
+        ), spaces
+
+
 class _Reached(Exception):
     pass
 
@@ -377,11 +390,11 @@ _JUST_UNDER = {
     "genfun rank": (("genfun", "--space", _ones(2, 34), "--order", "2"), "lenspec.genfun.f_rational"),
     "direct, q = 3": (
         ("isospectral", "--space", _ones(3, 30), "--space2", _ones(3, 30, 2), "--method", "direct"),
-        "lenspec.isospec.f_rational",
+        "lenspec.lattice.CongruenceLattice.phi_polynomials",
     ),
     "direct, q = 7": (
         ("isospectral", "--space", _ones(7, 23), "--space2", _ones(7, 23, 2), "--method", "direct"),
-        "lenspec.isospec.f_rational",
+        "lenspec.lattice.CongruenceLattice.phi_polynomials",
     ),
     "range, q = 2": (
         ("isospectral", "--space", _ones(2, 46), "--space2", _ones(2, 46, 3)),

@@ -283,6 +283,12 @@ def _fail_if_called(*args, **kwargs):
     raise AssertionError("work started before its bound was checked")
 
 
+def test_product_count_reads_the_coefficient_width_of_phi():
+    # a coefficient of phi_m is at most (2E)^(n-1): at n = 5 and E = 300 it
+    # spans 4 * 10 bits, and a product step weighs 192 words (191 with 4 * 9)
+    assert check_series_work(5, 300, moments=1) == 2045400
+
+
 def test_weight_work_rejected_before_any_count(monkeypatch):
     # p0 + 1 sets of scalar weights, about (n + 1)^3 / 2 steps each: in the
     # exponent 2 the moment series of every order below n is admitted up to

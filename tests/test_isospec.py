@@ -96,11 +96,20 @@ def _refuse(*args):
 
 
 def test_direct_comparison_builds_no_digest_for_differing_spaces(monkeypatch):
-    # no row agrees, so no moment numerator is built for a digest
+    # no row agrees, so no moment numerator is fingerprinted for a digest
     L1, L2 = lattice_from_lens(10007, (1, 2)), lattice_from_lens(10007, (1, 3))
-    monkeypatch.setattr(genfun, "moment_series", _refuse)
-    monkeypatch.setattr(isospec, "_moment_fingerprint", _refuse)
+    monkeypatch.setattr(isospec, "numerator_fingerprint", _refuse)
+    monkeypatch.setattr(isospec, "fingerprint_digest", _refuse)
     assert compare_spaces(L1, L2, method="direct") == [(False, (2, 2, 0)), (False, (1, 2, 0))]
+
+
+def test_direct_comparison_builds_no_f_series_for_agreeing_spaces(monkeypatch):
+    # the moment series decide every row; F^p only details a differing one
+    L1, L2 = lattice_from_lens(49, (1, 6, 15)), lattice_from_lens(49, (1, 6, 20))
+    monkeypatch.setattr(isospec, "f_rational", _refuse)
+    rows = compare_spaces(L1, L2, method="direct")
+    assert [same for same, _ in rows] == [True] * 3
+    assert rows == compare_spaces(L1, L2)
 
 
 def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
@@ -108,8 +117,9 @@ def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
     L1, L2 = lattice_from_lens(8, (1, 3)), lattice_from_lens(8, (1, 5))
     with pytest.raises(InvalidParameters, match=r"^p0 must lie in 0\.\.1$"):
         compare_spaces(L1, L2, 2, method="direct")
-    # the weights, those of the moment digests included, though only
-    # agreeing spaces build them: ten sets of rank 100 are over the limit
+    # the weights, those of all p0 + 1 moment series included, though direct
+    # builds them only up to the first differing row: ten sets of rank 100
+    # are over the limit
     L1, L2 = lattice_from_lens(3, (1,) * 100), lattice_from_lens(3, (1,) * 99 + (2,))
     with pytest.raises(InvalidParameters, match="phi_m weights of rank 100"):
         compare_spaces(L1, L2, 4, method="direct")
@@ -123,23 +133,32 @@ def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
 
 
 def test_comparison_builds_each_weight_set_once(monkeypatch):
-    # Ikeda's pair agrees at p = 0, so both methods build a digest: range
-    # takes it from the numerators it compares, built with one weight set
-    # per order for both spaces of one q, and direct from the moment
-    # fingerprint; each counts its whole batch once before either box count
-    L1, L2 = lattice_from_lens(11, (1, 2, 3)), lattice_from_lens(11, (1, 2, 4))
+    # both methods compare moment series, with one weight set per order for
+    # both spaces of one q, and take the digest from the numerators compared;
+    # each counts its whole batch once before either box count.  Ikeda's pair
+    # differs from p = 1 on: direct builds the moment weights of orders 0 and
+    # 1 alone, then F^1 and F^2 of both spaces, each with its own weights and
+    # count.  The q = 49 pair agrees on every row, so direct builds no F^p
+    ikeda = lattice_from_lens(11, (1, 2, 3)), lattice_from_lens(11, (1, 2, 4))
+    q49 = lattice_from_lens(49, (1, 6, 15)), lattice_from_lens(49, (1, 6, 20))
     calls = {}
     for module, name in ((genfun, "phi_weights"), (genfun, "check_series_work"), (isospec, "check_series_work"),
-                         (genfun, "moment_series")):
+                         (isospec, "f_rational"), (genfun, "moment_series")):
         log = calls.setdefault(name, [])
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, fn=fn, log=log, **k: log.append(a) or fn(*a, **k))
-    for method, expected in (("range", (3, 1)), ("direct", (9, 7))):
+    for pair, verdicts, method, expected in (
+        (ikeda, [True, False, False], "range", (3, 1, 0)),
+        (ikeda, [True, False, False], "direct", (6, 5, 4)),
+        (q49, [True] * 3, "range", (3, 1, 0)),
+        (q49, [True] * 3, "direct", (3, 1, 0)),
+    ):
         for log in calls.values():
             log.clear()
-        rows = compare_spaces(L1, L2, method=method)
-        assert [same for same, _ in rows] == [True, False, False]
-        assert (len(calls["phi_weights"]), len(calls["check_series_work"])) == expected, method
+        rows = compare_spaces(*pair, method=method)
+        assert [same for same, _ in rows] == verdicts
+        counts = tuple(len(calls[name]) for name in ("phi_weights", "check_series_work", "f_rational"))
+        assert counts == expected, (pair[0].exponent, method)
         assert calls["moment_series"] == []
 
 
@@ -433,6 +452,14 @@ def test_power_table_evaluates_every_phi_and_moment_weight(q, n):
     phis = [phi for s in isometry_classes(q, n, "orbifolds")[:6] for phi in lattice_from_lens(q, s).phi_polynomials()]
     for poly in weights + phis:
         assert sums.at(poly) == sum(c * pow(sums.z, e, sums.P) for e, c in poly.coeffs.items()) % sums.P
+
+
+def test_character_sums_step_off_a_point_of_order_dividing_q(monkeypatch):
+    # H's closed form divides by z^q - 1: at the point 1 the sums move to 2,
+    # and the search still finds Ikeda's pair
+    monkeypatch.setattr(isospec, "_POINT", 1)
+    assert isospec._CharacterSums(11, 3, 0, 1).z == 2
+    assert [fam.members for fam in search(11, 3, 0)] == [((1, 2, 3), (1, 2, 4))]
 
 
 def test_character_sum_bound_admits_the_gate_scales():

@@ -175,6 +175,12 @@ def _fail_if_called(*args):
     raise AssertionError("a series was expanded before its work was admitted")
 
 
+def test_first_difference_past_a_million_terms():
+    # 1 / (1 - z) against (1 - z^(10^6 + 1)) / (1 - z): equal up to z^(10^6)
+    k = 10**6 + 1
+    assert RationalSeries(1, ((1, 1),)).first_difference(RationalSeries(one_minus_z(k), ((1, 1),))) == (k, 1, 0)
+
+
 def test_first_difference_bounds_its_sum_and_refuses_negative_powers(monkeypatch):
     # z^50 / (1-z)(1-z^2)(1-z^3) against 0: both coefficients at z^50 are
     # read off the expansions to z^50
