@@ -12,11 +12,13 @@ parameter vector, and its candidate count is bounded before it starts.
 point, which need no lattice and are taken in one walk over the sorted keys
 that shares the products of their common leading entries, and builds exact
 moment numerators, with the weights the sums were built with, only for
-classes that share a bucket.  :func:`compare_spaces` says for every p up to
-p0 whether two spaces are p'-isospectral for all p' <= p, by the moment
-criterion alone as the search does, and where their series (F^p for
-``direct``) first differ; it admits its series and both box counts before
-either count.  Every test compares exact series, never truncations.
+classes that share a bucket: a search with no shared bucket runs no box
+count, and the walk is checked against the box count by the tests, not at
+run time.  :func:`compare_spaces` says for every p up to p0 whether two
+spaces are p'-isospectral for all p' <= p, by the moment criterion alone as
+the search does, and where their series (F^p for ``direct``) first differ;
+it admits its series and both box counts before either count.  Every test
+compares exact series, never truncations.
 """
 
 import math
@@ -28,9 +30,9 @@ from itertools import combinations_with_replacement, islice
 from operator import mul
 
 from ._kernels import admit_box, box_work
-from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InternalError, InvalidParameters, admit
+from .errors import _STEP_WORDS, WORK_LIMIT, DimensionMismatch, InvalidParameters, admit
 from .genfun import _moment_weights, _phi_sum, check_series_work, f_rational
-from .lattice import CongruenceLattice, lattice_from_lens, lens_label
+from .lattice import CongruenceLattice, lattice_from_lens
 from .polyseries import RationalSeries
 
 
@@ -187,8 +189,7 @@ def _moment_fingerprint(L: CongruenceLattice, weight_sets) -> tuple:
     # the moment numerators sum_m phi_m W_m of L, one per set of weights W_m;
     # all classes with the same (q, n) share the denominator (1 - z^q)^n, so
     # the tuples compare exactly
-    phis = L.phi_polynomials()
-    return numerator_fingerprint(_phi_sum(phis, weights) for weights in weight_sets)
+    return numerator_fingerprint(_phi_sum(L.phi_polynomials(), weights) for weights in weight_sets)
 
 
 def fingerprint_digest(data) -> str:
@@ -358,15 +359,14 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     two or more get a lattice, and their exact moment numerators, taken with
     the weight sets of the sums (:func:`_moment_fingerprint`), decide each
     family: the quotients are p-isospectral for every p <= p0 exactly when
-    their moment series of orders 0..p0 agree.  The result
-    rests on that exact criterion, not on the values.  Every box count, of a
-    bucket member or else of the first class, checks the phi_m(z) of its
-    class that the walk gave; a disagreement raises InternalError.  The box
-    count of (q; 1, ..., 1), a class in both modes, is admitted before the class
-    listing, the listing before it starts, the moment series and the
-    character sums before either starts, and the sum of the box counts that
-    run, those of the bucket members or else of the first class, before the
-    first of them (InvalidParameters).
+    their moment series of orders 0..p0 agree.  The result rests on that
+    exact criterion, not on the values; a search with no shared bucket runs
+    no box count.  The tests certify the walk's phi_m(z) against the box
+    count.  The box count of (q; 1, ..., 1), a class in both modes, is
+    admitted before the class listing, the listing before it starts, the
+    moment series and the character sums before either starts, and the sum
+    of the bucket members' box counts before the first of them
+    (InvalidParameters).
     """
     _check_q_n(q, n)  # before p0, whose range depends on n
     if not 0 <= p0 <= n - 1:
@@ -377,27 +377,17 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     admit(box_work(((q, (1 for _ in range(n))),), n), f"the probe box count of q={q}, n={n}")
     keys = isometry_classes(q, n, mode)
     sums = _CharacterSums(q, n, p0, len(keys))
-    phis = dict(zip(keys, _phi_sums(sums, keys)))
     buckets: dict[tuple, list[tuple[int, ...]]] = {}
-    for s, phi in phis.items():
+    for s, phi in zip(keys, _phi_sums(sums, keys)):
         buckets.setdefault(sums.moment_values(phi), []).append(s)
-    # the members of every shared bucket get a box count, the first class
-    # when no bucket is shared
     shared = [s for members in buckets.values() if len(members) > 1 for s in members]
-    counted = shared or keys[:1]
     admit(
-        sum(box_work(((q, s),), n) for s in counted),
-        f"the box counts of {len(counted)} classes of q={q}, n={n}",
+        sum(box_work(((q, s),), n) for s in shared),
+        f"the box counts of {len(shared)} classes of q={q}, n={n}",
     )
     groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for s in counted:
-        L = lattice_from_lens(q, s)
-        # each box count certifies the walk's values of its class
-        if [sums.at(phi) for phi in L.phi_polynomials()] != phis[s]:
-            raise InternalError(f"character sums disagree with the box count of {lens_label(q, s)}")
-        # a lone class, counted only to check the walk, forms no family
-        if shared:
-            groups.setdefault(_moment_fingerprint(L, sums.weight_sets), []).append(s)
+    for s in shared:
+        groups.setdefault(_moment_fingerprint(lattice_from_lens(q, s), sums.weight_sets), []).append(s)
     families = [
         IsospectralFamily(q=q, n=n, p0=p0, members=tuple(group), fingerprint=fingerprint_digest(fp))
         for fp, group in groups.items()

@@ -9,13 +9,14 @@ slices, then p0, then q, then the families of one search.  Any change to how
 `search` decides each family by the moment criterion alone.  The series
 F^0..F^p0 that the p-form spectra are read off are the other exact criterion
 of the paper's theorem, and every recorded family is checked against them
-here.
+here.  The character-sum walk that buckets the classes is checked against
+the box count on the first class and every family member of each slice.
 """
 
 import json
 from pathlib import Path
 
-from lenspec import f_rational, search
+from lenspec import f_rational, isometry_classes, isospec, lattice_from_lens, search
 from lenspec.cli import parse_space
 from lenspec.lattice import lens_label
 
@@ -45,3 +46,25 @@ def test_recorded_families_share_every_f_p_up_to_p0():
         lattices = [parse_space(label, None)[1] for label in labels.split()]
         first, *rest = ([f_rational(L, p) for p in range(p0 + 1)] for L in lattices)
         assert rest and all(series == first for series in rest), labels
+
+
+def test_walk_matches_the_box_count_on_first_classes_and_members():
+    # one walk over all classes of each census (q, n, mode), as the search
+    # takes it, against the box count of its first class and of every class
+    # a recorded family holds, at the point mod P
+    census = json.loads(CENSUS.read_text(encoding="utf-8"))
+    members = {}
+    for q, n, _, mode, labels, _ in census["families"]:
+        members.setdefault((q, n, mode), set()).update(labels.split())
+    checked = 0
+    for piece in census["slices"]:
+        mode, n = piece["mode"], piece["n"]
+        for q in range(piece["q"][0], piece["q"][1] + 1):
+            keys = isometry_classes(q, n, mode)
+            sums = isospec._CharacterSums(q, n, 0, len(keys))
+            labels = members.get((q, n, mode), set())
+            for i, (s, phi) in enumerate(zip(keys, isospec._phi_sums(sums, keys))):
+                if i == 0 or lens_label(q, s) in labels:
+                    assert [sums.at(p) for p in lattice_from_lens(q, s).phi_polynomials()] == phi, (q, s)
+                    checked += 1
+    assert checked == 666
