@@ -23,7 +23,7 @@ it is the unit every other stage counts its work in.  Every count is an exact Py
 
 import math
 
-from .errors import _STEP_WORDS, WORK_LIMIT, InvalidParameters, admit
+from .errors import _STEP_WORDS, InvalidParameters, admit
 
 
 def _group_ops(congs):
@@ -54,19 +54,13 @@ def _group_ops(congs):
 
 
 def _plan(congruences, n: int):
-    # normalized congruences, coordinate order, radius E - 1, field bits, work
+    # normalized congruences, coordinate order, radius E - 1, field bits,
+    # work; O(n) in size, like the exponents it is given: every command
+    # admits its rank by an earlier count (class listing or series)
     if n < 2:
         raise InvalidParameters("rank n must be >= 2")
     radius = math.lcm(*(q for q, _ in congruences)) - 1
     values = 2 * radius + 1
-    if n > 2:
-        # a lower bound from the moduli and n alone, before anything of size
-        # n is built: coordinate k takes at least one step over at least
-        # (k + 1) E (n + 1) F / 64 words, F <= field below; returned with no
-        # plan when it is over the limit
-        least = (radius + 1) * (n + 1) * ((n - 1) * (values.bit_length() - 1) + 2) * n * (n + 1) // 128
-        if least > WORK_LIMIT:
-            return None, None, radius, None, least
     congs = [(q, tuple(x % q for x in s)) for q, s in congruences] or [(1, (0,) * n)]
 
     def reach(gcds):
@@ -110,9 +104,7 @@ def _plan(congruences, n: int):
 def box_work(congruences, n: int) -> int:
     """Work of :func:`box_table` on the same arguments, in word steps: its
     loop steps, each weighted by the 64-bit words it shifts and adds plus an
-    overhead of :data:`_STEP_WORDS` per residue entry, without a step.  Past
-    the limit it may be a lower bound, read off the moduli and n alone, so
-    that a huge rank is refused before anything of its size is built."""
+    overhead of :data:`_STEP_WORDS` per residue entry, without a step."""
     return _plan(congruences, n)[4]
 
 

@@ -17,7 +17,8 @@ count, and the walk is checked against the box count by the tests, not at
 run time.  :func:`compare_spaces` says for every p up to p0 whether two
 spaces are p'-isospectral for all p' <= p, by the moment criterion alone as
 the search does, and where their series (F^p for ``direct``) first differ;
-it admits its series and both box counts before either count.  Every test
+it admits its moment series and both box counts before either count, and
+``direct`` admits its F^p at the first row that differs.  Every test
 compares exact series, never truncations.
 """
 
@@ -59,8 +60,9 @@ def compare_spaces(
     first differing row).  Each order's weights are built once per exponent.
     Raises DimensionMismatch for spaces of different rank; InvalidParameters
     for p0 outside 0..n-1 or, before either box count, when either box count
-    or the series batch is refused (:func:`lenspec.genfun.check_series_work`
-    in the larger exponent, with F^0..F^p0 for ``direct``).
+    or the p0 + 1 moment series are refused, and for ``direct`` when
+    F^p..F^p0 are refused at the first differing row p, before either is
+    built (:func:`lenspec.genfun.check_series_work`, in the larger exponent).
     """
     if L1.n != L2.n:
         raise DimensionMismatch(f"rank mismatch: {L1.n} vs {L2.n}")
@@ -71,8 +73,8 @@ def compare_spaces(
         p0 = n - 1
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    direct = method == "direct"
-    check_series_work(n, max(L1.exponent, L2.exponent), range(p0 + 1) if direct else (), p0 + 1)
+    direct, exponent = method == "direct", max(L1.exponent, L2.exponent)
+    check_series_work(n, exponent, moments=p0 + 1)
     for L in (L1, L2):
         admit_box(L.congruences, n)
     weights = {q: _moment_weights(q, n, p0) for q in {L1.exponent, L2.exponent}}
@@ -82,6 +84,9 @@ def compare_spaces(
             w = {q: next(sets) for q, sets in weights.items()}
             a, b = (RationalSeries(_phi_sum(L.phi_polynomials(), w[L.exponent]), ((L.exponent, n),)) for L in (L1, L2))
             same = same and a == b
+            if direct and not same:
+                # F^p..F^p0 of both spaces, built from the first differing row on
+                check_series_work(n, exponent, range(p, p0 + 1))
         if same:
             fingerprint += numerator_fingerprint([a.numerator])
         elif direct:
@@ -362,19 +367,13 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     their moment series of orders 0..p0 agree.  The result rests on that
     exact criterion, not on the values; a search with no shared bucket runs
     no box count.  The tests certify the walk's phi_m(z) against the box
-    count.  The box count of (q; 1, ..., 1), a class in both modes, is
-    admitted before the class listing, the listing before it starts, the
-    moment series and the character sums before either starts, and the sum
-    of the bucket members' box counts before the first of them
-    (InvalidParameters).
+    count.  Each stage that runs is admitted before it starts: the class
+    listing, the moment series with the character sums, and the sum of the
+    bucket members' box counts (InvalidParameters).
     """
     _check_q_n(q, n)  # before p0, whose range depends on n
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
-    # (q; 1, ..., 1) is a class in both modes, and every manifold box count
-    # costs as much as its own, so a search it refuses skips the listing; a
-    # huge n, past 2^63 too, is refused before any of its exponents is built
-    admit(box_work(((q, (1 for _ in range(n))),), n), f"the probe box count of q={q}, n={n}")
     keys = isometry_classes(q, n, mode)
     sums = _CharacterSums(q, n, p0, len(keys))
     buckets: dict[tuple, list[tuple[int, ...]]] = {}

@@ -45,17 +45,19 @@ def spectrum_table(L: CongruenceLattice, p: int, k_max: int) -> tuple[SpectrumEn
     eigenvalue grows with k within a family, and families p-1 and p share
     none, since with a = k+p-1, b = k'+p and m = n-p, a(a+2m) = b(b+2m-2)
     would need (a-b+1)(a+b+2m-1) = 2m-1 < a+b+2m-1.  The table (each of the
-    k_max coefficients of both series expanded over its 2n - 1 factors, then
-    entered), the F^p weights and their products are admitted before any
-    series is built.
+    k_max coefficients of each series, F^0 alone for p = 0, expanded over its
+    2n - 1 factors, then entered), the F^p weights and their products are
+    admitted before any series is built.
     """
     n = L.n
     if not 0 <= p <= n - 1:
         raise InvalidParameters(f"p must lie in 0..{n - 1}")
     if k_max < 1:
         raise InvalidParameters("k_max must be >= 1")
-    admit(2 * k_max * (2 * n + _ENTRY_STEPS) * _STEP_WORDS, f"the spectrum table of rank {n} to k = {k_max}")
     families = range(max(p - 1, 0), p + 1)
+    admit(
+        len(families) * k_max * (2 * n + _ENTRY_STEPS) * _STEP_WORDS, f"the spectrum table of rank {n} to k = {k_max}"
+    )
     check_series_work(n, L.exponent, families)
 
     entries = [SpectrumEntry(0, 1, 0, 0)] if p == 0 else []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lenspec import _kernels, genfun, isospec
+from lenspec import _kernels, errors, genfun, isospec
 from lenspec import (
     CongruenceLattice,
     compare_spaces,
@@ -116,9 +116,8 @@ def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
     L1, L2 = lattice_from_lens(8, (1, 3)), lattice_from_lens(8, (1, 5))
     with pytest.raises(InvalidParameters, match=r"^p0 must lie in 0\.\.1$"):
         compare_spaces(L1, L2, 2, method="direct")
-    # the weights, those of all p0 + 1 moment series included, though direct
-    # builds them only up to the first differing row: ten sets of rank 100
-    # are over the limit
+    # the weights of all p0 + 1 moment series, though direct builds them only
+    # up to the first differing row: five sets of rank 100 are over the limit
     L1, L2 = lattice_from_lens(3, (1,) * 100), lattice_from_lens(3, (1,) * 99 + (2,))
     with pytest.raises(InvalidParameters, match="phi_m weights of rank 100"):
         compare_spaces(L1, L2, 4, method="direct")
@@ -134,10 +133,11 @@ def test_direct_comparison_checks_p0_and_weights_before_any_count(monkeypatch):
 def test_comparison_builds_each_weight_set_once(monkeypatch):
     # both methods compare moment series, with one weight set per order for
     # both spaces of one q, and take the digest from the numerators compared;
-    # each counts its whole batch once before either box count.  Ikeda's pair
-    # differs from p = 1 on: direct builds the moment weights of orders 0 and
-    # 1 alone, then F^1 and F^2 of both spaces, each with its own weights and
-    # count.  The q = 49 pair agrees on every row, so direct builds no F^p
+    # each counts its moment series once before either box count.  Ikeda's
+    # pair differs from p = 1 on: direct builds the moment weights of orders 0
+    # and 1 alone, counts F^1 and F^2 there, then builds them for both spaces,
+    # each with its own weights and count.  The q = 49 pair agrees on every
+    # row, so direct builds no F^p
     ikeda = lattice_from_lens(11, (1, 2, 3)), lattice_from_lens(11, (1, 2, 4))
     q49 = lattice_from_lens(49, (1, 6, 15)), lattice_from_lens(49, (1, 6, 20))
     calls = {}
@@ -148,7 +148,7 @@ def test_comparison_builds_each_weight_set_once(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a, fn=fn, log=log, **k: log.append(a) or fn(*a, **k))
     for pair, verdicts, method, expected in (
         (ikeda, [True, False, False], "range", (3, 1, 0)),
-        (ikeda, [True, False, False], "direct", (6, 5, 4)),
+        (ikeda, [True, False, False], "direct", (6, 6, 4)),
         (q49, [True] * 3, "range", (3, 1, 0)),
         (q49, [True] * 3, "direct", (3, 1, 0)),
     ):
@@ -159,17 +159,6 @@ def test_comparison_builds_each_weight_set_once(monkeypatch):
         counts = tuple(len(calls[name]) for name in ("phi_weights", "check_series_work", "f_rational"))
         assert counts == expected, (pair[0].exponent, method)
         assert calls["moment_series"] == []
-
-
-def test_search_admits_its_probe_box_count_before_any_character_sum(monkeypatch):
-    # the box count of (441; 1, 1, 1), a class in both modes, is over the
-    # limit: refused before the listing, the sums or any box count start
-    for target in (
-        (isospec, "isometry_classes"), (isospec, "_CharacterSums"), (isospec, "_phi_sums"), (_kernels, "box_table")
-    ):
-        monkeypatch.setattr(*target, _refuse)
-    with pytest.raises(InvalidParameters, match="probe box count of q=441, n=3"):
-        search(441, 3, 0)
 
 
 def test_range_p0_zero_is_theta_equality():
@@ -386,7 +375,7 @@ def test_search_builds_each_weight_set_once(monkeypatch):
 @example(q=2, s=[1, 0, 1])
 @example(q=12, s=[0, 3, 4])  # s_j = 0 and no exponent a unit
 @example(q=30, s=[6, 10, 15, 1])
-@example(q=432, s=[1, 1, 1])  # the packed field width at the largest admitted n = 3 search
+@example(q=432, s=[1, 1, 1])  # the widest packed field of an n = 3 box count the limit admits
 def test_character_sums_match_box_count_numerators(q, s):
     # the exact moment numerators of the box-count chain, evaluated at the
     # point mod P term by term, against the walk over the one class
@@ -396,6 +385,17 @@ def test_character_sums_match_box_count_numerators(q, s):
     n, p0 = len(s), len(s) - 1
     sums = isospec._CharacterSums(q, n, p0, 1)
     assert sums.moment_values(next(isospec._phi_sums(sums, [s]))) == _numerators_at(sums, q, s, p0)
+
+
+def test_walk_matches_the_box_count_at_the_widest_field(monkeypatch):
+    # q = 512..930, the manifold searches of rank 3 the limit admits past
+    # q = 432, pack the walk's fields one bit wider; the box count of
+    # (512; 1, 1, 1) is over the limit, which is raised here alone
+    monkeypatch.setattr(errors, "WORK_LIMIT", 4 * errors.WORK_LIMIT)
+    q, s = 512, (1, 1, 1)
+    sums = isospec._CharacterSums(q, 3, 0, 1)
+    assert sums.width == isospec._CharacterSums(930, 3, 0, 1).width == isospec._CharacterSums(432, 3, 0, 1).width + 1
+    assert next(isospec._phi_sums(sums, [s])) == [sums.at(phi) for phi in lattice_from_lens(q, s).phi_polynomials()]
 
 
 def _numerators_at(sums, q, s, p0):
@@ -515,8 +515,9 @@ def test_search_box_counts_family_members_only(monkeypatch):
     assert families
     assert len(calls) == sum(len(fam.members) for fam in families)
     # no bucket is shared here, so no class gets a lattice or a box count;
-    # q = 432 is the largest manifold search of rank 3 the limit admits
-    for args in ((14, 4, 0), (21, 3, 1, "orbifolds"), (432, 3, 0)):
+    # q = 930 is the largest manifold search of rank 3 the limit admits, and
+    # (270; 1, 1, 1, 1) alone would be a box count over it
+    for args in ((14, 4, 0), (21, 3, 1, "orbifolds"), (432, 3, 0), (930, 3, 0), (270, 4, 0)):
         calls.clear()
         built.clear()
         assert search(*args) == []

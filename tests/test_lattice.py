@@ -302,23 +302,14 @@ def test_box_work_bound_admits_the_required_inputs():
         assert work(q, s) > WORK_LIMIT
 
 
-def _least_box_work(q, n):
-    # the lower bound of a huge rank: coordinate k takes at least one step
-    # over (k + 1) q (n + 1) F / 64 words, F = (n - 1) floor(log2(2q - 1)) + 2
-    return q * (n + 1) * ((n - 1) * ((2 * q - 1).bit_length() - 1) + 2) * n * (n + 1) // 128
-
-
-def test_box_work_of_a_huge_rank_is_its_lower_bound():
-    # unit exponents: the bound refuses from n = 423 at q = 2 and from
-    # n = 321 at q = 3, and lies below the exact work just under those ranks
+def test_box_work_of_a_large_rank_is_exact():
+    # unit exponents at ranks far over the limit, counted exactly; a command
+    # refuses such a rank by the class listing or a series count first
     def work(q, n):
         return _kernels.box_work(((q, (1,) * n),), n)
 
-    for q, n, exact in ((2, 422, 4728760804), (3, 320, 8569991970)):
-        assert _least_box_work(q, n) <= WORK_LIMIT < _least_box_work(q, n + 1)
-        assert work(q, n) == exact >= _least_box_work(q, n)
-        assert work(q, n + 1) == _least_box_work(q, n + 1)
-    assert work(2, 423) == 503799768
+    assert [work(2, 422), work(2, 423)] == [4728760804, 4769537046]
+    assert [work(3, 320), work(3, 321)] == [8569991970, 8685486310]
 
 
 def test_large_group_series_refused_by_the_box_count_bound(capsys):
