@@ -23,7 +23,7 @@ it is the unit every other stage counts its work in.  Every count is an exact Py
 
 import math
 
-from .errors import _STEP_WORDS, InvalidParameters, admit
+from .errors import _STEP_WORDS, admit
 
 
 def _group_ops(congs):
@@ -57,8 +57,6 @@ def _plan(congruences, n: int):
     # normalized congruences, coordinate order, radius E - 1, field bits,
     # work; O(n) in size, like the exponents it is given: every command
     # admits its rank by an earlier count (class listing or series)
-    if n < 2:
-        raise InvalidParameters("rank n must be >= 2")
     radius = math.lcm(*(q for q, _ in congruences)) - 1
     values = 2 * radius + 1
     congs = [(q, tuple(x % q for x in s)) for q, s in congruences] or [(1, (0,) * n)]

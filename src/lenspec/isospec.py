@@ -8,11 +8,12 @@ exponent tuple over that whole action, so key equality decides isometry.
 lowers, head by head in both modes: the zero entries, then the least gcd of
 an entry with q, then entries whose gcd with q is no smaller.  It keys no
 parameter vector, and its candidate count is bounded before it starts.
-:func:`search` buckets the classes by character sums mod a prime at one
-point, which need no lattice and are taken in one walk over the sorted keys
-that shares the products of their common leading entries, and builds exact
-moment numerators, with the weights the sums were built with, only for
-classes that share a bucket: a search with no shared bucket runs no box
+:func:`search` buckets the classes by their moment numerators mod a prime
+at one point, from the box-count polynomials there, which character sums
+give with no lattice in one walk over the sorted keys that shares the
+products of their common leading entries, and from the moment weights,
+built once.  It builds exact moment numerators, with the same weights, only
+for classes that share a bucket: a search with no shared bucket runs no box
 count, and the walk is checked against the box count by the tests, not at
 run time.  :func:`compare_spaces` says for every p up to p0 whether two
 spaces are p'-isospectral for all p' <= p, by the moment criterion alone as
@@ -244,29 +245,23 @@ def _is_prime(m: int) -> bool:
 
 
 class _CharacterSums:
-    """Moment numerators of the lens classes of one (q, n), evaluated mod a
+    """Box-count polynomials of the lens classes of one (q, n), evaluated mod a
     61-bit prime P = 1 (mod q) at one fixed point z (:data:`_POINT`).
 
     A class (q; s) has box-count polynomial phi(z, w) = sum_m phi_m(z) w^m,
     by Ikeda's finite Fourier form (1/q) sum_t prod_j (w + H(t s_j)) with
     H(u) = sum_{r=1}^{q-1} omega^(u r) (z^r + z^(q-r)), omega a primitive
-    q-th root of unity mod P; H(-u) = H(u), so t and q - t pair up.  The
-    moment numerator of order h is sum_m phi_m(z) W_m(z), W_m the weights
-    (w_l = l^h) of the one builder that :func:`lenspec.genfun.moment_series`
-    and :func:`compare_spaces` also take theirs from; this route and the box
-    count differ only in how phi_m is obtained.  ``table`` holds w + H(u) at
-    z packed as one int per u, ``powers`` the z^e, e <= n q, that :meth:`at`
-    evaluates a polynomial with, ``weight_sets`` the polynomials W_m of each
-    order, with which :func:`search` also builds the exact numerators of its
-    bucket members, and ``weights`` their values W_m(z); all are built once,
-    and :func:`_phi_sums` walks the classes over them.  Raises
-    InvalidParameters, before any is built, when the work limit refuses the
-    p0 + 1 moment series (:func:`lenspec.genfun.check_series_work`, the one
-    count every series batch takes) or the sums over ``classes`` classes.
+    q-th root of unity mod P; H(-u) = H(u), so t and q - t pair up.  Every
+    series of the chain is sum_m phi_m W_m over a known denominator, W_m
+    depending on (q, n) and the series alone, so its numerator at z is
+    sum_m phi_m(z) W_m(z), with W_m(z) from :meth:`at`; this route and the
+    box count differ only in how phi_m is obtained.  ``table`` holds w + H(u)
+    at z packed as one int per u, built once, and :func:`_phi_sums` walks the
+    classes over it.  Raises InvalidParameters, before it is built, when the
+    work limit refuses the sums over ``classes`` classes.
     """
 
-    def __init__(self, q: int, n: int, p0: int, classes: int):
-        check_series_work(n, q, moments=p0 + 1)
+    def __init__(self, q: int, n: int, classes: int):
         # field width of the packed polynomials in w: a product of n factors
         # w + H, summed over at most q values of t, fits in it
         width = 62 * n + q.bit_length() + 1
@@ -298,23 +293,11 @@ class _CharacterSums:
         table += table[(q + 1) // 2 - 1 : 0 : -1]  # H(q - u) = H(u)
         self.q, self.n, self.P, self.width, self.z, self.table = q, n, P, width, z, table
         self.q_inverse = pow(q, -1, P)
-        # z^0..z^(nq) mod P: every phi_m has degree <= (n - m)(q - 1), and
-        # every moment weight W_m degree <= m q
-        self.powers = powers = [1]
-        for _ in range(n * q):
-            powers.append(powers[-1] * z % P)
-        self.weight_sets = list(_moment_weights(q, n, p0))
-        self.weights = [[self.at(w) for w in weights] for weights in self.weight_sets]
 
     def at(self, poly) -> int:
-        """poly(z) mod P, for a polynomial of degree <= n q."""
-        powers = self.powers
-        return sum(c * powers[e] for e, c in poly.coeffs.items()) % self.P
-
-    def moment_values(self, phi: list[int]) -> tuple[int, ...]:
-        """The moment numerators of orders 0..p0 mod P of the class whose
-        phi_m(z) are ``phi``.  Equal numerators give equal values."""
-        return tuple(sum(map(mul, row, phi)) % self.P for row in self.weights)
+        """poly(z) mod P, for any Laurent polynomial."""
+        z, P = self.z, self.P
+        return sum(c * pow(z, e, P) for e, c in poly.coeffs.items()) % P
 
 
 def _phi_sums(sums: _CharacterSums, classes: list[tuple[int, ...]]) -> Iterator[list[int]]:
@@ -357,28 +340,33 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     p-isospectral for all p <= p0; families of size >= 2 are returned.
 
     Classes are first bucketed by their moment numerators evaluated mod a
-    prime at one point through a character sum (:class:`_CharacterSums`),
-    in one walk over the sorted keys that shares the products of common
-    leading entries (:func:`_phi_sums`) and costs no box count; equal series
-    give equal values, so no family is split.  Only members of a bucket of
-    two or more get a lattice, and their exact moment numerators, taken with
-    the weight sets of the sums (:func:`_moment_fingerprint`), decide each
-    family: the quotients are p-isospectral for every p <= p0 exactly when
-    their moment series of orders 0..p0 agree.  The result rests on that
-    exact criterion, not on the values; a search with no shared bucket runs
-    no box count.  The tests certify the walk's phi_m(z) against the box
-    count.  Each stage that runs is admitted before it starts: the class
-    listing, the moment series with the character sums, and the sum of the
-    bucket members' box counts (InvalidParameters).
+    prime at one point: the phi_m(z) of every class by a character sum
+    (:class:`_CharacterSums`), in one walk over the sorted keys that shares
+    the products of common leading entries (:func:`_phi_sums`) and costs no
+    box count, and the moment weights W_m of orders 0..p0, built once here,
+    at z.  Equal series give equal values, so no family is split.  Only
+    members of a bucket of two or more get a lattice, and their exact moment
+    numerators, taken with the same weights (:func:`_moment_fingerprint`),
+    decide each family: the quotients are p-isospectral for every p <= p0
+    exactly when their moment series of orders 0..p0 agree.  The result
+    rests on that exact criterion, not on the values; a search with no
+    shared bucket runs no box count.  The tests certify the walk's phi_m(z)
+    against the box count.  Each stage that runs is admitted before it
+    starts, in this order: the class listing, the moment series, the
+    character sums, and the sum of the bucket members' box counts
+    (InvalidParameters).
     """
     _check_q_n(q, n)  # before p0, whose range depends on n
     if not 0 <= p0 <= n - 1:
         raise InvalidParameters(f"p0 must lie in 0..{n - 1}")
     keys = isometry_classes(q, n, mode)
-    sums = _CharacterSums(q, n, p0, len(keys))
+    check_series_work(n, q, moments=p0 + 1)
+    sums = _CharacterSums(q, n, len(keys))
+    weight_sets = list(_moment_weights(q, n, p0))
+    weights = [[sums.at(w) for w in weight_set] for weight_set in weight_sets]
     buckets: dict[tuple, list[tuple[int, ...]]] = {}
     for s, phi in zip(keys, _phi_sums(sums, keys)):
-        buckets.setdefault(sums.moment_values(phi), []).append(s)
+        buckets.setdefault(tuple(sum(map(mul, row, phi)) % sums.P for row in weights), []).append(s)
     shared = [s for members in buckets.values() if len(members) > 1 for s in members]
     admit(
         sum(box_work(((q, s),), n) for s in shared),
@@ -386,7 +374,7 @@ def search(q: int, n: int, p0: int, mode: str = "manifolds") -> list[Isospectral
     )
     groups: dict[tuple, list[tuple[int, ...]]] = {}
     for s in shared:
-        groups.setdefault(_moment_fingerprint(lattice_from_lens(q, s), sums.weight_sets), []).append(s)
+        groups.setdefault(_moment_fingerprint(lattice_from_lens(q, s), weight_sets), []).append(s)
     families = [
         IsospectralFamily(q=q, n=n, p0=p0, members=tuple(group), fingerprint=fingerprint_digest(fp))
         for fp, group in groups.items()

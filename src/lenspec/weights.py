@@ -22,12 +22,9 @@ shell enumeration shares no code with the box count behind those series.
 import math
 from functools import lru_cache
 
-from .errors import InvalidParameters
+from .errors import _STEP_WORDS, InvalidParameters, admit
 from .lattice import CongruenceLattice
 from .polyseries import binom
-
-# Largest ball of integer points, by one-norm, that one enumeration may cover.
-_SHELL_POINT_LIMIT = 10**8
 
 
 def _ball_size(d: int, k: int) -> int:
@@ -97,15 +94,11 @@ def _enumerate_shells(L: CongruenceLattice, hi: int) -> list[tuple[int, ...]]:
 
 def shell_table(L: CongruenceLattice, kmax: int) -> list[tuple[int, ...]]:
     """Table N[k][zeros] of lattice vectors with one-norm k, for 0 <= k <= kmax,
-    by brute-force enumeration, refused above the point limit before it starts."""
+    by brute-force enumeration.  Every integer point of the ball is one loop
+    step of at most a word, admitted before it starts (InvalidParameters)."""
     if kmax < 0:
         raise InvalidParameters("kmax must be >= 0")
-    points = _ball_size(L.n, kmax)
-    if points > _SHELL_POINT_LIMIT:
-        raise InvalidParameters(
-            f"shell enumeration to one-norm {kmax} in rank {L.n} covers {points}"
-            f" points, above the limit of {_SHELL_POINT_LIMIT}"
-        )
+    admit(_ball_size(L.n, kmax) * (_STEP_WORDS + 1), f"the shell enumeration to one-norm {kmax} in rank {L.n}")
     return _enumerate_shells(L, kmax)
 
 

@@ -15,7 +15,7 @@ import lenspec.genfun
 import lenspec.polyseries
 import lenspec.spectrum
 from lenspec.cli import main
-from lenspec.errors import LenspecError
+from lenspec.errors import InvalidParameters, LenspecError
 from lenspec.lattice import lattice_from_lens
 from lenspec.polyseries import LaurentPolynomial, RationalSeries
 
@@ -198,6 +198,9 @@ def test_bad_parameters_exit_code(tmp_path, capsys):
         ("search", "--q", "1000", "--n", "6"),
         # a rank below 2 is reported as such, not as a p0 range
         ("search", "--q", "5", "--n", "0"),
+        # a modulus below 1 and a table that ends before its first row
+        ("search", "--q", "0", "--n", "3"),
+        ("spectrum", "--space", "L(5;1,2)", "--kmax", "0"),
         # rank-driven work: box plans, phi_m weights and character sums, each
         # rejected before it starts
         ("spectrum", "--space", f"L(5;{','.join(['1'] * 400)})", "--kmax", "1"),
@@ -443,6 +446,22 @@ def test_internal_inconsistency_is_not_a_user_error(capsys, monkeypatch):
     assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
+def test_genfun_reports_a_failed_pole_cancellation_before_any_row(capsys, monkeypatch):
+    # an a_laurent broken for F^1 alone leaves a negative power in its
+    # numerator: f_rational reports it while the series are built, so stdout
+    # stays empty, as for every error of genfun
+    a_laurent = lenspec.genfun.a_laurent
+
+    def broken(p, ell, n):
+        weight = a_laurent(p, ell, n)
+        return weight + LaurentPolynomial.term(1, -p) if p == 2 else weight
+
+    monkeypatch.setattr(lenspec.genfun, "a_laurent", broken)
+    code, out, err = run_cli(capsys, "genfun", "--space", "L(5;1,2)", "--order", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal: pole cancellation failed for L(5;1,2) at p=1") and err.count("\n") == 1
+
+
 def test_genfun_table_and_series(capsys):
     code, out, _ = run_cli(
         capsys, "genfun", "--space", "L(1;0,0)", "--order", "5"
@@ -686,6 +705,31 @@ def test_verify_small(capsys):
         assert len(records) == 11 and [list(r) for r in records] == [["check", "ok", "detail"]] * 11
         assert all(r["ok"] in (True, "True") for r in records)
         assert any(r["check"] == "theta-rational" and r["detail"] == "9 lattices to order 3q" for r in records)
+
+
+def test_verify_reports_each_failed_check_and_exits_1(capsys, monkeypatch):
+    # a check that fails an assertion with no message and one that raises a
+    # library error are FAIL rows with their details; the other checks run
+    import lenspec.verify
+
+    def bare(*args):
+        raise AssertionError
+
+    def refused(*args):
+        raise InvalidParameters("refused here")
+
+    monkeypatch.setattr(lenspec.verify, "check_theta_rational", bare)
+    monkeypatch.setattr(lenspec.verify, "check_sphere_spectrum", refused)
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--kmax", "2")
+    assert code == 1 and err == ""
+    assert [line for line in out.splitlines() if not line.startswith("ok ")] == [
+        "FAIL theta-rational: assertion failed",
+        "FAIL sphere-spectrum: refused here",
+    ]
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--kmax", "2", "--format", "json")
+    assert code == 1 and err == "" and '"ok": false' in out
+    failed = [(r["check"], r["detail"]) for r in json.loads(out) if not r["ok"]]
+    assert failed == [("theta-rational", "assertion failed"), ("sphere-spectrum", "refused here")]
 
 
 # the environment of a fresh interpreter that imports lenspec from this tree

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 from itertools import product
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +13,7 @@ from lenspec import _kernels, errors, genfun, isospec
 from lenspec import (
     CongruenceLattice,
     compare_spaces,
+    f_rational,
     isometry_classes,
     lattice_from_lens,
     moment_series,
@@ -20,9 +22,10 @@ from lenspec import (
     theta_rational,
 )
 from lenspec.errors import _STEP_WORDS, DimensionMismatch, InvalidParameters
-from lenspec.genfun import phi_weights
+from lenspec.genfun import _moment_weights, a_laurent, check_series_work, phi_weights
 from lenspec.isospec import fingerprint_digest, numerator_fingerprint
 from lenspec.lattice import lens_label
+from lenspec.polyseries import one_minus_z
 from support import acts_freely, canonical_key, norm_star_isospectral
 
 
@@ -383,8 +386,8 @@ def test_character_sums_match_box_count_numerators(q, s):
     if math.gcd(q, *s) != 1:
         s = (1,) + s[1:]
     n, p0 = len(s), len(s) - 1
-    sums = isospec._CharacterSums(q, n, p0, 1)
-    assert sums.moment_values(next(isospec._phi_sums(sums, [s]))) == _numerators_at(sums, q, s, p0)
+    sums = isospec._CharacterSums(q, n, 1)
+    assert _bucket_keys(sums, p0, isospec._phi_sums(sums, [s])) == [_numerators_at(sums, q, s, p0)]
 
 
 def test_walk_matches_the_box_count_at_the_widest_field(monkeypatch):
@@ -393,9 +396,21 @@ def test_walk_matches_the_box_count_at_the_widest_field(monkeypatch):
     # (512; 1, 1, 1) is over the limit, which is raised here alone
     monkeypatch.setattr(errors, "WORK_LIMIT", 4 * errors.WORK_LIMIT)
     q, s = 512, (1, 1, 1)
-    sums = isospec._CharacterSums(q, 3, 0, 1)
-    assert sums.width == isospec._CharacterSums(930, 3, 0, 1).width == isospec._CharacterSums(432, 3, 0, 1).width + 1
+    sums = isospec._CharacterSums(q, 3, 1)
+    assert sums.width == isospec._CharacterSums(930, 3, 1).width == isospec._CharacterSums(432, 3, 1).width + 1
     assert next(isospec._phi_sums(sums, [s])) == [sums.at(phi) for phi in lattice_from_lens(q, s).phi_polynomials()]
+
+
+def _moment_weights_at(sums, p0):
+    # W_m(z) mod P of the moment series of orders 0..p0
+    return [[sums.at(w) for w in weights] for weights in _moment_weights(sums.q, sums.n, p0)]
+
+
+def _bucket_keys(sums, p0, phis):
+    # the search's bucket key of each class whose phi_m(z) are in phis:
+    # its moment numerators of orders 0..p0 at the point mod P
+    rows = _moment_weights_at(sums, p0)
+    return [tuple(sum(map(mul, row, phi)) % sums.P for row in rows) for phi in phis]
 
 
 def _numerators_at(sums, q, s, p0):
@@ -418,8 +433,8 @@ def test_walk_matches_box_count_numerators_on_every_class(q, n, mode, p0):
     # one walk over the sorted classes, which shares prefix products between
     # them, against each class's exact moment numerators at the point
     keys = isometry_classes(q, n, mode)
-    sums = isospec._CharacterSums(q, n, p0, len(keys))
-    values = [sums.moment_values(phi) for phi in isospec._phi_sums(sums, keys)]
+    sums = isospec._CharacterSums(q, n, len(keys))
+    values = _bucket_keys(sums, p0, isospec._phi_sums(sums, keys))
     assert values == [_numerators_at(sums, q, s, p0) for s in keys]
 
 
@@ -428,7 +443,7 @@ def test_walk_matches_box_count_numerators_on_every_class(q, n, mode, p0):
 def test_character_sum_weights_match_binomial_sum(q, n):
     # the moment weights at the point mod P against the binomial sum
     # c_{h,m} = sum_l C(m, l) l^h (1 - z^q)^l (2 z^q)^(m-l) written out here
-    sums = isospec._CharacterSums(q, n, n - 1, 1)
+    sums = isospec._CharacterSums(q, n, 1)
     P = sums.P
     assert sums.z == isospec._POINT % P
     zq = pow(sums.z, q, P)
@@ -439,43 +454,100 @@ def test_character_sum_weights_match_binomial_sum(q, n):
         ]
         for h in range(n)
     ]
-    assert sums.weights == expected, (q, n)
+    assert _moment_weights_at(sums, n - 1) == expected, (q, n)
+
+
+def _horner(sums, poly):
+    # poly(z) mod P by Horner's rule from the top exponent down to the least,
+    # lo, times z^lo through z^(P - 1) = 1, so no negative power is taken
+    z, P = sums.z, sums.P
+    lo, value = min(poly.coeffs, default=0), 0
+    for e in range(max(poly.coeffs, default=0), lo - 1, -1):
+        value = (value * z + poly.coeffs.get(e, 0)) % P
+    return value * pow(z, lo % (P - 1), P) % P
 
 
 @pytest.mark.parametrize("q, n", [(1, 2), (7, 3), (12, 4), (45, 3), (101, 3)])
-def test_power_table_evaluates_every_phi_and_moment_weight(q, n):
-    # sums.at reads each z^e off one table, against one pow per term
-    sums = isospec._CharacterSums(q, n, n - 1, 1)
-    weights = [w for weight_set in sums.weight_sets for w in weight_set]
-    # W_n of order 0 is (1 + z^q)^n, of degree n q, the top of the table
-    assert max(weights[n].coeffs) == n * q == len(sums.powers) - 1
+def test_at_evaluates_every_weight_and_phi(q, n):
+    # sums.at, one pow a term, against Horner's rule: the phi_m, the moment
+    # weights and the F^p weights of every order, whose exponents run from
+    # -n to n q + n - 2
+    sums = isospec._CharacterSums(q, n, 1)
+    f_weights = [phi_weights(q, [a_laurent(p + 1, ell, n) for ell in range(n + 1)]) for p in range(n)]
+    weights = [w for weight_set in (*_moment_weights(q, n, n - 1), *f_weights) for w in weight_set]
+    exponents = {e for w in weights for e in w.coeffs}
+    assert (min(exponents), max(exponents)) == (-n, n * q + n - 2)
     phis = [phi for s in isometry_classes(q, n, "orbifolds")[:6] for phi in lattice_from_lens(q, s).phi_polynomials()]
     for poly in weights + phis:
-        assert sums.at(poly) == sum(c * pow(sums.z, e, sums.P) for e, c in poly.coeffs.items()) % sums.P
+        assert sums.at(poly) == _horner(sums, poly)
+
+
+@pytest.mark.parametrize(
+    "q, n, mode", [(8, 3, "orbifolds"), (12, 3, "orbifolds"), (13, 3, "manifolds"), (9, 4, "orbifolds")]
+)
+def test_walk_gives_every_f_p_at_the_point(q, n, mode):
+    # F^p's numerator is sum_m phi_m W^F_m plus a corrective polynomial, W^F
+    # the phi_m weights of the a_laurent(p + 1, ell, n): at the point, the
+    # walk's phi_m(z) give it for every class and p, with no F^p built there
+    keys = isometry_classes(q, n, mode)
+    sums = isospec._CharacterSums(q, n, len(keys))
+    phis = list(isospec._phi_sums(sums, keys))
+    for p in range(n):
+        weights = [sums.at(w) for w in phi_weights(q, [a_laurent(p + 1, ell, n) for ell in range(n + 1)])]
+        corrective = sums.at((one_minus_z(q, n) * one_minus_z(2, n - 1) * (-1) ** (p + 1)).shift(-p - 1))
+        for s, phi in zip(keys, phis):
+            value = (sum(map(mul, weights, phi)) + corrective) % sums.P
+            assert value == sums.at(f_rational(lattice_from_lens(q, s), p).numerator), (q, s, p)
 
 
 def test_character_sums_step_off_a_point_of_order_dividing_q(monkeypatch):
     # H's closed form divides by z^q - 1: at the point 1 the sums move to 2,
     # and the search still finds Ikeda's pair
     monkeypatch.setattr(isospec, "_POINT", 1)
-    assert isospec._CharacterSums(11, 3, 0, 1).z == 2
+    assert isospec._CharacterSums(11, 3, 1).z == 2
     assert [fam.members for fam in search(11, 3, 0)] == [((1, 2, 3), (1, 2, 4))]
 
 
+class _Reached(Exception):
+    pass
+
+
+def _reach(*args):
+    raise _Reached
+
+
+def test_search_admits_its_moment_series_before_its_sums(monkeypatch):
+    # rank 152 over q = 2: the sums of its one manifold class and its two
+    # moment series are both over the limit, and the series are refused first
+    with pytest.raises(InvalidParameters, match="phi_m weights of rank 152"):
+        search(2, 152, 1)
+    # rank 100: its p0 + 1 = 5 moment series are refused before the sums, and
+    # with 4 of them the sums are reached
+    monkeypatch.setattr(isospec, "_CharacterSums", _reach)
+    with pytest.raises(InvalidParameters, match="phi_m weights of rank 100"):
+        search(2, 100, 4)
+    with pytest.raises(_Reached):
+        search(2, 100, 3)
+
+
 def test_character_sum_bound_admits_the_gate_scales():
-    # the q-range gates at every p0 pass both bounds of the search's sums;
-    # checked by the work alone, so no class is summed here
+    # the q-range gates at every p0 pass both counts a search takes before
+    # its sums, the moment series and the sums themselves; checked by the
+    # work alone, so no class is summed here
     scales = [(101, 3), (151, 3), (31, 4), *((q, 5) for q in range(1, 18))]
     for q, n in scales:
+        check_series_work(n, q, moments=n)
         for mode in ("manifolds", "orbifolds"):
-            isospec._CharacterSums(q, n, n - 1, len(isometry_classes(q, n, mode)))
+            isospec._CharacterSums(q, n, len(isometry_classes(q, n, mode)))
     # q = 2 has n orbifold classes of rank n and one manifold class: the last
-    # admitted searches are of rank 55 and 151
-    isospec._CharacterSums(2, 55, 0, 55)
-    isospec._CharacterSums(2, 151, 0, 1)
+    # admitted searches are of rank 55 and 151, and the sums refuse the next
+    for n, classes in ((55, 55), (151, 1)):
+        check_series_work(n, 2, moments=1)
+        isospec._CharacterSums(2, n, classes)
     for n, classes in ((56, 56), (152, 1)):
-        with pytest.raises(InvalidParameters):
-            isospec._CharacterSums(2, n, 0, classes)
+        check_series_work(n, 2, moments=1)
+        with pytest.raises(InvalidParameters, match="character sums"):
+            isospec._CharacterSums(2, n, classes)
 
 
 def _families(q, n, p0, mode):
@@ -494,12 +566,12 @@ def test_value_collisions_are_split_exactly(monkeypatch, q, n, p0, mode):
     phi_sums = isospec._phi_sums
     calls = []
 
-    def counted_walk(sums, classes):
+    def one_value_walk(sums, classes):
         calls.append(len(classes))
-        return phi_sums(sums, classes)
+        for _ in phi_sums(sums, classes):
+            yield [1] * (sums.n + 1)
 
-    monkeypatch.setattr(isospec, "_phi_sums", counted_walk)
-    monkeypatch.setattr(isospec._CharacterSums, "moment_values", lambda self, phi: (0,))
+    monkeypatch.setattr(isospec, "_phi_sums", one_value_walk)
     assert _families(q, n, p0, mode) == expected
     # the search walked every class once
     assert calls == [len(isometry_classes(q, n, mode))]
@@ -517,7 +589,9 @@ def test_search_box_counts_family_members_only(monkeypatch):
     # no bucket is shared here, so no class gets a lattice or a box count;
     # q = 930 is the largest manifold search of rank 3 the limit admits, and
     # (270; 1, 1, 1, 1) alone would be a box count over it
-    for args in ((14, 4, 0), (21, 3, 1, "orbifolds"), (432, 3, 0), (930, 3, 0), (270, 4, 0)):
+    # Ikeda's pair at q = 11 differs from order 1 on, so at p0 = 1 its bucket
+    # key of orders 0..1 already tells the two classes apart
+    for args in ((14, 4, 0), (21, 3, 1, "orbifolds"), (432, 3, 0), (930, 3, 0), (270, 4, 0), (11, 3, 1)):
         calls.clear()
         built.clear()
         assert search(*args) == []

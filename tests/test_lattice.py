@@ -156,12 +156,16 @@ def test_shell_table_matches_naive_enumeration():
 
 
 def test_shell_table_refuses_above_the_point_limit(monkeypatch):
-    L = lattice_from_lens(7, (1, 2, 3))
-    monkeypatch.setattr(weights, "_SHELL_POINT_LIMIT", weights._ball_size(3, 5))
-    # a request above the limit is refused before any enumeration
-    monkeypatch.setattr(weights, "_enumerate_shells", None)
-    with pytest.raises(InvalidParameters):
-        shell_table(L, 6)
+    # a step a point of the ball: Z^3 to one-norm 125 is over the work limit
+    # and refused before any enumeration, and 124 is admitted
+    L = lattice_from_lens(1, (0, 0, 0))
+    calls = []
+    monkeypatch.setattr(weights, "_enumerate_shells", lambda L, hi: calls.append(hi))
+    with pytest.raises(InvalidParameters, match="shell enumeration to one-norm 125 in rank 3"):
+        shell_table(L, 125)
+    assert calls == []
+    shell_table(L, 124)
+    assert calls == [124]
 
 
 def test_periodicity_property():
