@@ -1,13 +1,13 @@
 """Brute-force weight machinery for even orthogonal groups.
 
 Everything here recomputes representation data of so(2n) from first
-principles: the Freudenthal recursion over the D_n root system, the Weyl
-dimension product, and direct monomial counting in symmetric and exterior
-powers of the standard representation.  :func:`family_highest_weights` is
-the one statement of the highest weights of the harmonic family (k, p),
-both mirror components at p = n; the multiplicities and dimensions of the
-family sum over them.  These routines certify the closed multiplicity
-formulas in :mod:`lenspec.weights`; production code never calls them.
+principles: the Freudenthal recursion over the D_n root system, tabulated
+on dominant weights, and the Weyl dimension product.
+:func:`family_highest_weights` is the one statement of the highest weights
+of the harmonic family (k, p), both mirror components at p = n; the
+multiplicities and dimensions of the family sum over them.  These routines
+certify the closed multiplicity formulas in :mod:`lenspec.weights`;
+production code never calls them.
 
 Conventions: weights live in Z^n written in the orthonormal epsilon basis
 (so the inner product is the dot product), the positive roots are
@@ -16,7 +16,6 @@ and a weight is dominant when a_1 >= ... >= a_{n-1} >= |a_n|.
 """
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .errors import InternalError, InvalidParameters, NotDominant
 
@@ -148,37 +147,6 @@ def _dominant_multiplicities(lam: tuple[int, ...], n: int) -> dict:
     return table
 
 
-def _orbit(mu):
-    """Full Weyl orbit of a weight: coordinate permutations, even sign flips."""
-    out = set()
-    has_zero = any(x == 0 for x in mu)
-    parity = sum(1 for x in mu if x < 0) % 2
-    magnitudes = tuple(abs(x) for x in mu)
-    for perm in set(permutations(magnitudes)):
-        nz = [i for i, x in enumerate(perm) if x != 0]
-        for signs in product((1, -1), repeat=len(nz)):
-            if not has_zero and sum(1 for s in signs if s < 0) % 2 != parity:
-                continue
-            vec = list(perm)
-            for i, s in zip(nz, signs):
-                vec[i] *= s
-            out.add(tuple(vec))
-    return out
-
-
-def freudenthal_weights(highest_weight, n: int) -> dict:
-    """Exact weight multiplicities of the irreducible so(2n)-module: a dict
-    from each weight to its multiplicity, so its values sum to the
-    dimension."""
-    lam = _require_dominant(highest_weight, n)
-    dominant = _dominant_multiplicities(lam, n)
-    full: dict[tuple[int, ...], int] = {}
-    for mu, mult in dominant.items():
-        for w in _orbit(mu):
-            full[w] = mult
-    return full
-
-
 def weyl_dimension(highest_weight, n: int) -> int:
     """Dimension of the irreducible with the given highest weight."""
     lam = _require_dominant(highest_weight, n)
@@ -194,36 +162,6 @@ def weyl_dimension(highest_weight, n: int) -> int:
     if rem:
         raise InternalError(f"Weyl dimension is not an integer at {lam}")
     return value
-
-
-@lru_cache(maxsize=256)
-def _monomial_table(kind: str, degree: int, n: int) -> dict:
-    # weights of the standard 2n-dimensional representation
-    items = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        items.append(tuple(e))
-        e = [0] * n
-        e[i] = -1
-        items.append(tuple(e))
-    chooser = combinations if kind == "ext" else combinations_with_replacement
-    table: dict[tuple[int, ...], int] = {}
-    for combo in chooser(items, degree):
-        total = tuple(sum(col) for col in zip(*combo)) if combo else (0,) * n
-        table[total] = table.get(total, 0) + 1
-    return table
-
-
-def monomial_weight_count(kind: str, degree: int, mu, n: int) -> int:
-    """Number of degree-sized multisets (sym) or subsets (ext) of the standard
-    weights {+-e_i} summing to mu."""
-    _check_rank(n)
-    if kind not in ("sym", "ext"):
-        raise InvalidParameters(f"kind must be 'sym' or 'ext', got {kind!r}")
-    if degree < 0:
-        raise InvalidParameters("degree must be >= 0")
-    return _monomial_table(kind, degree, n).get(tuple(mu), 0)
 
 
 def family_highest_weights(k: int, p: int, n: int) -> tuple[tuple[int, ...], ...]:

@@ -225,8 +225,6 @@ class RationalSeries:
         return tuple(sorted(common.items())), _over(self.numerator, common, d1), _over(other.numerator, common, d2)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, LaurentPolynomial)):
-            other = RationalSeries(other)
         if not isinstance(other, RationalSeries):
             return NotImplemented
         _, left, right = self._merge(other)
@@ -253,8 +251,6 @@ class RationalSeries:
         return k, self.expand(max(k, 0))[k], other.expand(max(k, 0))[k]
 
     def __add__(self, other) -> "RationalSeries":
-        if isinstance(other, (int, LaurentPolynomial)):
-            other = RationalSeries(other)
         if not isinstance(other, RationalSeries):
             return NotImplemented
         common, left, right = self._merge(other)

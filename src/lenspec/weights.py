@@ -28,9 +28,7 @@ from .polyseries import binom
 
 
 def _ball_size(d: int, k: int) -> int:
-    """Number of integer vectors in Z^d with one-norm <= k."""
-    if k < 0:
-        return 0
+    """Number of integer vectors in Z^d with one-norm <= k, for k >= 0."""
     return sum((1 << i) * math.comb(d, i) * math.comb(k, i) for i in range(d + 1))
 
 

@@ -1,12 +1,14 @@
 """Brute-force references and hypothesis strategies shared by the tests."""
 
 import math
-from itertools import product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from hypothesis import strategies as st
 
 from lenspec import CongruenceLattice, theta_ell_rational
-from lenspec.errors import DimensionMismatch, InvalidParameters
+from lenspec.errors import DimensionMismatch, InvalidParameters, NotDominant
+from lenspec.oracle import _dominant_multiplicities, dominant_representative, is_dominant
 
 
 def member(L, a) -> bool:
@@ -44,6 +46,33 @@ def canonical_key(q: int, s) -> tuple[int, ...]:
         raise InvalidParameters(f"gcd(q, s_1, ..., s_n) must be 1, got ({q}; {s})")
     best = min(sorted(min(t * x % q, -t * x % q) for x in s) for t in range(1, q + 1) if math.gcd(t, q) == 1)
     return tuple(best)
+
+
+def weight_table(lam, n) -> dict:
+    """Every weight of the irreducible so(2n)-module of highest weight lam,
+    with its multiplicity: the oracle's Freudenthal table on dominant weights
+    spread over each Weyl orbit, the signed permutations of a dominant mu
+    whose dominant representative is mu."""
+    lam = tuple(lam)
+    if not is_dominant(lam, n):
+        raise NotDominant(f"{lam} is not dominant for rank {n}")
+    table = {}
+    for mu, mult in _dominant_multiplicities(lam, n).items():
+        for perm in set(permutations(mu)):
+            for signs in product((1, -1), repeat=n):
+                w = tuple(s * x for s, x in zip(signs, perm))
+                if dominant_representative(w) == mu:
+                    table[w] = mult
+    return table
+
+
+def monomial_counts(kind, degree, n) -> Counter:
+    """The weights of the degree-th exterior ("ext") or symmetric ("sym")
+    power of the standard so(2n)-module: how many subsets or multisets of
+    degree of its weights +-e_i sum to each."""
+    standard = [tuple(sign * (i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
+    chooser = combinations if kind == "ext" else combinations_with_replacement
+    return Counter(tuple(sum(e[j] for e in combo) for j in range(n)) for combo in chooser(standard, degree))
 
 
 def norm_star_isospectral(L1, L2) -> bool:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import sys
 from itertools import product
 from operator import mul
 from types import SimpleNamespace
@@ -298,6 +299,16 @@ def test_fingerprint_digest_is_sha256():
     # the builtin sha256 the digest takes gives hashlib's digits
     for data in ((), (((0, 1),),), (((0, 3), (2, -1)), ((1, 5), (7, 2))), "x" * 1000):
         assert fingerprint_digest(data) == hashlib.sha256(repr(data).encode()).hexdigest()[:16]
+
+
+def test_fingerprint_digest_falls_back_to_hashlib(monkeypatch):
+    # without the interpreter's builtin sha256 the digest takes hashlib's,
+    # and its digits stay the same
+    data = (((0, 3), (2, -1)), ((1, 5), (7, 2)))
+    builtin = fingerprint_digest(data)
+    monkeypatch.setitem(sys.modules, "_sha2" if sys.version_info >= (3, 12) else "_sha256", None)
+    assert isospec._builtin_sha256() is hashlib.sha256
+    assert fingerprint_digest(data) == hashlib.sha256(repr(data).encode()).hexdigest()[:16] == builtin
 
 
 def test_search_empty_for_small_three_dimensional():

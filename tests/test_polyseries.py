@@ -52,6 +52,20 @@ def test_laurent_int_coercion():
     assert one_minus_z(2, 2) == poly({0: 1, 2: -2, 4: 1})
 
 
+def test_operands_outside_each_ring_are_refused():
+    # a polynomial takes ints and polynomials, a series only series: any
+    # other operand raises TypeError under + and * and compares unequal
+    p = poly({0: 1, 1: 1})
+    with pytest.raises(TypeError):
+        p + "z"
+    with pytest.raises(TypeError):
+        p * "z"
+    assert (p == "z") is False
+    with pytest.raises(TypeError):
+        RationalSeries(1) + 1
+    assert (RationalSeries(3) == 3) is False
+
+
 def test_one_minus_z_is_the_product_of_its_factors():
     for a in range(1, 6):
         product = poly({0: 1})
