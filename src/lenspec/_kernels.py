@@ -54,12 +54,12 @@ def _group_ops(congs):
 
 
 def _plan(congruences, n: int):
-    # normalized congruences, coordinate order, radius E - 1, field bits,
+    # the congruences, coordinate order, radius E - 1, field bits,
     # work; O(n) in size, like the exponents it is given: every command
     # admits its rank by an earlier count (class listing or series)
     radius = math.lcm(*(q for q, _ in congruences)) - 1
     values = 2 * radius + 1
-    congs = [(q, tuple(x % q for x in s)) for q, s in congruences] or [(1, (0,) * n)]
+    congs = list(congruences) or [(1, (0,) * n)]
 
     def reach(gcds):
         # bound on the residues of sum_j a_j g_j over the coordinates whose

@@ -11,17 +11,17 @@ here is cached: each call builds the W_m it uses.  One builder gives the
 moment weights of orders 0..p0, and a search or a comparison of two spaces
 builds them once per exponent and takes every moment numerator with them.
 
-A batch of series has one count of word steps, :func:`check_series_work`:
-given the orders of its F^p and the number of its moment series, it admits
-their a_laurent weights, phi_m weights and products phi_m W_m through
-:func:`lenspec.errors.admit`, each stage on its own, before any weight is
-built or any box is counted.  Every caller that builds F^p or moment series
-makes one such call for its whole batch; theta admits itself through
-:func:`moment_series`.  The theta^(ell), whose weights are monomials, take
-no count of their own: phi_m meets one monomial in each theta^(ell) with
-ell <= m, m + 1 in all, and the count of F^0 takes its W_m at m + 1 terms,
-so the products of all n + 1 of them take at most the product steps counted
-for F^0.
+A batch of series has one count of word steps, :func:`check_series_work`: given
+the orders of its F^p and the number of its moment series, it admits their
+a_laurent weights, phi_m weights and products phi_m W_m through
+:func:`lenspec.errors.admit`, each stage on its own, before any weight is built
+or any box is counted.  Every caller that builds F^p or moment series admits
+them so first, though ``search`` counts the moment series of one lattice and
+forms them for every member of a shared bucket; theta admits itself through
+:func:`moment_series`.  The theta^(ell), whose weights are monomials, take no
+count of their own: phi_m meets one monomial in each theta^(ell) with ell <= m,
+m + 1 in all, and the count of F^0 takes its W_m at m + 1 terms, so the
+products of all n + 1 of them take at most the product steps counted for F^0.
 """
 
 from collections.abc import Iterator
@@ -43,8 +43,7 @@ def theta_ell_rational(L: CongruenceLattice, ell: int) -> RationalSeries:
         raise InvalidParameters(f"ell must lie in 0..{n}")
     # W_m = C(m, ell) (2 z^q)^(m - ell) for m >= ell
     weights = [LaurentPolynomial.term(binom(m, ell) << (m - ell), (m - ell) * q) for m in range(ell, n + 1)]
-    factors = ((q, n - ell),) if n > ell else ()
-    return RationalSeries(_phi_sum(L.phi_polynomials()[ell:], weights), factors)
+    return RationalSeries(_phi_sum(L.phi_polynomials()[ell:], weights), ((q, n - ell),))
 
 
 def theta_rational(L: CongruenceLattice) -> RationalSeries:
@@ -59,7 +58,7 @@ def phi_weights(q: int, weights) -> list[LaurentPolynomial]:
     W_m = sum_ell C(m, ell) (2 z^q)^(m - ell) (1 - z^q)^ell w_ell, as theta^(ell)
     weights phi_m by C(m, ell) (2 z^q)^(m - ell) on (1 - z^q)^(n - ell)."""
     lifted = [one_minus_z(q, ell) * w for ell, w in enumerate(weights)]
-    zero = LaurentPolynomial.zero()
+    zero = LaurentPolynomial()
     return [
         sum((lifted[ell].shift((m - ell) * q) * (binom(m, ell) << (m - ell)) for ell in range(m + 1)), zero)
         for m in range(len(lifted))
@@ -74,7 +73,7 @@ def _moment_weights(q: int, n: int, p0: int) -> Iterator[list[LaurentPolynomial]
 
 def _phi_sum(phis, weights) -> LaurentPolynomial:
     # sum_m phi_m W_m
-    return sum((phi * w for phi, w in zip(phis, weights)), LaurentPolynomial.zero())
+    return sum((phi * w for phi, w in zip(phis, weights)), LaurentPolynomial())
 
 
 def a_laurent(p: int, ell: int, n: int) -> LaurentPolynomial:

@@ -109,14 +109,11 @@ def _dominant_multiplicities(lam: tuple[int, ...], n: int) -> dict:
     rho = tuple(range(n - 1, -1, -1))
     roots = _positive_roots(n)
     norm = sum(abs(x) for x in lam)
-    lam_sum = sum(lam)
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     lam_rho2 = _dot(lam_rho, lam_rho)
 
     candidates = []
     for mu in _dominant_below(n, norm):
-        if (lam_sum - sum(mu)) % 2:
-            continue
         coords = _simple_root_coords(tuple(a - b for a, b in zip(lam, mu)), n)
         if coords is None:
             continue

@@ -68,10 +68,6 @@ class LaurentPolynomial:
         return res
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
     def term(cls, coeff: int, exponent: int) -> "LaurentPolynomial":
         """The monomial coeff * z^exponent."""
         return cls({exponent: coeff})
@@ -230,8 +226,6 @@ class RationalSeries:
         _, left, right = self._merge(other)
         return left.coeffs == right.coeffs
 
-    __hash__ = None
-
     def first_difference(self, other: "RationalSeries") -> tuple[int, int, int] | None:
         """None when the series are equal, otherwise (k, a, b): their expansions
         first differ at z^k, with coefficients a and b.  k is the least
@@ -242,11 +236,11 @@ class RationalSeries:
         the expansion allocates anything."""
         _, left, right = self._merge(other)
         left, right = left.coeffs, right.coeffs
-        if left == right:
-            return None
         # no coefficient is stored as 0, so get gives None only where the
         # other side's coefficient is nonzero
-        k = next(e for e in sorted(left.keys() | right.keys()) if left.get(e) != right.get(e))
+        k = min((e for e in left.keys() | right.keys() if left.get(e) != right.get(e)), default=None)
+        if k is None:
+            return None
         # a negative k is a negative power, which expand refuses at any order
         return k, self.expand(max(k, 0))[k], other.expand(max(k, 0))[k]
 
@@ -260,9 +254,7 @@ class RationalSeries:
 
     def to_text(self) -> str:
         """Text form ``numerator | (1-z^a)^b * ...`` used by the CLI."""
-        if not self.denominator:
-            return f"{self.numerator.to_text()} | 1"
-        den = " * ".join(f"(1-z^{a})^{b}" for a, b in self.denominator)
+        den = " * ".join(f"(1-z^{a})^{b}" for a, b in self.denominator) or "1"
         return f"{self.numerator.to_text()} | {den}"
 
     def __repr__(self) -> str:

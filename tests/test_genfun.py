@@ -51,6 +51,8 @@ def test_theta_ell_full_lattice_closed_form():
 def test_theta_ell_top_is_one():
     for L in SAMPLES:
         assert theta_ell_rational(L, L.n) == RationalSeries(1)
+        # its factor (1 - z^q)^0 is dropped, so no denominator is written
+        assert theta_ell_rational(L, L.n).to_text().endswith("| 1")
 
 
 def test_theta_ell_matches_shell_counts():

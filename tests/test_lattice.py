@@ -293,6 +293,21 @@ def test_box_table_matches_brute_force(case):
     assert _kernels.box_table(congs, n) == [list(column) for column in zip(*rows)]
 
 
+def test_box_table_takes_exponents_of_any_residue():
+    # an exponent is read mod its order: shifting any by a multiple of the
+    # order, below 0 or to q and past, changes neither the lists nor the work
+    for congs, n, shifts in (
+        (((7, (1, 3, 5)),), 3, (-1, 1, -2)),
+        (((5, (1, 2)),), 2, (2, -3)),
+        (((6, (0, 2, 3, 1)),), 4, (1, -1, 0, 1)),
+        (((2, (1, 1, 1)), (4, (1, 3, 2))), 3, (-1, 2, 1)),
+    ):
+        shifted = tuple((q, tuple(x + k * q for x, k in zip(s, shifts))) for q, s in congs)
+        assert shifted != congs
+        assert _kernels.box_table(shifted, n) == _kernels.box_table(congs, n)
+        assert _kernels.box_work(shifted, n) == _kernels.box_work(congs, n)
+
+
 def test_box_work_bound_admits_the_required_inputs():
     # checked by the work alone, so none of these runs here
     def work(q, s):

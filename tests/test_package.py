@@ -10,9 +10,13 @@ from pathlib import Path
 import pytest
 
 import lenspec
+from lenspec import LaurentPolynomial, RationalSeries, a_laurent, eigenvalue, theta_ell_rational
+from lenspec.errors import InvalidParameters, NotDominant
 from lenspec.isospec import IsospectralFamily, isometry_classes
 from lenspec.lattice import lattice_from_lens, lens_label
+from lenspec.oracle import oracle_weight_multiplicity, weyl_dimension
 from lenspec.spectrum import spectrum_table
+from lenspec.weights import shell_table
 from support import canonical_key
 
 PUBLIC = {
@@ -143,6 +147,48 @@ def test_live_tracer_targets_resolve():
             unresolved.add(target)
     assert "isospec:_moment_fingerprint" in targets
     assert unresolved == STALE_TRACER_TARGETS
+
+
+# input checks and reprs that no other test reaches: a call, the error it
+# raises (None for a value) and that error's message (or the value)
+_EDGE_CALLS = [
+    pytest.param(lambda: theta_ell_rational(lattice_from_lens(5, (1, 2)), 3), InvalidParameters,
+                 "ell must lie in 0..2", id="theta_ell-ell"),
+    pytest.param(lambda: a_laurent(1, 0, 1), InvalidParameters, "rank n must be >= 2", id="a_laurent-rank"),
+    pytest.param(lambda: a_laurent(1, 3, 2), InvalidParameters, "ell must lie in 0..2", id="a_laurent-ell"),
+    pytest.param(lambda: weyl_dimension((1,), 1), InvalidParameters, "rank n must be >= 2", id="oracle-rank"),
+    pytest.param(lambda: weyl_dimension((1, 0), 3), NotDominant, "(1, 0) is not dominant for rank 3",
+                 id="oracle-weight-length"),
+    pytest.param(lambda: oracle_weight_multiplicity(0, 3, (1, 0), 2), InvalidParameters, "p must lie in 1..2",
+                 id="oracle-p"),
+    pytest.param(lambda: oracle_weight_multiplicity(-1, 1, (1, 0), 2), InvalidParameters, "k must be >= 0",
+                 id="oracle-k"),
+    pytest.param(lambda: RationalSeries("z"), InvalidParameters, "numerator must be a LaurentPolynomial or int",
+                 id="series-numerator"),
+    pytest.param(lambda: RationalSeries(1, ((0, 1),)), InvalidParameters, "bad denominator factor (1-z^0)^1",
+                 id="series-factor-base"),
+    pytest.param(lambda: RationalSeries(1, ((2, -1),)), InvalidParameters, "bad denominator factor (1-z^2)^-1",
+                 id="series-factor-exponent"),
+    pytest.param(lambda: RationalSeries(1).expand(-1), InvalidParameters, "expansion order must be >= 0",
+                 id="series-expand-order"),
+    pytest.param(lambda: repr(LaurentPolynomial({1: 2, -1: 3})), None, "LaurentPolynomial('3*z^-1 + 2*z^1')",
+                 id="polynomial-repr"),
+    pytest.param(lambda: repr(RationalSeries(LaurentPolynomial({1: 2}), ((3, 1),))), None,
+                 "RationalSeries('2*z^1 | (1-z^3)^1')", id="series-repr"),
+    pytest.param(lambda: eigenvalue(1, 0, 1), InvalidParameters, "rank n must be >= 2", id="eigenvalue-rank"),
+    pytest.param(lambda: shell_table(lattice_from_lens(5, (1, 2)), -1), InvalidParameters, "kmax must be >= 0",
+                 id="shell_table-kmax"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _EDGE_CALLS)
+def test_edge_inputs_raise_their_messages(call, error, message):
+    if error is None:
+        assert call() == message
+        return
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_unknown_name_raises_attribute_error():

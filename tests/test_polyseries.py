@@ -42,8 +42,16 @@ def test_laurent_shift():
 
 def test_laurent_add_identity():
     p = poly({-2: 3, 5: -1})
-    assert p + LaurentPolynomial.zero() == p
+    assert p + LaurentPolynomial() == p
     assert p + 0 == p
+
+
+def test_neither_class_hashes():
+    # both define __eq__ and no __hash__, so Python leaves them unhashable
+    with pytest.raises(TypeError):
+        hash(RationalSeries(1))
+    with pytest.raises(TypeError):
+        hash(LaurentPolynomial())
 
 
 def test_laurent_int_coercion():
@@ -173,6 +181,29 @@ def test_comparison_on_one_denominator_takes_no_product(monkeypatch):
             assert e1[:k] == e2[:k] and (e1[k], e2[k]) == (a, b)
 
 
+def test_first_difference_takes_the_least_exponent_in_any_order():
+    # dicts filled from the top exponent down, and a set of 16 and 3 that
+    # iterates 16 first: the answer is still the least differing exponent
+    den = ((1, 1), (2, 1))
+    r1 = RationalSeries(poly({20: 1, 16: 2, 7: 1, 3: 4, 0: 1}), den)
+    r2 = RationalSeries(poly({20: 1, 16: 5, 7: 1, 3: 1, 0: 1}), den)
+    assert list(r1.numerator.coeffs) == [20, 16, 7, 3, 0]
+    e1, e2 = r1.expand(3), r2.expand(3)
+    assert r1.first_difference(r2) == (3, e1[3], e2[3])
+    assert e1[:3] == e2[:3] and e1[3] - e2[3] == 3
+
+
+def test_first_difference_of_equal_series_is_none():
+    # equal as written, equal over different denominators, and equal with a
+    # negative power, which is never expanded
+    r = RationalSeries(poly({4: 1, 0: 1}), ((1, 1),))
+    assert r.first_difference(RationalSeries(poly({4: 1, 0: 1}), ((1, 1),))) is None
+    assert RationalSeries(one_minus_z(2), ((1, 1), (3, 1))).first_difference(
+        RationalSeries(poly({0: 1, 1: 1}), ((3, 1),))
+    ) is None
+    assert RationalSeries(poly({-3: 2}), ((2, 1),)).first_difference(RationalSeries(poly({-3: 2}), ((2, 1),))) is None
+
+
 def test_series_arithmetic_matches_expansion():
     rng = random.Random(13)
     for _ in range(30):
@@ -234,5 +265,5 @@ def test_first_difference_refuses_a_difference_far_past_a_sparse_numerator(monke
 def test_text_round_shapes():
     r = RationalSeries(poly({0: 1, 1: 2, 2: 1}), ((1, 2),))
     assert r.to_text() == "1*z^0 + 2*z^1 + 1*z^2 | (1-z^1)^2"
-    assert RationalSeries(LaurentPolynomial.zero()).to_text() == "0 | 1"
+    assert RationalSeries(LaurentPolynomial()).to_text() == "0 | 1"
     assert poly({-2: -3, 1: 4}).to_text() == "-3*z^-2 + 4*z^1"
